@@ -14,14 +14,18 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The end-to-end benchmark in bench/ is a module of its own; it imports
+# internal/lp and internal/core, so vet and test cover it too.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+	$(GO) -C bench test ./...
 
 # Race-instrumented run of the whole module. The LP branch-and-bound
 # time budget auto-scales under the race build tag (internal/lp/race_on.go)
@@ -56,10 +60,10 @@ cover:
 # then every stored regression seed is replayed, including re-injecting
 # the mutation each sensitivity seed was recorded from. Two differential
 # targets run twice, once plain for input-generation throughput and once
-# race-instrumented: the LP target (sparse LU kernel vs the dense
-# oracle) races the lazily built row-wise views and kernel scratch
-# buffers, and the wave target (word-parallel WaveSim vs the scalar
-# event engine on optimizer-produced circuits, every lane, no
+# race-instrumented: the LP target (the sparse LU kernel, cold and
+# warm-started, vs a cold solve on the test-only dense oracle) races the
+# kernel scratch buffers, and the wave target (word-parallel WaveSim vs
+# the scalar event engine on optimizer-produced circuits, every lane, no
 # calibration escape) races the event arena and per-lane projection
 # state.
 FUZZTIME ?= 20s
@@ -83,9 +87,8 @@ bench:
 # LP-core and suite-runner benchmarks only, with machine-readable
 # output in BENCH_lp.json. The mid-size tiers report pivots/op and
 # warm-start hit rates; the large tier (BenchmarkLPSolveLarge, a
-# ~54k-variable timing LP) runs both basis kernels on the same instance
-# and reports pivots/op, refactors/op and the LU kernel's wall-clock
-# speedup over the dense oracle (lu-speedup-x).
+# ~54k-variable timing LP) reports pivots/op and refactors/op of the
+# sparse LU kernel. Benchmark names carry the -N GOMAXPROCS suffix.
 bench-lp:
 	$(GO) test -json -run '^$$' -bench 'LPSolve|SuiteParallel' -benchmem . > BENCH_lp.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_lp.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true

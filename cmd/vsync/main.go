@@ -6,7 +6,7 @@
 //
 //	vsync [-lib file] [-bench name] [-o out.bench] [-step 0.005]
 //	      [-frac 0.95] [-no-latches] [-no-replace] [-verify n]
-//	      [-verify-lanes n] [-lp-kernel auto|dense|lu]
+//	      [-verify-lanes n]
 //	      [-eco edits.txt [-eco-refine]] [circuit.bench]
 //
 // With -eco, the initial optimization is kept as a live session; the
@@ -50,16 +50,11 @@ func run(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "abort the period search after this long (0 = no limit)")
 	ecoPath := fs.String("eco", "", "ECO edit script to apply and re-optimize incrementally")
 	ecoRefine := fs.Bool("eco-refine", false, "with -eco: search below the held period after the edit")
-	lpKernel := fs.String("lp-kernel", "auto", "LP basis kernel: auto (size the kernel per model), dense, or lu (sparse LU for large models)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return err
-	}
-	kernel, err := virtualsync.ParseLPKernel(*lpKernel)
-	if err != nil {
 		return err
 	}
 
@@ -93,7 +88,6 @@ func run(args []string, out io.Writer) error {
 	opts.SelectFrac = *frac
 	opts.UseLatches = !*noLatches
 	opts.BufferReplace = !*noReplace
-	opts.LPKernel = kernel
 
 	if *ecoPath != "" {
 		return runECO(ctx, out, base, lib, opts, *step, *ecoPath, *ecoRefine, *verify, *verifyLanes, *outPath, *timeout)

@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/gen"
-	"virtualsync/internal/lp"
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/sim"
 	"virtualsync/internal/sta"
@@ -223,45 +221,6 @@ func TestReoptimizeRecoversUpward(t *testing.T) {
 	}
 	if len(ms) > 0 {
 		t.Fatalf("recovered ECO result diverges: %v", ms[0])
-	}
-}
-
-// TestReoptimizeLUKernel runs the full ECO warm-start path with the
-// sparse LU kernel forced on and pins it to the default run: the Basis
-// is statuses-only, so kernel choice must change neither the held
-// period, the re-optimized period, nor the plan-transfer/warm-start
-// behavior.
-func TestReoptimizeLUKernel(t *testing.T) {
-	lib := paperLib(t)
-	base, err := NewSession(context.Background(), wavePipe(t), lib, DefaultOptions(), 0.02, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.LPKernel = lp.KernelLU
-	s, err := NewSession(context.Background(), wavePipe(t), lib, opts, 0.02, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s.Result.Period-base.Result.Period) > 1e-9 {
-		t.Fatalf("LU-kernel session period %.6f differs from default %.6f",
-			s.Result.Period, base.Result.Period)
-	}
-	held := s.Result.Period
-	res, st, err := s.Reoptimize(context.Background(), []netlist.Edit{
-		{Op: netlist.EditSwapCell, Node: "g5", Cell: "W3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Fallback || !st.PlanTransferred {
-		t.Errorf("LU kernel broke the incremental path: %+v", st)
-	}
-	if res.Period > held+1e-9 {
-		t.Errorf("period %.3f regressed past held %.3f on the LU kernel", res.Period, held)
-	}
-	if res.Solver.WarmStarts == 0 {
-		t.Errorf("ECO re-solve never warm-started on the LU kernel: %+v", res.Solver)
 	}
 }
 

@@ -30,11 +30,6 @@ type Options struct {
 	BufferReplace bool
 	// Alpha, Beta, Gamma weight the objective (paper eq. 22: 100, 10, 10).
 	Alpha, Beta, Gamma float64
-	// LPKernel selects the basis-inverse kernel for every LP/ILP the
-	// flow solves. The zero value lp.KernelAuto picks by model size:
-	// paper-suite circuits stay on the historical dense kernel (bit-for-
-	// bit identical results), big-tier circuits get the sparse LU kernel.
-	LPKernel lp.Kernel
 }
 
 // DefaultOptions returns the paper's experimental settings.
@@ -553,7 +548,7 @@ func (r *Region) solveSpec(ctx context.Context, spec *modelSpec) (*modelVars, *l
 	if err != nil {
 		return nil, nil, err
 	}
-	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: spec.warm, Kernel: spec.opts.LPKernel})
+	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: spec.warm})
 	r.addSolverStats(sol)
 	if err != nil {
 		if ctx.Err() != nil {

@@ -76,9 +76,9 @@ func PaperSuite() []Spec {
 
 // BigSuite returns the big-circuit tier: synthetic circuits at 50k and
 // 100k gates, an order of magnitude past the paper suite. They exist to
-// exercise the sparse-LU LP kernel (their timing LPs cross the
-// KernelAuto threshold) and the large-instance benchmarks; the shapes
-// match the paper suite so the same flow runs unchanged.
+// exercise the sparse-LU LP kernel at industrial scale and the
+// large-instance benchmarks; the shapes match the paper suite so the
+// same flow runs unchanged.
 func BigSuite() []Spec {
 	return []Spec{
 		{Name: "big50k", Seed: 50001, TargetGates: 50000, TargetFFs: 2500, Stage1Depth: 18, Stage2Depth: 14, StageWidth: 6, FastBypass: true, Loop: true, WallDelay: 290, NumInputs: 24},

@@ -38,12 +38,6 @@ type SolveOptions struct {
 	// TimeBudget bounds wall time (0: default 5 s). The context deadline,
 	// when earlier, wins.
 	TimeBudget time.Duration
-	// Kernel selects the basis-inverse representation (see Kernel).
-	// The zero value KernelAuto picks by problem size: dense below
-	// luAutoRows constraint rows, sparse LU at or above. KernelDense
-	// forces the historical dense B⁻¹ (the differential oracle);
-	// KernelLU forces the sparse factorized kernel.
-	Kernel Kernel
 }
 
 // Solve solves the model. Pure LPs go straight to the simplex; models
@@ -110,7 +104,7 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 	}
 	if len(p.intVars) == 0 {
 		lb, ub := p.defaultBounds()
-		res, lerr := solveLP(ctx, p, lb, ub, o.Warm, o.Kernel)
+		res, lerr := solveLP(ctx, p, lb, ub, o.Warm)
 		if lerr == errCanceled {
 			return nil, ctx.Err()
 		}
@@ -206,7 +200,7 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 						return
 					}
 				}
-				r.res, r.err = solveLP(ctx, p, lb, ub, nd.seed, o.Kernel)
+				r.res, r.err = solveLP(ctx, p, lb, ub, nd.seed)
 			}(wi, wave[wi])
 		}
 		wg.Wait()

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// Differential property tests: the sparse LU kernel is held to the dense
-// kernel — the battle-tested oracle — on randomly generated bounded LPs.
-// Status must match exactly, objectives within 1e-7 (relative), and on
-// continuously-distributed instances (unique optimum with probability 1)
-// the basic-variable sets must be identical even though the two kernels
-// price differently (Dantzig vs devex).
+// Differential property tests: the production sparse LU kernel is held to
+// the dense kernel — the battle-tested oracle in dense_test.go — on
+// randomly generated bounded LPs. Status must match exactly, objectives
+// within 1e-7 (relative), and on continuously-distributed instances
+// (unique optimum with probability 1) the basic-variable sets must be
+// identical.
 
 // randomLP builds a random bounded LP with continuous data. Most columns
 // are boxed; a few are one-sided or free. Rows mix LE/GE/EQ.
@@ -57,7 +57,7 @@ func randomLP(rng *rand.Rand) *Model {
 	return m
 }
 
-// solveBoth solves the model's pure LP with each kernel.
+// solveBoth solves the model's pure LP cold with each kernel.
 func solveBoth(t *testing.T, m *Model) (dense, lu *lpResult) {
 	t.Helper()
 	p, err := m.compile()
@@ -65,12 +65,12 @@ func solveBoth(t *testing.T, m *Model) (dense, lu *lpResult) {
 		t.Fatal(err)
 	}
 	lb, ub := p.defaultBounds()
-	dense, err = solveLP(nil, p, lb, ub, nil, KernelDense)
+	dense, err = solveDense(p, lb, ub)
 	if err != nil && dense.status != IterLimit {
 		t.Fatalf("dense solve: %v", err)
 	}
 	lb2, ub2 := p.defaultBounds()
-	lu, err = solveLP(nil, p, lb2, ub2, nil, KernelLU)
+	lu, err = solveLP(nil, p, lb2, ub2, nil)
 	if err != nil && lu.status != IterLimit {
 		t.Fatalf("lu solve: %v", err)
 	}
@@ -142,10 +142,11 @@ func TestLUDifferentialTimingLPs(t *testing.T) {
 }
 
 func TestLUDifferentialWarmCross(t *testing.T) {
-	// Dense-optimal basis seeding an LU re-solve (and vice versa) must
-	// land on the same optimum without phase-1 work; the detailed pivot
-	// accounting lives in warmstart_test.go — here we assert the
-	// differential contract survives warm starts in both directions.
+	// The dense oracle's optimal basis seeding an LU re-solve, and the LU
+	// kernel's own optimal basis seeding another, must both land on the
+	// oracle's cold optimum; the detailed pivot accounting lives in
+	// warmstart_test.go — here we assert the differential contract
+	// survives warm starts from either kernel's basis.
 	rng := rand.New(rand.NewSource(9))
 	m, _ := timingLP(rng, 80)
 	p, err := m.compile()
@@ -153,20 +154,20 @@ func TestLUDifferentialWarmCross(t *testing.T) {
 		t.Fatal(err)
 	}
 	lb, ub := p.defaultBounds()
-	dense, err := solveLP(nil, p, lb, ub, nil, KernelDense)
+	dense, err := solveDense(p, lb, ub)
 	if err != nil || dense.status != Optimal {
 		t.Fatalf("dense: %v %v", dense, err)
 	}
-	lu, err := solveLP(nil, p, lb, ub, dense.basis, KernelLU)
+	lu, err := solveLP(nil, p, lb, ub, dense.basis)
 	if err != nil || lu.status != Optimal {
 		t.Fatalf("lu warm from dense: %v %v", lu, err)
 	}
 	compareKernels(t, dense, lu, false)
-	dense2, err := solveLP(nil, p, lb, ub, lu.basis, KernelDense)
-	if err != nil || dense2.status != Optimal {
-		t.Fatalf("dense warm from lu: %v %v", dense2, err)
+	lu2, err := solveLP(nil, p, lb, ub, lu.basis)
+	if err != nil || lu2.status != Optimal {
+		t.Fatalf("lu warm from lu: %v %v", lu2, err)
 	}
-	compareKernels(t, dense2, lu, false)
+	compareKernels(t, dense, lu2, false)
 }
 
 // decodeFuzzLP turns a byte string into a small LP with small-integer
@@ -231,10 +232,11 @@ func decodeFuzzLP(data []byte) *Model {
 }
 
 // FuzzLUFactorVsDense is the native differential fuzz target: any byte
-// string becomes a small LP solved by both kernels, which must agree on
-// status and objective. Degenerate instances admit multiple optimal
-// bases, so the basic-set comparison is deliberately not enforced here
-// (the property test above covers it on continuous data).
+// string becomes a small LP solved cold by both kernels, which must agree
+// on status and objective; an LU re-solve seeded from the oracle's
+// optimal basis must agree too. Degenerate instances admit multiple
+// optimal bases, so the basic-set comparison is deliberately not enforced
+// here (the property test above covers it on continuous data).
 func FuzzLUFactorVsDense(f *testing.F) {
 	f.Add([]byte("virtualsync-lp"))
 	f.Add([]byte{3, 2, 0, 10, 20, 3, 1, 200, 100, 0, 255, 7, 5, 9, 1, 2, 3, 4})
@@ -253,25 +255,37 @@ func FuzzLUFactorVsDense(f *testing.F) {
 			t.Skip() // empty bound range — a modelling error, not a solve
 		}
 		lb, ub := p.defaultBounds()
-		dense, derr := solveLP(nil, p, lb, ub, nil, KernelDense)
+		dense, derr := solveDense(p, lb, ub)
 		lb2, ub2 := p.defaultBounds()
-		lu, lerr := solveLP(nil, p, lb2, ub2, nil, KernelLU)
+		lu, lerr := solveLP(nil, p, lb2, ub2, nil)
 		if derr != nil || lerr != nil ||
 			dense.status == IterLimit || lu.status == IterLimit {
 			t.Skip() // no verdict without both finishing cleanly
 		}
-		if dense.status != lu.status {
-			t.Fatalf("status diverged: dense %v vs lu %v", dense.status, lu.status)
+		agree := func(what string, got *lpResult) {
+			if dense.status != got.status {
+				t.Fatalf("%s: status diverged: dense %v vs lu %v", what, dense.status, got.status)
+			}
+			if dense.status != Optimal {
+				return
+			}
+			if math.IsNaN(got.obj) || math.IsInf(got.obj, 0) {
+				t.Fatalf("%s: lu objective not finite: %g", what, got.obj)
+			}
+			if diff := math.Abs(dense.obj - got.obj); diff > 1e-7*(1+math.Abs(dense.obj)) {
+				t.Fatalf("%s: objective diverged: dense %.12g vs lu %.12g (diff %g)",
+					what, dense.obj, got.obj, diff)
+			}
 		}
+		agree("cold", lu)
 		if dense.status != Optimal {
 			return
 		}
-		if math.IsNaN(lu.obj) || math.IsInf(lu.obj, 0) {
-			t.Fatalf("lu objective not finite: %g", lu.obj)
+		lb3, ub3 := p.defaultBounds()
+		warm, werr := solveLP(nil, p, lb3, ub3, dense.basis)
+		if werr != nil || warm.status == IterLimit {
+			t.Skip()
 		}
-		if diff := math.Abs(dense.obj - lu.obj); diff > 1e-7*(1+math.Abs(dense.obj)) {
-			t.Fatalf("objective diverged: dense %.12g vs lu %.12g (diff %g)",
-				dense.obj, lu.obj, diff)
-		}
+		agree("warm", warm)
 	})
 }

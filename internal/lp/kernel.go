@@ -1,80 +1,11 @@
 package lp
 
-import "fmt"
-
-// Kernel selects the basis-inverse representation used by the simplex.
-//
-// The dense kernel keeps an explicit m×m B⁻¹ updated by rank-one pivots
-// (O(m²) per pivot, O(m²) memory) — simple, battle-tested, and the
-// differential oracle for the sparse kernel. The LU kernel keeps a
-// sparse LU factorization of B with product-form eta updates and
-// periodic refactorization (O(nnz) per pivot on the near-triangular
-// timing bases), which is what lets the solver reach 100k-variable
-// instances.
-type Kernel int
-
-// Basis kernels.
-const (
-	// KernelAuto picks the dense kernel below luAutoRows constraint rows
-	// and the sparse LU kernel at or above it. Small problems keep the
-	// historical dense pivot sequence bit-for-bit; large problems ride
-	// the sparse kernel without any caller opt-in.
-	KernelAuto Kernel = iota
-	// KernelDense forces the dense B⁻¹ kernel (the differential oracle).
-	KernelDense
-	// KernelLU forces the sparse LU kernel at any size.
-	KernelLU
-)
-
-// luAutoRows is the row count at which KernelAuto switches from the
-// dense kernel to the sparse LU kernel. The crossover is conservative:
-// every paper-suite timing LP stays dense (preserving historical pivot
-// sequences and golden outputs exactly), while the big-circuit tier and
-// anything else at industrial scale gets the sparse kernel.
-const luAutoRows = 2048
-
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelDense:
-		return "dense"
-	case KernelLU:
-		return "lu"
-	}
-	return "unknown"
-}
-
-// ParseKernel parses a kernel name ("auto", "dense", "lu") as used by
-// CLI flags.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "dense":
-		return KernelDense, nil
-	case "lu":
-		return KernelLU, nil
-	}
-	return KernelAuto, fmt.Errorf("lp: unknown kernel %q (want auto, dense or lu)", s)
-}
-
-// resolve maps KernelAuto onto a concrete kernel for an m-row problem.
-func (k Kernel) resolve(m int) Kernel {
-	if k == KernelAuto {
-		if m >= luAutoRows {
-			return KernelLU
-		}
-		return KernelDense
-	}
-	return k
-}
-
 // basisKernel abstracts the basis-inverse representation behind the
-// operations the simplex actually needs. All vectors are dense scratch
-// owned by the solver; "slot" space indexes basic positions (the
-// solver's basis array) and "row" space indexes constraint rows — both
-// have length m.
+// operations the simplex actually needs. Production solves always use
+// the sparse LU kernel (lu.go); the interface lets tests substitute the
+// dense B⁻¹ oracle. All vectors are dense scratch owned by the solver;
+// "slot" space indexes basic positions (the solver's basis array) and
+// "row" space indexes constraint rows — both have length m.
 type basisKernel interface {
 	// ftranCol computes alpha = B⁻¹ A_e for (sparse) column e.
 	ftranCol(e int, alpha []float64)
@@ -84,15 +15,12 @@ type basisKernel interface {
 	// btran computes y = B⁻ᵀ cB (cB in slot space, y in row space),
 	// the pricing solve.
 	btran(cB, y []float64)
-	// btranUnit computes rho = B⁻ᵀ e_slot — the tableau pivot row used
-	// by devex weight updates.
-	btranUnit(slot int, rho []float64)
 	// update applies the basis change of column e entering at the given
 	// slot, with alpha = B⁻¹ A_e already computed. It reports whether
 	// the kernel wants a refactorization (eta-file growth, small pivot).
 	update(slot, e int, alpha []float64) bool
 	// refactor rebuilds the representation from the basis columns.
-	// Kernels that cannot (the dense kernel, which is built
+	// Kernels that cannot (the dense test oracle, which is built
 	// incrementally) return ok = false. Each repairs entry is a
 	// (slot, row) pair whose basis column proved (near-)singular: the
 	// kernel has patched that slot with the unit column of the row, and
@@ -112,112 +40,3 @@ type KernelStats struct {
 	FactorNnz int // L+U nonzeros of the last factorization (incl. diagonal)
 	Bump      int // non-triangular bump size of the last factorization
 }
-
-// denseKernel is the historical dense B⁻¹, kept verbatim: it is the
-// differential oracle the LU kernel is property-tested against, and the
-// default for small problems so existing pivot sequences (and golden
-// outputs) are preserved bit-for-bit.
-type denseKernel struct {
-	p    *problem
-	binv [][]float64 // dense B⁻¹, m×m, rows in slot space
-}
-
-func newDenseKernel(p *problem) *denseKernel {
-	k := &denseKernel{p: p, binv: make([][]float64, p.m)}
-	flat := make([]float64, p.m*p.m)
-	for i := range k.binv {
-		k.binv[i] = flat[i*p.m : (i+1)*p.m]
-		k.binv[i][i] = 1
-	}
-	return k
-}
-
-func (k *denseKernel) ftranCol(e int, alpha []float64) {
-	idx, val := k.p.colIdx[e], k.p.colVal[e]
-	for i := 0; i < k.p.m; i++ {
-		row := k.binv[i]
-		sum := 0.0
-		for kk, r := range idx {
-			sum += row[r] * val[kk]
-		}
-		alpha[i] = sum
-	}
-}
-
-func (k *denseKernel) ftranVec(rhs, x []float64) {
-	for i := 0; i < k.p.m; i++ {
-		row := k.binv[i]
-		sum := 0.0
-		for kk, rk := range rhs {
-			if rk != 0 {
-				sum += row[kk] * rk
-			}
-		}
-		x[i] = sum
-	}
-}
-
-func (k *denseKernel) btran(cB, y []float64) {
-	m := k.p.m
-	for kk := 0; kk < m; kk++ {
-		y[kk] = 0
-	}
-	for i := 0; i < m; i++ {
-		c := cB[i]
-		if c == 0 {
-			continue
-		}
-		for kk, v := range k.binv[i] {
-			if v != 0 {
-				y[kk] += c * v
-			}
-		}
-	}
-}
-
-func (k *denseKernel) btranUnit(slot int, rho []float64) {
-	copy(rho, k.binv[slot])
-}
-
-// update applies the rank-one basis change: column e enters at the given
-// slot (alpha already holds B⁻¹A_e). Sub-epsilon multipliers are skipped
-// and sub-epsilon residues zeroed after each row update, so numerical
-// dust neither spreads through B⁻¹ nor creeps into later ratio tests.
-func (k *denseKernel) update(slot, e int, alpha []float64) bool {
-	br := k.binv[slot]
-	inv := 1 / alpha[slot]
-	for kk, v := range br {
-		if v != 0 {
-			v *= inv
-			if v < dropTol && v > -dropTol {
-				v = 0
-			}
-			br[kk] = v
-		}
-	}
-	for i := range k.binv {
-		if i == slot {
-			continue
-		}
-		a := alpha[i]
-		if a < dropTol && a > -dropTol {
-			continue
-		}
-		bi := k.binv[i]
-		for kk, w := range br {
-			if w == 0 {
-				continue
-			}
-			v := bi[kk] - a*w
-			if v < dropTol && v > -dropTol {
-				v = 0
-			}
-			bi[kk] = v
-		}
-	}
-	return false
-}
-
-func (k *denseKernel) refactor([]int32) ([][2]int32, bool) { return nil, false }
-
-func (k *denseKernel) kstats() KernelStats { return KernelStats{} }

@@ -222,16 +222,6 @@ func (k *luKernel) btran(cB, y []float64) {
 	k.factorBtran(k.work2, y)
 }
 
-func (k *luKernel) btranUnit(slot int, rho []float64) {
-	w := k.work2
-	for i := range w {
-		w[i] = 0
-	}
-	w[slot] = 1
-	k.applyEtasBtran(w)
-	k.factorBtran(w, rho)
-}
-
 func (k *luKernel) update(slot, e int, alpha []float64) bool {
 	piv := alpha[slot]
 	k.etaPiv = append(k.etaPiv, int32(slot))

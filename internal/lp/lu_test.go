@@ -80,11 +80,11 @@ func TestLUSingularBasisRepairedNotNaN(t *testing.T) {
 				t.Fatal(err)
 			}
 			lb, ub := p.defaultBounds()
-			oracle, err := solveLP(nil, p, lb, ub, nil, KernelDense)
+			oracle, err := solveDense(p, lb, ub)
 			if err != nil || oracle.status != Optimal {
 				t.Fatalf("dense oracle: %v %v", oracle, err)
 			}
-			res, err := solveLP(nil, p, lb, ub, seedBasis(p, basic), KernelLU)
+			res, err := solveLP(nil, p, lb, ub, seedBasis(p, basic))
 			if err != nil {
 				t.Fatalf("lu solve from singular seed: %v", err)
 			}
@@ -109,7 +109,7 @@ func TestLUSingularBasisRepairedNotNaN(t *testing.T) {
 	}
 }
 
-// driveLU solves the model's LP with a hand-driven LU solver so the test
+// driveLU solves the model's LP with a hand-driven solver so the test
 // can inspect kernel internals mid-flight. Returns the solver after
 // phase 2 completes.
 func driveLU(t *testing.T, m *Model, tune func(*luKernel)) *solver {
@@ -119,7 +119,7 @@ func driveLU(t *testing.T, m *Model, tune func(*luKernel)) *solver {
 		t.Fatal(err)
 	}
 	lb, ub := p.defaultBounds()
-	s := newSolver(nil, p, lb, ub, KernelLU)
+	s := newSolver(nil, p, lb, ub)
 	if tune != nil {
 		tune(s.kern.(*luKernel))
 	}

@@ -12,9 +12,8 @@ import (
 // rows A x + s = b with every column carrying its own [lb, ub] interval.
 // Nonbasic columns rest at a finite bound (or at zero when free); the m
 // basic columns take whatever values close the equations. The basis
-// inverse lives behind the basisKernel interface (kernel.go): the dense
-// kernel keeps an explicit B⁻¹ updated by rank-one pivots, the sparse LU
-// kernel (lu.go) keeps a Markowitz-ordered factorization with
+// inverse lives behind the basisKernel interface (kernel.go), filled by
+// the sparse LU kernel (lu.go): a Markowitz-ordered factorization with
 // product-form eta updates and periodic refactorization. All pricing and
 // FTRAN work runs over the sparse original columns — never an O(m·n)
 // dense tableau sweep, and no artificial or mirrored columns are ever
@@ -26,11 +25,9 @@ import (
 // y = sigmaᵀ B⁻¹, and the ratio test lets a basic variable *block at the
 // bound it currently violates*, so infeasibilities are worked off
 // monotonically. Phase 2 is the ordinary bounded-variable primal simplex
-// with Dantzig pricing on the dense kernel (preserving historical pivot
-// sequences exactly) and devex pricing on the LU kernel (see pricing.go),
-// plus a Bland fallback for anti-cycling; an entering variable whose own
-// opposite bound gives the tightest ratio simply flips bounds without a
-// basis change.
+// with Dantzig pricing, plus a Bland fallback for anti-cycling; an
+// entering variable whose own opposite bound gives the tightest ratio
+// simply flips bounds without a basis change.
 
 const (
 	eps     = 1e-9  // reduced-cost and pivot-eligibility tolerance
@@ -55,7 +52,7 @@ type Stats struct {
 	Phase1Pivots int // pivots spent restoring feasibility
 	Phase2Pivots int // pivots spent optimizing
 	BoundFlips   int // nonbasic bound-to-bound moves (no basis change)
-	CrashPivots  int // pivots spent re-seating a warm-start basis
+	CrashPivots  int // warm-start crash pivots; always 0, as seeds are factorized directly
 	Nodes        int // branch-and-bound nodes solved
 	WarmStarts   int // solves seeded from a prior basis
 	ColdStarts   int // solves from the all-slack basis
@@ -96,11 +93,10 @@ func (s *Stats) Add(o Stats) {
 // byte per column (structurals followed by slacks). It is the unit of
 // warm-starting — a later solve of a problem with the same row/column
 // structure can seed from it and typically reaches optimality in a few
-// pivots. Because it records statuses rather than any kernel state, a
-// Basis taken from a dense-kernel solve seeds an LU-kernel solve (and
-// vice versa) with no translation. A Basis never affects correctness:
-// dimension mismatches are detected and ignored, and a poor seed only
-// costs extra pivots.
+// pivots. It records statuses rather than any kernel state, so the seeded
+// solve simply factorizes the recorded basic set. A Basis never affects
+// correctness: dimension mismatches are detected and ignored, and a poor
+// seed only costs extra pivots.
 type Basis struct {
 	m, n int
 	stat []byte
@@ -125,8 +121,7 @@ type solver struct {
 	p      *problem
 	lb, ub []float64 // per-solve bounds (node overrides applied)
 
-	kern  basisKernel // basis-inverse representation (dense or sparse LU)
-	kind  Kernel      // resolved kernel kind (never KernelAuto)
+	kern  basisKernel // basis-inverse representation (sparse LU)
 	basis []int32     // column occupying each basic slot
 	stat  []byte      // status per column
 	xB    []float64   // values of basic columns, length m
@@ -137,11 +132,6 @@ type solver struct {
 
 	alpha []float64 // FTRAN scratch, length m
 
-	dvx      *devex    // devex pricing state; nil = Dantzig (dense kernel)
-	rho      []float64 // devex: tableau pivot row scratch, length m
-	arj      []float64 // devex: pivot-row entry accumulator, length n, kept zeroed
-	arjTouch []int32   // devex: columns touched in arj this update
-
 	iters   int // iterations consumed across both phases
 	maxIter int
 	st      Stats
@@ -149,11 +139,9 @@ type solver struct {
 	ctx context.Context // nil disables cancellation checks
 }
 
-func newSolver(ctx context.Context, p *problem, lb, ub []float64, kind Kernel) *solver {
-	kind = kind.resolve(p.m)
+func newSolver(ctx context.Context, p *problem, lb, ub []float64) *solver {
 	s := &solver{
 		p: p, lb: lb, ub: ub,
-		kind:  kind,
 		basis: make([]int32, p.m),
 		stat:  make([]byte, p.n),
 		xB:    make([]float64, p.m),
@@ -172,16 +160,9 @@ func newSolver(ctx context.Context, p *problem, lb, ub []float64, kind Kernel) *
 	for j := 0; j < p.nv; j++ {
 		s.stat[j] = s.defaultStat(j)
 	}
-	if kind == KernelLU {
-		lu := newLUKernel(p)
-		s.kern = lu
-		lu.refactor(s.basis) // all-slack basis: trivial identity factorization
-		s.dvx = newDevex(p.n)
-		s.rho = make([]float64, p.m)
-		s.arj = make([]float64, p.n)
-	} else {
-		s.kern = newDenseKernel(p)
-	}
+	lu := newLUKernel(p)
+	lu.refactor(s.basis) // all-slack basis: trivial identity factorization
+	s.kern = lu
 	return s
 }
 
@@ -406,13 +387,11 @@ func (s *solver) eligible(j int, d float64) (int, bool) {
 }
 
 // chooseEntering scans the nonbasic columns: Dantzig rule (largest
-// reduced-cost magnitude) or devex (largest d²/w, LU kernel) normally,
-// Bland's rule (first eligible index) once bland is set, which
-// guarantees termination on degenerate cycles.
+// reduced-cost magnitude) normally, Bland's rule (first eligible index)
+// once bland is set, which guarantees termination on degenerate cycles.
 func (s *solver) chooseEntering(phase1, bland bool) (e, dir int) {
 	e = -1
 	best := 0.0
-	dvx := s.dvx
 	for j := 0; j < s.p.n; j++ {
 		if s.stat[j] == inBasis {
 			continue
@@ -428,14 +407,8 @@ func (s *solver) chooseEntering(phase1, bland bool) (e, dir int) {
 		if bland {
 			return j, t
 		}
-		var score float64
-		if dvx != nil {
-			score = d * d / dvx.w[j]
-		} else {
-			score = math.Abs(d)
-		}
-		if score > best {
-			best, e, dir = score, j, t
+		if a := math.Abs(d); a > best {
+			best, e, dir = a, j, t
 		}
 	}
 	return e, dir
@@ -601,11 +574,6 @@ func (s *solver) iterate(phase1 bool) (Status, error) {
 		case 'p':
 			v := s.applyStep(e, dir, res.theta)
 			leaving := int(s.basis[res.row])
-			if s.dvx != nil && !bland {
-				// Weight update reads the outgoing basis; must run
-				// before the kernel absorbs the pivot.
-				s.devexUpdate(res.row, e, leaving)
-			}
 			want := s.kern.update(res.row, e, s.alpha)
 			s.basis[res.row] = int32(e)
 			s.stat[e] = inBasis
@@ -629,7 +597,7 @@ func (s *solver) iterate(phase1 bool) (Status, error) {
 			} else if sincePivot >= 64 {
 				s.recomputeXB()
 				sincePivot = 0
-				if s.kind == KernelLU && s.residualHigh() {
+				if s.residualHigh() {
 					repaired := s.refactorNow()
 					s.recomputeXB()
 					if repaired && !phase1 {
@@ -641,60 +609,6 @@ func (s *solver) iterate(phase1 bool) (Status, error) {
 			}
 		}
 	}
-}
-
-// applySeed re-seats a prior basis onto the fresh all-slack state. The
-// seed's nonbasic statuses are adopted directly; each structural column
-// the seed had basic is pivoted into a row still held by a slack the
-// seed wants nonbasic, choosing the largest |alpha| among those rows for
-// stability. Columns that cannot be seated (near-singular alpha) stay
-// nonbasic and phase 1 repairs whatever is left — a degraded seed costs
-// pivots, never correctness. Returns false when the seed does not match
-// the problem shape. This is the dense kernel's seeding path; the LU
-// kernel seeds by direct factorization (applySeedFactor).
-func (s *solver) applySeed(seed *Basis) bool {
-	p := s.p
-	if !seed.Compatible(p.m, p.n) {
-		return false
-	}
-	avail := make([]bool, p.m)
-	for i := 0; i < p.m; i++ {
-		if seed.stat[p.nv+i] != inBasis {
-			avail[i] = true
-		}
-	}
-	for j := 0; j < p.n; j++ {
-		if seed.stat[j] != inBasis && s.stat[j] != inBasis {
-			s.stat[j] = s.normalizeStat(seed.stat[j], j)
-		}
-	}
-	for j := 0; j < p.nv; j++ {
-		if seed.stat[j] != inBasis {
-			continue
-		}
-		s.ftran(j)
-		best, bestAbs := -1, 1e-7
-		for i := 0; i < p.m; i++ {
-			if !avail[i] {
-				continue
-			}
-			if a := math.Abs(s.alpha[i]); a > bestAbs {
-				best, bestAbs = i, a
-			}
-		}
-		if best < 0 {
-			s.stat[j] = s.normalizeStat(atLower, j)
-			continue
-		}
-		leaving := int(s.basis[best])
-		s.kern.update(best, j, s.alpha)
-		s.basis[best] = int32(j)
-		s.stat[j] = inBasis
-		s.stat[leaving] = s.normalizeStat(seed.stat[leaving], leaving)
-		avail[best] = false
-		s.st.CrashPivots++
-	}
-	return true
 }
 
 // applySeedFactor seeds the LU kernel from a prior basis by installing
@@ -746,21 +660,19 @@ type lpResult struct {
 
 // solveLP solves one LP relaxation over the given working bounds,
 // optionally seeded from a prior basis. A nil ctx disables cancellation.
-func solveLP(ctx context.Context, p *problem, lb, ub []float64, seed *Basis, kind Kernel) (*lpResult, error) {
+func solveLP(ctx context.Context, p *problem, lb, ub []float64, seed *Basis) (*lpResult, error) {
 	if p.infeasible {
 		// Singleton-row presolve found crossed bounds at compile time.
 		return &lpResult{status: Infeasible}, nil
 	}
-	s := newSolver(ctx, p, lb, ub, kind)
-	warm := false
-	if seed != nil {
-		if s.kind == KernelLU {
-			warm = s.applySeedFactor(seed)
-		} else {
-			warm = s.applySeed(seed)
-		}
-	}
-	if warm {
+	return newSolver(ctx, p, lb, ub).solve(seed)
+}
+
+// solve runs both simplex phases from the solver's fresh state, seeded
+// from a prior basis when one is given and compatible.
+func (s *solver) solve(seed *Basis) (*lpResult, error) {
+	p, lb, ub := s.p, s.lb, s.ub
+	if seed != nil && s.applySeedFactor(seed) {
 		s.st.WarmStarts++
 	} else {
 		s.st.ColdStarts++
@@ -859,6 +771,6 @@ func (m *Model) SolveRelaxation() (*Solution, error) {
 		return nil, err
 	}
 	lb, ub := p.defaultBounds()
-	res, lerr := solveLP(nil, p, lb, ub, nil, KernelAuto)
+	res, lerr := solveLP(nil, p, lb, ub, nil)
 	return res.toSolution(), lerr
 }

@@ -129,13 +129,23 @@ func TestMaximizeNegatesCompiledCost(t *testing.T) {
 	}
 }
 
-// bothKernels runs a subtest per concrete kernel, so every internal
-// invariant below is enforced on the dense and the sparse LU kernel
-// alike (the point of the kernel abstraction: one suite, two backends).
-func bothKernels(t *testing.T, f func(t *testing.T, kern Kernel)) {
+// solverCtor builds a fresh all-slack solver over the given bounds.
+type solverCtor func(p *problem, lb, ub []float64) *solver
+
+// bothKernels runs a subtest per basis kernel, the dense oracle and the
+// production sparse LU kernel, so every kernel invariant below is enforced
+// on both (the point of the kernel abstraction: one suite, two backends).
+func bothKernels(t *testing.T, f func(t *testing.T, newS solverCtor)) {
 	t.Helper()
-	for _, kern := range []Kernel{KernelDense, KernelLU} {
-		t.Run(kern.String(), func(t *testing.T) { f(t, kern) })
+	kernels := []struct {
+		name string
+		newS solverCtor
+	}{
+		{"dense", newDenseSolver},
+		{"lu", func(p *problem, lb, ub []float64) *solver { return newSolver(nil, p, lb, ub) }},
+	}
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) { f(t, k.newS) })
 	}
 }
 
@@ -146,7 +156,7 @@ func TestKernelPivotUnitColumnInvariant(t *testing.T) {
 	// inverse". The dense kernel additionally guarantees that sub-dropTol
 	// dust never survives an update; for the LU kernel the same pivot is
 	// an exact eta application. Both must satisfy the invariant.
-	bothKernels(t, func(t *testing.T, kern Kernel) {
+	bothKernels(t, func(t *testing.T, newS solverCtor) {
 		m := NewModel("b")
 		x := m.AddVar("x", 0, Inf, 1)
 		y := m.AddVar("y", 0, Inf, 1)
@@ -157,7 +167,7 @@ func TestKernelPivotUnitColumnInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		lb, ub := p.defaultBounds()
-		s := newSolver(nil, p, lb, ub, kern)
+		s := newS(p, lb, ub)
 		s.recomputeXB()
 		s.ftran(int(x))
 		leaving := int(s.basis[0])
@@ -193,7 +203,7 @@ func TestKernelPivotUnitColumnInvariant(t *testing.T) {
 func TestKernelBtranMatchesFtran(t *testing.T) {
 	// yᵀA_j computed via btran must equal cBᵀ(B⁻¹A_j) computed via
 	// ftran — the two solves are transposes of each other, on any kernel.
-	bothKernels(t, func(t *testing.T, kern Kernel) {
+	bothKernels(t, func(t *testing.T, newS solverCtor) {
 		m := NewModel("b")
 		x := m.AddVar("x", 0, 9, 3)
 		y := m.AddVar("y", 0, 9, -2)
@@ -206,7 +216,7 @@ func TestKernelBtranMatchesFtran(t *testing.T) {
 			t.Fatal(err)
 		}
 		lb, ub := p.defaultBounds()
-		s := newSolver(nil, p, lb, ub, kern)
+		s := newS(p, lb, ub)
 		s.recomputeXB()
 		// Pivot a couple of structurals in to make B non-trivial.
 		for _, e := range []int{int(x), int(y)} {
@@ -252,40 +262,38 @@ func TestKernelBtranMatchesFtran(t *testing.T) {
 
 func TestBasisRoundTripSolvesInZeroPhase1Pivots(t *testing.T) {
 	// Re-solving the identical problem from its own optimal basis should
-	// need no phase-1 pivots at all — on either kernel.
-	bothKernels(t, func(t *testing.T, kern Kernel) {
-		m := NewModel("b")
-		x := m.AddVar("x", 0, 10, -1)
-		y := m.AddVar("y", 0, 10, -2)
-		m.MustConstrain("c1", []Term{{x, 1}, {y, 1}}, LE, 12)
-		m.MustConstrain("c2", []Term{{x, 1}, {y, 3}}, LE, 30)
-		p, err := m.compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, ub := p.defaultBounds()
-		cold, err := solveLP(nil, p, lb, ub, nil, kern)
-		if err != nil || cold.status != Optimal {
-			t.Fatalf("cold solve: %v %v", cold, err)
-		}
-		warm, err := solveLP(nil, p, lb, ub, cold.basis, kern)
-		if err != nil || warm.status != Optimal {
-			t.Fatalf("warm solve: %v %v", warm, err)
-		}
-		if warm.stats.WarmStarts != 1 {
-			t.Fatalf("warm start not taken: %+v", warm.stats)
-		}
-		if warm.stats.Phase1Pivots != 0 {
-			t.Fatalf("phase-1 pivots on a round-trip basis: %+v", warm.stats)
-		}
-		if math.Abs(warm.obj-cold.obj) > 1e-9 {
-			t.Fatalf("objectives differ: %g vs %g", warm.obj, cold.obj)
-		}
-	})
+	// need no phase-1 pivots at all.
+	m := NewModel("b")
+	x := m.AddVar("x", 0, 10, -1)
+	y := m.AddVar("y", 0, 10, -2)
+	m.MustConstrain("c1", []Term{{x, 1}, {y, 1}}, LE, 12)
+	m.MustConstrain("c2", []Term{{x, 1}, {y, 3}}, LE, 30)
+	p, err := m.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, ub := p.defaultBounds()
+	cold, err := solveLP(nil, p, lb, ub, nil)
+	if err != nil || cold.status != Optimal {
+		t.Fatalf("cold solve: %v %v", cold, err)
+	}
+	warm, err := solveLP(nil, p, lb, ub, cold.basis)
+	if err != nil || warm.status != Optimal {
+		t.Fatalf("warm solve: %v %v", warm, err)
+	}
+	if warm.stats.WarmStarts != 1 {
+		t.Fatalf("warm start not taken: %+v", warm.stats)
+	}
+	if warm.stats.Phase1Pivots != 0 {
+		t.Fatalf("phase-1 pivots on a round-trip basis: %+v", warm.stats)
+	}
+	if math.Abs(warm.obj-cold.obj) > 1e-9 {
+		t.Fatalf("objectives differ: %g vs %g", warm.obj, cold.obj)
+	}
 }
 
 func TestIncompatibleSeedIgnored(t *testing.T) {
-	bothKernels(t, func(t *testing.T, kern Kernel) {
+	bothKernels(t, func(t *testing.T, newS solverCtor) {
 		m := NewModel("b")
 		x := m.AddVar("x", 0, 1, 1)
 		m.MustConstrain("c", []Term{{x, 1}}, LE, 1)
@@ -295,7 +303,7 @@ func TestIncompatibleSeedIgnored(t *testing.T) {
 		}
 		lb, ub := p.defaultBounds()
 		bad := &Basis{m: 99, n: 99, stat: make([]byte, 99)}
-		res, err := solveLP(nil, p, lb, ub, bad, kern)
+		res, err := newS(p, lb, ub).solve(bad)
 		if err != nil || res.status != Optimal {
 			t.Fatalf("solve with bad seed: %v %v", res, err)
 		}
@@ -303,32 +311,6 @@ func TestIncompatibleSeedIgnored(t *testing.T) {
 			t.Fatalf("bad seed was not ignored: %+v", res.stats)
 		}
 	})
-}
-
-func TestParseKernel(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Kernel
-		err  bool
-	}{
-		{"", KernelAuto, false},
-		{"auto", KernelAuto, false},
-		{"dense", KernelDense, false},
-		{"lu", KernelLU, false},
-		{"sparse", KernelAuto, true},
-	}
-	for _, c := range cases {
-		got, err := ParseKernel(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Fatalf("ParseKernel(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if KernelAuto.resolve(luAutoRows) != KernelLU ||
-		KernelAuto.resolve(luAutoRows-1) != KernelDense ||
-		KernelDense.resolve(1<<20) != KernelDense ||
-		KernelLU.resolve(1) != KernelLU {
-		t.Fatal("Kernel.resolve crossover wrong")
-	}
 }
 
 func TestSolutionValueAccessor(t *testing.T) {

@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // problem is a Model compiled to the solver's internal shape: every
@@ -35,14 +34,6 @@ type problem struct {
 	flip   bool        // model sense was Maximize
 
 	intVars []VarID // integer-restricted structural columns
-
-	// Row-wise view of the structural columns, built on first use by
-	// ensureRows (devex pricing walks rows, everything else walks
-	// columns). Guarded by rowsOnce: a compiled problem is shared
-	// read-only across parallel branch-and-bound workers.
-	rowsOnce sync.Once
-	rowIdx   [][]int32   // per row: structural columns with a nonzero
-	rowVal   [][]float64 // per row: matching values
 
 	// infeasible is set when singleton-row presolve proves the model has
 	// an empty feasible region (tightened bounds crossed). Unlike a
@@ -164,33 +155,6 @@ func (m *Model) compile() (*problem, error) {
 	m.prob = p
 	m.dirty = false
 	return p, nil
-}
-
-// ensureRows builds the row-wise view of the structural part of A
-// (slack columns are unit vectors and handled directly by callers).
-// Safe for concurrent use; the build runs once per compiled problem.
-func (p *problem) ensureRows() {
-	p.rowsOnce.Do(func() {
-		cnt := make([]int, p.m)
-		for j := 0; j < p.nv; j++ {
-			for _, r := range p.colIdx[j] {
-				cnt[r]++
-			}
-		}
-		p.rowIdx = make([][]int32, p.m)
-		p.rowVal = make([][]float64, p.m)
-		for i := 0; i < p.m; i++ {
-			p.rowIdx[i] = make([]int32, 0, cnt[i])
-			p.rowVal[i] = make([]float64, 0, cnt[i])
-		}
-		for j := 0; j < p.nv; j++ {
-			idx, val := p.colIdx[j], p.colVal[j]
-			for k, r := range idx {
-				p.rowIdx[r] = append(p.rowIdx[r], int32(j))
-				p.rowVal[r] = append(p.rowVal[r], val[k])
-			}
-		}
-	})
 }
 
 // defaultBounds returns fresh working copies of the compiled bounds.

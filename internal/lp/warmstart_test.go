@@ -140,94 +140,83 @@ func TestBnBWarmStartHitRate(t *testing.T) {
 }
 
 // TestCrossKernelWarmStart asserts the statuses-only Basis contract: an
-// optimal basis carried out of one kernel warm-starts the other with no
-// phase-1 pivots in either direction. The LU side additionally seeds by
-// direct factorization, so it must not even spend crash pivots.
+// optimal basis carried out of the dense oracle, or out of the LU kernel
+// itself, warm-starts the LU kernel with no phase-1 pivots, and both warm
+// solves land on the oracle's cold optimum.
 func TestCrossKernelWarmStart(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, _ := timingLP(rng, 60)
-		dense, err := m.SolveOpts(context.Background(), SolveOptions{Kernel: KernelDense})
-		if err != nil || dense.Status != Optimal {
-			t.Fatalf("seed %d: dense cold: %+v %v", seed, dense, err)
+		dense := solveModelDense(t, m)
+		if dense.status != Optimal {
+			t.Fatalf("seed %d: dense cold: %+v", seed, dense)
 		}
-		luCold, err := m.SolveOpts(context.Background(), SolveOptions{Kernel: KernelLU})
+		luCold, err := m.SolveOpts(context.Background(), SolveOptions{})
 		if err != nil || luCold.Status != Optimal {
 			t.Fatalf("seed %d: lu cold: %+v %v", seed, luCold, err)
 		}
-
-		// dense basis → LU kernel
-		luWarm, err := m.SolveOpts(context.Background(),
-			SolveOptions{Kernel: KernelLU, Warm: dense.Basis})
-		if err != nil || luWarm.Status != Optimal {
-			t.Fatalf("seed %d: lu warm from dense: %+v %v", seed, luWarm, err)
+		for _, c := range []struct {
+			from string
+			warm *Basis
+		}{{"dense", dense.basis}, {"lu", luCold.Basis}} {
+			luWarm, err := m.SolveOpts(context.Background(), SolveOptions{Warm: c.warm})
+			if err != nil || luWarm.Status != Optimal {
+				t.Fatalf("seed %d: lu warm from %s: %+v %v", seed, c.from, luWarm, err)
+			}
+			if luWarm.Stats.WarmStarts != 1 {
+				t.Fatalf("seed %d: %s basis rejected: %+v", seed, c.from, luWarm.Stats)
+			}
+			if luWarm.Stats.Phase1Pivots != 0 {
+				t.Fatalf("seed %d: lu warm start from %s spent %d phase-1 pivots",
+					seed, c.from, luWarm.Stats.Phase1Pivots)
+			}
+			if math.Abs(luWarm.Objective-dense.obj) > 1e-6 {
+				t.Fatalf("seed %d: lu warm from %s %.9f vs dense %.9f",
+					seed, c.from, luWarm.Objective, dense.obj)
+			}
 		}
-		if luWarm.Stats.WarmStarts != 1 {
-			t.Fatalf("seed %d: dense basis rejected by lu kernel: %+v", seed, luWarm.Stats)
-		}
-		if luWarm.Stats.Phase1Pivots != 0 {
-			t.Fatalf("seed %d: lu warm start spent %d phase-1 pivots",
-				seed, luWarm.Stats.Phase1Pivots)
-		}
-		if luWarm.Stats.CrashPivots != 0 {
-			t.Fatalf("seed %d: lu kernel seeds by factorization, yet spent %d crash pivots",
-				seed, luWarm.Stats.CrashPivots)
-		}
-		if math.Abs(luWarm.Objective-dense.Objective) > 1e-6 {
-			t.Fatalf("seed %d: lu warm %.9f vs dense %.9f",
-				seed, luWarm.Objective, dense.Objective)
-		}
-
-		// LU basis → dense kernel
-		denseWarm, err := m.SolveOpts(context.Background(),
-			SolveOptions{Kernel: KernelDense, Warm: luCold.Basis})
-		if err != nil || denseWarm.Status != Optimal {
-			t.Fatalf("seed %d: dense warm from lu: %+v %v", seed, denseWarm, err)
-		}
-		if denseWarm.Stats.WarmStarts != 1 {
-			t.Fatalf("seed %d: lu basis rejected by dense kernel: %+v", seed, denseWarm.Stats)
-		}
-		if denseWarm.Stats.Phase1Pivots != 0 {
-			t.Fatalf("seed %d: dense warm start spent %d phase-1 pivots",
-				seed, denseWarm.Stats.Phase1Pivots)
-		}
-		if math.Abs(denseWarm.Objective-luCold.Objective) > 1e-6 {
-			t.Fatalf("seed %d: dense warm %.9f vs lu %.9f",
-				seed, denseWarm.Objective, luCold.Objective)
+		if math.Abs(luCold.Objective-dense.obj) > 1e-6 {
+			t.Fatalf("seed %d: lu cold %.9f vs dense %.9f", seed, luCold.Objective, dense.obj)
 		}
 	}
 }
 
 // TestCrossKernelWarmStartAfterBoundTightening mirrors the production
-// pattern (period re-probe, branch-and-bound child): the basis crosses
-// kernels while a few bounds move, and must still start primal-feasible
-// or repair cheaply — never diverge.
+// pattern (period re-probe, branch-and-bound child): an oracle basis
+// seeds the LU kernel while a few bounds move, and the warm solve must
+// still start primal-feasible or repair cheaply — never diverge from a
+// cold oracle solve of the tightened model.
 func TestCrossKernelWarmStartAfterBoundTightening(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, pads := timingLP(rng, 50)
-	dense, err := m.SolveOpts(context.Background(), SolveOptions{Kernel: KernelDense})
-	if err != nil || dense.Status != Optimal {
-		t.Fatalf("dense cold: %+v %v", dense, err)
+	dense := solveModelDense(t, m)
+	if dense.status != Optimal {
+		t.Fatalf("dense cold: %+v", dense)
 	}
 	for k := 0; k < 3; k++ {
 		v := pads[rng.Intn(len(pads))]
 		lb, ub := m.Bounds(v)
 		m.SetBounds(v, lb, ub/2)
 	}
-	cold, err := m.SolveOpts(context.Background(), SolveOptions{Kernel: KernelLU})
+	oracle := solveModelDense(t, m)
+	if oracle.status != Optimal {
+		t.Fatalf("dense cold after tighten: %+v", oracle)
+	}
+	cold, err := m.SolveOpts(context.Background(), SolveOptions{})
 	if err != nil || cold.Status != Optimal {
 		t.Fatalf("lu cold after tighten: %+v %v", cold, err)
 	}
-	warm, err := m.SolveOpts(context.Background(),
-		SolveOptions{Kernel: KernelLU, Warm: dense.Basis})
+	warm, err := m.SolveOpts(context.Background(), SolveOptions{Warm: dense.basis})
 	if err != nil || warm.Status != Optimal {
 		t.Fatalf("lu warm after tighten: %+v %v", warm, err)
 	}
 	if warm.Stats.WarmStarts != 1 {
 		t.Fatalf("warm seed unused: %+v", warm.Stats)
 	}
-	if math.Abs(warm.Objective-cold.Objective) > 1e-6 {
-		t.Fatalf("warm %.9f vs cold %.9f", warm.Objective, cold.Objective)
+	for name, got := range map[string]float64{"cold": cold.Objective, "warm": warm.Objective} {
+		if math.Abs(got-oracle.obj) > 1e-6 {
+			t.Fatalf("lu %s %.9f vs dense oracle %.9f", name, got, oracle.obj)
+		}
 	}
 }
 

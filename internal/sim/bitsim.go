@@ -446,42 +446,3 @@ func evalGateWords(n *netlist.Node, vals []uint64, k int, dst []uint64) {
 		}
 	}
 }
-
-// evalGateWord is the single-word (K=1, up to 64 lanes) form of
-// evalGateWords, kept for the scalar hot path and tests.
-func evalGateWord(n *netlist.Node, w []uint64) uint64 {
-	switch n.Kind {
-	case netlist.KindBuf:
-		return w[n.Fanins[0]]
-	case netlist.KindNot:
-		return ^w[n.Fanins[0]]
-	case netlist.KindAnd, netlist.KindNand:
-		v := ^uint64(0)
-		for _, f := range n.Fanins {
-			v &= w[f]
-		}
-		if n.Kind == netlist.KindNand {
-			v = ^v
-		}
-		return v
-	case netlist.KindOr, netlist.KindNor:
-		v := uint64(0)
-		for _, f := range n.Fanins {
-			v |= w[f]
-		}
-		if n.Kind == netlist.KindNor {
-			v = ^v
-		}
-		return v
-	case netlist.KindXor, netlist.KindXnor:
-		v := uint64(0)
-		for _, f := range n.Fanins {
-			v ^= w[f]
-		}
-		if n.Kind == netlist.KindXnor {
-			v = ^v
-		}
-		return v
-	}
-	return 0
-}

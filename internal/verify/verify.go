@@ -33,8 +33,9 @@ const (
 	// cycle-accurate equivalent to the original.
 	Pass Outcome = iota
 	// Skip: the case never reached a comparable optimized circuit for a
-	// benign reason — extraction rejected the circuit or no feasible
-	// period improvement exists. Not a bug.
+	// benign reason — extraction rejected the circuit, no feasible
+	// period improvement exists, or the original keeps power-on state the
+	// reset prefix cannot flush (see poweron.go). Not a bug.
 	Skip
 	// Fail: a correctness property was violated; the Report says where.
 	Fail
@@ -56,7 +57,8 @@ func (o Outcome) String() string {
 type Report struct {
 	Outcome Outcome
 	// Stage names the pipeline stage that decided the outcome: one of
-	// "decode", "optimize", "mutate", "validate", "apply", "sim", "panic".
+	// "decode", "optimize", "mutate", "validate", "apply", "reset", "sim",
+	// "panic".
 	Stage  string
 	Detail string
 	// Mutated is set when the checker's Mutation found a site and was
@@ -262,13 +264,13 @@ func (ck *Checker) laneCount() int {
 // regression corpus are always authoritative-engine products. Coverage
 // is credited per lane actually proven.
 func (ck *Checker) simStage(d *gen.Decoded, res *core.Result, rep *Report) {
-	// Zero-reset prefix: feedback state is flushed through input-driven
-	// masks before random stimulus starts, so post-warmup comparison never
-	// depends on power-on register contents (which register relocation
-	// legitimately changes).
-	reset := d.Warmup - 4
-	if reset < 0 {
-		reset = 0
+	reset := resetCycles(d)
+	historical := sim.ResetStimulus(d.Circuit, d.Cycles, reset, d.StimSeed)
+	if r := unflushed(d.Circuit, historical, d.Warmup); r != nil {
+		rep.Outcome = Skip
+		rep.Stage = "reset"
+		rep.Detail = fmt.Sprintf("register %q keeps its power-on state past warm-up cycle %d", r.Name, d.Warmup)
+		return
 	}
 
 	fail := func(detail string, ms []sim.Mismatch, lane int) {
@@ -282,9 +284,8 @@ func (ck *Checker) simStage(d *gen.Decoded, res *core.Result, rep *Report) {
 	// the pre-fast-path behavior, byte for byte.
 	slow := func() {
 		rep.Lanes = 1
-		stim := sim.ResetStimulus(d.Circuit, d.Cycles, reset, d.StimSeed)
 		ms, err := sim.VerifyEquivalenceStim(d.Circuit, res.Circuit, ck.Lib,
-			res.BaselinePeriod, res.Period, d.Warmup, stim)
+			res.BaselinePeriod, res.Period, d.Warmup, historical)
 		if err != nil {
 			fail(err.Error(), nil, -1)
 			return
@@ -418,6 +419,15 @@ func (ck *Checker) simStage(d *gen.Decoded, res *core.Result, rep *Report) {
 		}
 	}
 	rep.Lanes = lanes - sim.MaskLanes(mask) + cleared
+}
+
+// resetCycles is the length of the zero-input reset prefix: feedback
+// state is flushed through input-driven masks before random stimulus
+// starts, so post-warmup comparison never depends on power-on register
+// contents (which register relocation legitimately changes). Check
+// skips cases whose original the prefix cannot flush.
+func resetCycles(d *gen.Decoded) int {
+	return max(d.Warmup-4, 0)
 }
 
 // sameInputs reports whether both circuits expose identical primary

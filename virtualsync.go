@@ -68,10 +68,6 @@ type (
 	// warm-start reuse, branch-and-bound nodes — behind a Result
 	// (Result.Solver) or an optimization progress event.
 	SolverStats = lp.Stats
-	// LPKernel selects the LP basis-inverse kernel (Options.LPKernel):
-	// KernelAuto sizes it per model, KernelDense forces the dense B⁻¹,
-	// KernelLU forces the sparse LU factorization.
-	LPKernel = lp.Kernel
 	// ProgressEvent is one period-search step reported to the observer of
 	// OptimizeObserved.
 	ProgressEvent = core.ProgressEvent
@@ -95,17 +91,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // DefaultLibrary returns the built-in 45nm-style library.
 func DefaultLibrary() *Library { return celllib.Default() }
-
-// Re-exported LP kernel selectors; see LPKernel.
-const (
-	KernelAuto  = lp.KernelAuto
-	KernelDense = lp.KernelDense
-	KernelLU    = lp.KernelLU
-)
-
-// ParseLPKernel parses an LPKernel name ("auto", "dense", "lu") as used
-// by the vsync -lp-kernel flag.
-func ParseLPKernel(s string) (LPKernel, error) { return lp.ParseKernel(s) }
 
 // LoadLibrary parses a library in the text format of internal/celllib.
 func LoadLibrary(r io.Reader) (*Library, error) { return celllib.ParseLibrary(r) }
