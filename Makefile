@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race cover fuzz-short bench bench-lp bench-sim bench-eco serve-smoke
+.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-sim bench-eco serve-smoke
 
 # The full pre-commit gate: formatting, vet, build, the whole test
 # suite, the race detector over every package, coverage floors, a short
 # differential-fuzzing pass with regression replay, the daemon smoke
-# test, and the simulation and incremental-ECO benchmarks (throughput,
-# allocs/op and cold-vs-incremental speedup evidence in BENCH_sim.json
-# and BENCH_eco.json).
-check: fmt vet build test race cover fuzz-short serve-smoke bench-sim bench-eco
+# test, the proc-count identity check, and the simulation and
+# incremental-ECO benchmarks (throughput, allocs/op and
+# cold-vs-incremental speedup evidence in BENCH_sim.json and
+# BENCH_eco.json).
+check: fmt vet build test race cover fuzz-short serve-smoke check-procs bench-sim bench-eco
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -58,7 +59,9 @@ cover:
 # Short continuous-fuzzing pass: each native target gets ~20s of input
 # generation (one target per go test invocation, as the fuzzer requires),
 # then every stored regression seed is replayed, including re-injecting
-# the mutation each sensitivity seed was recorded from. Two differential
+# the mutation each sensitivity seed was recorded from. FuzzParseNetlist
+# guards the daemon's trust boundary: the .bench parser never panics and
+# Write∘Parse is idempotent on every netlist it accepts. Two differential
 # targets run twice, once plain for input-generation throughput and once
 # race-instrumented: the LP target (the sparse LU kernel, cold and
 # warm-started, vs a cold solve on the test-only dense oracle) races the
@@ -78,7 +81,27 @@ fuzz-short:
 	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzIncrementalECO -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseNetlist -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/vfuzz replay internal/verify/testdata/regressions
+
+# Proc-count identity: Table 1 on three circuits must be byte-identical
+# at GOMAXPROCS=1 and GOMAXPROCS=2 except for the wall-clock columns
+# (t(s) in the table, runtime_s and wall_s in the CSV), which are masked
+# before the diff. Everything is built and written in a temporary
+# directory.
+PROCS_CIRCUITS = s5378,systemcdes,s9234
+
+check-procs:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/vexp" ./cmd/vexp || exit 1; \
+	for p in 1 2; do \
+		GOMAXPROCS=$$p "$$dir/vexp" -exp table1 -circuits $(PROCS_CIRCUITS) \
+			-csv "$$dir/p$$p.csv" > "$$dir/p$$p.txt" 2>/dev/null || exit 1; \
+		sed -E 's/\| +[0-9.]+( +[^ ]+)$$/| t(s)\1/' "$$dir/p$$p.txt" > "$$dir/p$$p.masked"; \
+		awk -F, -v OFS=, '{ $$11 = "-"; $$12 = "-"; print }' "$$dir/p$$p.csv" >> "$$dir/p$$p.masked"; \
+	done; \
+	diff "$$dir/p1.masked" "$$dir/p2.masked" && \
+		echo "check-procs: Table 1 identical at GOMAXPROCS=1 and 2 (wall-clock columns masked)"
 
 # Regenerate every paper table/figure (writes results/).
 bench:

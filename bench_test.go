@@ -617,18 +617,16 @@ func verifyBenchCase(b *testing.B, ck *verify.Checker) *gen.Decoded {
 // (optimize + simulate + compare) per iteration, with the bit-parallel
 // fast path on at 64 and 256 stimulus lanes per exec ("fast", both
 // sides on the exact bit-parallel engine of their timing regime, the
-// scalar event engine demoted to lane-0 calibration) and forced off
-// ("event": the single-lane event-engine oracle). lanes/s is the
+// scalar event engine demoted to lane-0 calibration) and at one lane
+// ("event": the event-engine oracle alone). lanes/s is the
 // campaign throughput the vfuzz run command reports.
 func BenchmarkVerifyEquivalence(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		lanes   int
-		disable bool
-	}{{"fast", 64, false}, {"fast-256", 256, false}, {"event", 1, true}} {
+		name  string
+		lanes int
+	}{{"fast", 64}, {"fast-256", 256}, {"event", 1}} {
 		b.Run(mode.name, func(b *testing.B) {
 			ck := verify.NewChecker()
-			ck.DisableBitSim = mode.disable
 			ck.Lanes = mode.lanes
 			d := verifyBenchCase(b, ck)
 			b.ReportAllocs()

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	vfuzz run [-n 500] [-seed 1] [-lanes 64] [-search] [-no-bitsim] [-out DIR] [-cpuprofile F] [-memprofile F]
+//	vfuzz run [-n 500] [-seed 1] [-lanes 64] [-search] [-out DIR] [-budget N] [-cpuprofile F] [-memprofile F]
 //	vfuzz replay FILE.bench...
 //	vfuzz shrink [-budget 150] [-mutation NAME] [-out DIR] FILE.bench
 //	vfuzz corpus-stats [-n 500] [-seed 1] [DIR]
@@ -13,7 +13,8 @@
 // failure shrinks it and stores the minimal counterexample under -out as
 // a permanent regression seed; it reports campaign throughput as both
 // execs/sec and stimulus lanes/sec (the bit-parallel fast path verifies
-// -lanes independent stimulus vectors per exec, up to 4096). replay
+// -lanes independent stimulus vectors per exec, up to 4096; -lanes 1
+// runs the event-engine oracle alone). replay
 // re-checks stored seeds (including re-injecting the mutation a
 // sensitivity seed was recorded from).
 // shrink minimizes one failing seed, optionally under an injected
@@ -70,10 +71,9 @@ func cmdRun(args []string) {
 	n := fs.Int("n", 500, "number of random cases")
 	seed := fs.Int64("seed", 1, "campaign seed")
 	search := fs.Bool("search", false, "full period search per case (slower, deeper)")
-	lanesFlag := fs.Int("lanes", 0, "stimulus lanes per case on the bit-parallel fast path (0 = default 64, max 4096)")
+	lanesFlag := fs.Int("lanes", 0, "stimulus lanes per case (0 = default 64, max 4096; 1 = the event-engine oracle alone)")
 	out := fs.String("out", "internal/verify/testdata/regressions", "directory for shrunk counterexamples")
 	budget := fs.Int("budget", 0, "shrink budget in checks (0 = default)")
-	noBitSim := fs.Bool("no-bitsim", false, "force the pure event-engine oracle (baseline timing)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile after the campaign to this file")
 	fs.Parse(args)
@@ -92,7 +92,6 @@ func cmdRun(args []string) {
 
 	ck := verify.NewChecker()
 	ck.Search = *search
-	ck.DisableBitSim = *noBitSim
 	ck.Lanes = *lanesFlag
 	rng := rand.New(rand.NewSource(*seed))
 	tally := map[string]int{}

@@ -111,7 +111,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  runtime: %v\n", res.Runtime)
 
 	if *verify > 0 {
-		if err := verifyPair(out, base, res.Circuit, lib, res.BaselinePeriod, res.Period, *verify, *verifyLanes); err != nil {
+		if err := verifyPair(out, base, res, lib, *verify, *verifyLanes); err != nil {
 			return err
 		}
 	}
@@ -181,53 +181,35 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 	fmt.Fprintf(out, "  T: %.2f -> %.2f; area: %.1f -> %.1f\n", cold.Period, res.Period, cold.Area, res.Area)
 
 	if verify > 0 {
-		if err := verifyPair(out, sess.Circuit, res.Circuit, lib, res.BaselinePeriod, res.Period, verify, verifyLanes); err != nil {
+		if err := verifyPair(out, sess.Circuit, res, lib, verify, verifyLanes); err != nil {
 			return err
 		}
 	}
 	return writeOut(out, outPath, res.Circuit)
 }
 
-// verifyPair runs functional-equivalence simulation and reports the
-// outcome. With lanes > 1 both sides run bit-parallel over that many
-// independent stimulus vectors first; a clean pass is accepted as is,
-// while every flagged lane is re-confirmed through the scalar
-// event-engine oracle, which has the final word on any failure.
-func verifyPair(out io.Writer, a, b *virtualsync.Circuit, lib *virtualsync.Library, Ta, Tb float64, cycles, lanes int) error {
-	if lanes > 1 {
-		lr, err := virtualsync.VerifyEquivalenceLanes(a, b, lib, Ta, Tb, cycles, 8, lanes, 1)
-		if err == nil && !lr.Fail() {
-			fmt.Fprintf(out, "  functional equivalence: OK over %d cycles x %d lanes\n", cycles, lr.Lanes)
-			return nil
-		}
-		if err == nil {
-			fmt.Fprintf(out, "  bit-parallel equivalence flagged %d of %d lanes; re-confirming on the event engine\n",
-				lr.FlaggedLanes(), lr.Lanes)
-			stims := sim.LaneStimulus(a, cycles, 0, 1, lanes)
-			for l := 0; l < lanes; l++ {
-				if !sim.MaskHasLane(lr.Mask, l) {
-					continue
-				}
-				ms, err := sim.VerifyEquivalenceStim(a, b, lib, Ta, Tb, 8, stims[l])
-				if err != nil {
-					return err
-				}
-				if len(ms) != 0 {
-					return fmt.Errorf("functional equivalence: lane %d: %d mismatches over %d cycles (first: %v)",
-						l, len(ms), cycles, ms[0])
-				}
-			}
-			fmt.Fprintf(out, "  event engine confirmed none of the flagged lanes; keeping the scalar verdict\n")
-		}
-	}
-	ms, err := virtualsync.VerifyEquivalence(a, b, lib, Ta, Tb, cycles, 8, 1)
+// verifyPair runs the flow's equivalence verdict, sim.CheckEquivalence,
+// over lanes independent stimulus vectors (1: the scalar event-engine
+// oracle alone) and reports the outcome.
+func verifyPair(out io.Writer, a *virtualsync.Circuit, res *virtualsync.Result, lib *virtualsync.Library, cycles, lanes int) error {
+	stims := sim.LaneStimulus(a, cycles, 0, 1, max(lanes, 1))
+	v, err := sim.CheckEquivalence(a, res.Circuit, lib, res.BaselinePeriod, res.Period, res.VerifyWarmup(), stims)
 	if err != nil {
 		return err
 	}
-	if len(ms) != 0 {
-		return fmt.Errorf("functional equivalence: %d mismatches over %d cycles (first: %v)", len(ms), cycles, ms[0])
+	if v.Flagged > 0 {
+		fmt.Fprintf(out, "  bit-parallel equivalence flagged %d of %d lanes; re-confirmed on the event engine\n",
+			v.Flagged, len(stims))
 	}
-	fmt.Fprintf(out, "  functional equivalence: OK over %d cycles\n", cycles)
+	if !v.OK() {
+		return fmt.Errorf("functional equivalence: lane %d: %d mismatches over %d cycles (first: %v)",
+			v.FailLane, len(v.Mismatches), cycles, v.Mismatches[0])
+	}
+	if v.FastPath {
+		fmt.Fprintf(out, "  functional equivalence: OK over %d cycles x %d lanes\n", cycles, v.Lanes)
+	} else {
+		fmt.Fprintf(out, "  functional equivalence: OK over %d cycles\n", cycles)
+	}
 	return nil
 }
 

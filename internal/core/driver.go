@@ -72,6 +72,14 @@ func (res *Result) AreaDeltaPct() float64 {
 	return 100 * (res.Area - res.BaselineArea) / res.BaselineArea
 }
 
+// VerifyWarmup is the number of leading cycles an equivalence check of
+// the result leaves uncompared: three past the most anchors (λ) any
+// region edge spans, and at least 4, so relocated registers have
+// flushed their power-on state first.
+func (res *Result) VerifyWarmup() int {
+	return max(res.Plan.R.maxLambda()+3, 4)
+}
+
 // OptimizeAtPeriod attempts to realize clock period T on the circuit's
 // critical part. It returns (nil, nil) when T is infeasible under the
 // VirtualSync model.

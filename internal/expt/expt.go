@@ -119,15 +119,9 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 
 	// Baseline: sizing + retiming + sizing (paper: "after thorough sizing
 	// and retiming").
-	if _, err := sizing.Size(c, cfg.Lib); err != nil {
-		return nil, fmt.Errorf("%s: sizing: %v", spec.Name, err)
-	}
-	base, _, err := retime.Retime(c, cfg.Lib)
+	base, _, err := retime.Baseline(c, cfg.Lib)
 	if err != nil {
-		return nil, fmt.Errorf("%s: retiming: %v", spec.Name, err)
-	}
-	if _, err := sizing.Size(base, cfg.Lib); err != nil {
-		return nil, fmt.Errorf("%s: post-retiming sizing: %v", spec.Name, err)
+		return nil, fmt.Errorf("%s: %v", spec.Name, err)
 	}
 
 	res, err := core.OptimizeCtx(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac)
@@ -158,14 +152,8 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 	}
 
 	if cfg.VerifyCycles > 0 {
-		warmup := 4
-		for _, e := range res.Plan.R.Edges {
-			if e.Lambda+3 > warmup {
-				warmup = e.Lambda + 3
-			}
-		}
 		ms, err := sim.VerifyEquivalence(base, res.Circuit, cfg.Lib,
-			res.BaselinePeriod, res.Period, cfg.VerifyCycles, warmup, cfg.VerifySeed)
+			res.BaselinePeriod, res.Period, cfg.VerifyCycles, res.VerifyWarmup(), cfg.VerifySeed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: equivalence sim: %v", spec.Name, err)
 		}

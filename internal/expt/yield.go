@@ -8,10 +8,8 @@ import (
 
 	"virtualsync/internal/core"
 	"virtualsync/internal/gen"
-	"virtualsync/internal/sizing"
-	"virtualsync/internal/variation"
-
 	"virtualsync/internal/retime"
+	"virtualsync/internal/variation"
 )
 
 // YieldResult is one circuit's Monte Carlo timing-yield comparison: the
@@ -46,15 +44,9 @@ func RunYield(ctx context.Context, names []string, cfg Config, mc variation.Conf
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sizing.Size(c, cfg.Lib); err != nil {
-			return nil, fmt.Errorf("%s: sizing: %v", spec.Name, err)
-		}
-		base, _, err := retime.Retime(c, cfg.Lib)
+		base, _, err := retime.Baseline(c, cfg.Lib)
 		if err != nil {
-			return nil, fmt.Errorf("%s: retiming: %v", spec.Name, err)
-		}
-		if _, err := sizing.Size(base, cfg.Lib); err != nil {
-			return nil, fmt.Errorf("%s: post-retiming sizing: %v", spec.Name, err)
+			return nil, fmt.Errorf("%s: %v", spec.Name, err)
 		}
 		res, err := core.OptimizeCtx(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac)
 		if err != nil {

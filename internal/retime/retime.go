@@ -2,7 +2,7 @@
 // circuits in the Leiserson-Saxe framework: the FEAS feasibility algorithm
 // combined with a binary search over the clock period. Together with the
 // sizing package it forms the "retiming&sizing" baseline that VirtualSync
-// is compared against in the paper.
+// is compared against in the paper (Baseline).
 //
 // The retiming graph uses one vertex per combinational gate plus a host
 // vertex aggregating all primary inputs and outputs; edge weights count
@@ -19,6 +19,7 @@ import (
 
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/netlist"
+	"virtualsync/internal/sizing"
 	"virtualsync/internal/sta"
 )
 
@@ -408,4 +409,24 @@ func Retime(c *netlist.Circuit, lib *celllib.Library) (*netlist.Circuit, float64
 		return c.Clone(), before.MinPeriod, nil
 	}
 	return out, period, nil
+}
+
+// Baseline runs the paper's retiming&sizing baseline on a copy of c:
+// discrete gate sizing, minimum-period retiming, and a final sizing
+// pass with area recovery. c is not modified. The sizing result is the
+// final pass's, so its PeriodAfter is the baseline's minimum period.
+func Baseline(c *netlist.Circuit, lib *celllib.Library) (*netlist.Circuit, *sizing.Result, error) {
+	work := c.Clone()
+	if _, err := sizing.Size(work, lib); err != nil {
+		return nil, nil, fmt.Errorf("sizing: %w", err)
+	}
+	rt, _, err := Retime(work, lib)
+	if err != nil {
+		return nil, nil, fmt.Errorf("retiming: %w", err)
+	}
+	res, err := sizing.Size(rt, lib)
+	if err != nil {
+		return nil, nil, fmt.Errorf("post-retiming sizing: %w", err)
+	}
+	return rt, res, nil
 }

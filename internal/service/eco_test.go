@@ -38,7 +38,7 @@ func TestECOByBaseJob(t *testing.T) {
 		t.Fatalf("eco submit: HTTP %d, want 202", code)
 	}
 	res := doneResult(t, waitTerminal(t, ts, eco.ID))
-	if res.ECO == nil || !res.ECO.Incremental || res.ECO.NearMiss || res.ECO.Edits != 1 {
+	if res.ECO == nil || !res.ECO.Incremental || res.ECO.Edits != 1 {
 		t.Fatalf("eco info = %+v, want incremental with 1 edit", res.ECO)
 	}
 	if res.Netlist == "" || res.Period <= 0 {
@@ -102,40 +102,6 @@ func TestECOColdWithoutSession(t *testing.T) {
 	}
 }
 
-func TestECONearMissReroute(t *testing.T) {
-	srv, ts := newTestServer(t, testConfig())
-	base, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench, Params: skipBase})
-	doneResult(t, waitTerminal(t, ts, base.ID))
-
-	// Same node names, kinds and arities, different wiring: a plain
-	// submission that misses the cache but matches the stored session's
-	// shape is served as an implicit ECO of the structural diff.
-	rewired := strings.Replace(tinyBench, "g3 = AND(g2, f1)", "g3 = AND(g2, f2)", 1)
-	if rewired == tinyBench {
-		t.Fatal("fixture edit did not apply")
-	}
-	near, _ := submitJob(t, ts, JobRequest{Netlist: rewired, Params: skipBase})
-	res := doneResult(t, waitTerminal(t, ts, near.ID))
-	if res.ECO == nil || !res.ECO.Incremental || !res.ECO.NearMiss {
-		t.Fatalf("eco info = %+v, want near-miss incremental", res.ECO)
-	}
-	if res.ECO.Edits == 0 {
-		t.Fatalf("near-miss applied no edits: %+v", res.ECO)
-	}
-	if v := srv.mECONearMiss.Value(); v != 1 {
-		t.Errorf("eco_nearmiss_total = %g, want 1", v)
-	}
-
-	// The session advanced to the rewired circuit and is re-stored under
-	// the new submission's identity: an ECO addressed by the rewired
-	// netlist's content key now resolves incrementally.
-	eco, _ := submitJob(t, ts, JobRequest{Netlist: rewired, Edits: "resize g1 2", Params: skipBase})
-	res2 := doneResult(t, waitTerminal(t, ts, eco.ID))
-	if res2.ECO == nil || !res2.ECO.Incremental || res2.ECO.NearMiss {
-		t.Fatalf("follow-up eco info = %+v, want incremental by key", res2.ECO)
-	}
-}
-
 func TestECORejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	cases := []struct {
@@ -164,12 +130,12 @@ func TestECORejectsBadRequests(t *testing.T) {
 
 func TestSessionStoreLRU(t *testing.T) {
 	st := newSessionStore(2)
-	put := func(id, key, shape string) {
-		st.Put(sessionMeta{JobID: id, Key: key, Shape: shape}, &core.Session{})
+	put := func(id, key string) {
+		st.Put(sessionMeta{JobID: id, Key: key}, &core.Session{})
 	}
-	put("j1", "k1", "s1")
-	put("j2", "k2", "s2")
-	put("j3", "k3", "s3") // evicts j1
+	put("j1", "k1")
+	put("j2", "k2")
+	put("j3", "k3") // evicts j1
 	if st.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", st.Len())
 	}
@@ -179,12 +145,12 @@ func TestSessionStoreLRU(t *testing.T) {
 	if _, _, ok := st.TakeByKey("k1"); ok {
 		t.Fatal("k1 survived eviction")
 	}
-	sess, meta, ok := st.TakeByShape("s2")
-	if !ok || sess == nil || meta.JobID != "j2" {
-		t.Fatalf("TakeByShape(s2) = %+v ok=%v", meta, ok)
+	sess, meta, ok := st.TakeByJob("j2")
+	if !ok || sess == nil || meta.Key != "k2" {
+		t.Fatalf("TakeByJob(j2) = %+v ok=%v", meta, ok)
 	}
 	// Take removes: the same session cannot be taken twice.
-	if _, _, ok := st.TakeByJob("j2"); ok {
+	if _, _, ok := st.TakeByKey("k2"); ok {
 		t.Fatal("j2 still stored after Take")
 	}
 	st.Put(meta, sess) // returned unchanged

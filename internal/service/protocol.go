@@ -113,9 +113,6 @@ type ECOInfo struct {
 	// Incremental is true when the job reused a prior session's state;
 	// false means the cold pipeline ran (no session was found).
 	Incremental bool `json:"incremental"`
-	// NearMiss marks a plain submission rerouted to the incremental path
-	// because it structurally matched a stored session.
-	NearMiss bool `json:"near_miss,omitempty"`
 	// Edits is the number of edits applied.
 	Edits int `json:"edits,omitempty"`
 	// Spliced, ConeNodes, Probes and RecoverySteps mirror core.ECOStats.
@@ -174,8 +171,7 @@ type JobResult struct {
 	Solver    SolverStats `json:"solver"`
 	RuntimeMS int64       `json:"runtime_ms"`
 
-	// ECO is set on jobs that carried an edit list or were rerouted to
-	// the incremental re-optimization path.
+	// ECO is set on jobs that carried an edit list.
 	ECO *ECOInfo `json:"eco,omitempty"`
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -18,7 +19,6 @@ import (
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/retime"
 	"virtualsync/internal/sim"
-	"virtualsync/internal/sizing"
 )
 
 // Config sizes the optimization server.
@@ -172,6 +172,7 @@ type Server struct {
 	mSubmitted   *Counter
 	mCompleted   *CounterVec
 	mExecuted    *Counter
+	mPanicked    *Counter
 	mCacheHits   *Counter
 	mCacheMisses *Counter
 	mPivots      *Counter
@@ -182,7 +183,6 @@ type Server struct {
 	mLatency     *Histogram
 
 	mECOIncremental *Counter
-	mECONearMiss    *Counter
 	mECOCold        *Counter
 	mECOFallback    *Counter
 
@@ -209,6 +209,7 @@ func New(ctx context.Context, cfg Config) *Server {
 	s.mSubmitted = s.reg.Counter("vsync_jobs_submitted_total", "Jobs accepted over HTTP.")
 	s.mCompleted = s.reg.CounterVec("vsync_jobs_completed_total", "Jobs finished, by terminal state.", "state")
 	s.mExecuted = s.reg.Counter("vsync_jobs_executed_total", "Optimization pipelines actually run (cache hits and deduplicated submissions excluded).")
+	s.mPanicked = s.reg.Counter("vsync_jobs_panicked_total", "Pipelines that panicked; each failed its job and the server kept serving.")
 	s.mCacheHits = s.reg.Counter("vsync_cache_hits_total", "Submissions served from the content-hash result cache.")
 	s.mCacheMisses = s.reg.Counter("vsync_cache_misses_total", "Submissions that had to run the pipeline.")
 	s.mPivots = s.reg.Counter("vsync_solver_pivots_total", "Simplex pivots spent by completed jobs.")
@@ -222,7 +223,6 @@ func New(ctx context.Context, cfg Config) *Server {
 	s.reg.Gauge("vsync_workers_busy", "Workers currently optimizing.", func() float64 { return float64(s.sched.Busy()) })
 	s.reg.Gauge("vsync_workers", "Worker pool size.", func() float64 { return float64(s.sched.Workers()) })
 	s.mECOIncremental = s.reg.Counter("vsync_eco_incremental_total", "ECO jobs served from a live session via incremental re-optimization.")
-	s.mECONearMiss = s.reg.Counter("vsync_eco_nearmiss_total", "Plain submissions rerouted to the incremental path by structural match.")
 	s.mECOCold = s.reg.Counter("vsync_eco_cold_total", "ECO jobs that found no session and ran the cold pipeline.")
 	s.mECOFallback = s.reg.Counter("vsync_eco_fallback_total", "Incremental attempts that degraded to the cold period search internally.")
 	s.mVerifiedLanes = s.reg.Counter("vsync_verify_lanes_total", "Independent stimulus lanes covered by equivalence verification.")
@@ -581,6 +581,17 @@ func (s *Server) runJob(base context.Context, j *job) {
 	j.cancel = cancel
 	j.mu.Unlock()
 	defer cancel()
+	// A panic anywhere in the pipeline fails this job only: the stack
+	// goes to its event stream, and finishJob releases its waiters.
+	defer func() {
+		if r := recover(); r != nil {
+			s.mPanicked.Inc()
+			j.mu.Lock()
+			j.emitLocked(Event{State: StateRunning, Message: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())})
+			j.mu.Unlock()
+			s.finishJob(j, "", StateFailed, nil, fmt.Sprintf("internal error: panic: %v", r), false)
+		}
+	}()
 
 	res, err := s.execute(ctx, j)
 	switch {
@@ -616,32 +627,19 @@ func (s *Server) execute(ctx context.Context, j *job) (*JobResult, error) {
 // search, optional equivalence simulation — and serializes the result.
 // Each circuit's pipeline is deterministic, so the emitted netlist is
 // byte-identical to the CLI's for the same input. The search runs inside
-// an optimization session that is kept for later ECO jobs. Plain
-// skip-baseline submissions that structurally match a stored session
-// are rerouted to the incremental path instead (near miss).
+// an optimization session that is kept for later ECO jobs.
 func (s *Server) executePlain(ctx context.Context, j *job, c *netlist.Circuit, eco *ECOInfo) (*JobResult, error) {
 	work := c
 	if !j.params.SkipBaseline {
 		j.setStage(StageBaseline)
-		if _, err := sizing.Size(work, j.lib); err != nil {
-			return nil, fmt.Errorf("sizing: %w", err)
-		}
-		rt, _, err := retime.Retime(work, j.lib)
+		rt, _, err := retime.Baseline(c, j.lib)
 		if err != nil {
-			return nil, fmt.Errorf("retiming: %w", err)
-		}
-		if _, err := sizing.Size(rt, j.lib); err != nil {
-			return nil, fmt.Errorf("post-retiming sizing: %w", err)
+			return nil, err
 		}
 		work = rt
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if eco == nil && j.params.SkipBaseline {
-		if out, handled, err := s.tryNearMiss(ctx, j, work); handled {
-			return out, err
-		}
 	}
 
 	j.setStage(StageSolving)
@@ -667,12 +665,12 @@ func (s *Server) executePlain(ctx context.Context, j *job, c *netlist.Circuit, e
 		return nil, err
 	}
 	// An ECO job's key is the edit-list identity, not a netlist content
-	// key; its session is addressable by job ID (and shape) only.
+	// key; its session is addressable by job ID only.
 	key := j.key
 	if eco != nil {
 		key = ""
 	}
-	s.storeSession(j, key, sess)
+	s.sessions.Put(sessionMeta{JobID: j.id, Key: key}, sess)
 	return out, nil
 }
 
@@ -733,61 +731,8 @@ func (s *Server) executeECO(ctx context.Context, j *job) (*JobResult, error) {
 		s.sessions.Put(meta, sess)
 		return nil, err
 	}
-	s.storeSession(j, "", sess)
+	s.sessions.Put(sessionMeta{JobID: j.id}, sess)
 	return out, nil
-}
-
-// maxNearMissEdits bounds how far a submission may structurally drift
-// from a stored session and still take the incremental path; beyond it
-// a cold run is cheaper than dragging a large dirty cone around.
-const maxNearMissEdits = 64
-
-// tryNearMiss reroutes a cache-missed plain submission onto a stored
-// session that matches its structural shape, serving it as an implicit
-// ECO of the diff. handled=false means the cold path should proceed.
-func (s *Server) tryNearMiss(ctx context.Context, j *job, work *netlist.Circuit) (out *JobResult, handled bool, err error) {
-	shape, err := ShapeKey(work, j.lib, j.params)
-	if err != nil {
-		return nil, false, nil
-	}
-	sess, meta, ok := s.sessions.TakeByShape(shape)
-	if !ok {
-		return nil, false, nil
-	}
-	edits, ok := netlist.DiffEdits(sess.Circuit, work)
-	if !ok || len(edits) > maxNearMissEdits {
-		s.sessions.Put(meta, sess)
-		return nil, false, nil
-	}
-	j.setStage(StageSolving)
-	res, st, err := sess.Reoptimize(ctx, edits)
-	if err != nil {
-		s.sessions.Put(meta, sess)
-		if ctx.Err() != nil {
-			return nil, true, err
-		}
-		return nil, false, nil // let the cold path have a go
-	}
-	s.mECONearMiss.Inc()
-	s.mECOIncremental.Inc()
-	if st.Fallback {
-		s.mECOFallback.Inc()
-	}
-	out, err = s.buildResult(ctx, j, sess.Circuit, res, &ECOInfo{
-		Incremental:   true,
-		NearMiss:      true,
-		Edits:         len(edits),
-		Spliced:       st.Spliced,
-		ConeNodes:     st.ConeNodes,
-		Probes:        st.Probes,
-		RecoverySteps: st.RecoverySteps,
-		Fallback:      st.Fallback,
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	s.storeSession(j, j.key, sess)
-	return out, true, nil
 }
 
 func (s *Server) coreOptions(j *job) core.Options {
@@ -796,18 +741,6 @@ func (s *Server) coreOptions(j *job) core.Options {
 	opts.UseLatches = *j.params.UseLatches
 	opts.BufferReplace = *j.params.BufferReplace
 	return opts
-}
-
-// storeSession indexes sess under the finished job: by job ID for
-// explicit base_job chains, by content key (when given) for
-// netlist-addressed ECOs, and by the current circuit's shape for
-// near-miss rerouting.
-func (s *Server) storeSession(j *job, key string, sess *core.Session) {
-	shape, err := ShapeKey(sess.Circuit, j.lib, j.params)
-	if err != nil {
-		shape = ""
-	}
-	s.sessions.Put(sessionMeta{JobID: j.id, Key: key, Shape: shape}, sess)
 }
 
 // buildResult converts an optimization result into the wire form,
@@ -830,13 +763,7 @@ func (s *Server) buildResult(ctx context.Context, j *job, base *netlist.Circuit,
 	}
 	if j.params.VerifyCycles > 0 {
 		j.setStage(StageVerifying)
-		warmup := 4
-		for _, e := range res.Plan.R.Edges {
-			if e.Lambda+3 > warmup {
-				warmup = e.Lambda + 3
-			}
-		}
-		if err := s.verifyEquivalence(j, base, res, out, warmup); err != nil {
+		if err := s.verifyEquivalence(j, base, res, out); err != nil {
 			return nil, fmt.Errorf("equivalence sim: %w", err)
 		}
 	}
@@ -848,75 +775,21 @@ func (s *Server) buildResult(ctx context.Context, j *job, base *netlist.Circuit,
 	return out, nil
 }
 
-// verifyEquivalence fills out's equivalence fields. With VerifyLanes
-// > 1 both sides run bit-parallel (zero-delay BitSim where provably
-// exact, the word-parallel continuous-time WaveSim otherwise), lane 0
-// is re-simulated on the scalar event engine as a calibration check,
-// and any disagreeing lane is re-confirmed through the full
-// two-event-sim oracle before the job reports a mismatch — the same
-// discipline as internal/verify's fast path. Engine or calibration
-// trouble falls back to the historical single-lane event path.
-func (s *Server) verifyEquivalence(j *job, base *netlist.Circuit, res *core.Result, out *JobResult, warmup int) error {
+// verifyEquivalence fills out's equivalence fields from the flow's one
+// verdict, sim.CheckEquivalence, over VerifyLanes stimulus lanes (0 or
+// 1: the historical single vector on the event-engine oracle).
+func (s *Server) verifyEquivalence(j *job, base *netlist.Circuit, res *core.Result, out *JobResult) error {
 	const verifySeed = 1
-	cycles := j.params.VerifyCycles
-	if lanes := j.params.VerifyLanes; lanes > 1 {
-		stims := sim.LaneStimulus(base, cycles, 0, verifySeed, lanes)
-		ok, mismatches, err := s.verifyLanes(j, base, res, warmup, stims)
-		if err == nil {
-			out.EquivOK = &ok
-			out.Mismatches = mismatches
-			out.VerifiedLanes = lanes
-			s.mVerifiedLanes.Add(float64(lanes))
-			return nil
-		}
-	}
-	ms, err := sim.VerifyEquivalence(base, res.Circuit, j.lib,
-		res.BaselinePeriod, res.Period, cycles, warmup, verifySeed)
+	stims := sim.LaneStimulus(base, j.params.VerifyCycles, 0, verifySeed, max(j.params.VerifyLanes, 1))
+	v, err := sim.CheckEquivalence(base, res.Circuit, j.lib,
+		res.BaselinePeriod, res.Period, res.VerifyWarmup(), stims)
 	if err != nil {
 		return err
 	}
-	ok := len(ms) == 0
+	ok := v.OK()
 	out.EquivOK = &ok
-	out.Mismatches = len(ms)
-	out.VerifiedLanes = 1
-	s.mVerifiedLanes.Add(1)
+	out.Mismatches = len(v.Mismatches)
+	out.VerifiedLanes = v.Lanes
+	s.mVerifiedLanes.Add(float64(v.Lanes))
 	return nil
-}
-
-// verifyLanes is the bit-parallel arm of verifyEquivalence.
-func (s *Server) verifyLanes(j *job, base *netlist.Circuit, res *core.Result, warmup int, stims [][][]bool) (ok bool, mismatches int, err error) {
-	lr, err := sim.VerifyEquivalenceLanes(base, res.Circuit, j.lib,
-		res.BaselinePeriod, res.Period, warmup, stims)
-	if err != nil {
-		return false, 0, err
-	}
-	lane0, err := lr.TraceB.Lane(0)
-	if err != nil {
-		return false, 0, err
-	}
-	ev, err := sim.New(res.Circuit, j.lib, sim.Options{T: res.Period, Cycles: len(stims[0])})
-	if err != nil {
-		return false, 0, err
-	}
-	tr, err := ev.Run(stims[0])
-	if err != nil {
-		return false, 0, err
-	}
-	if len(sim.CompareTraces(tr, lane0, warmup)) > 0 {
-		return false, 0, fmt.Errorf("lane-0 calibration failed")
-	}
-	for l := range stims {
-		if !sim.MaskHasLane(lr.Mask, l) {
-			continue
-		}
-		ms, err := sim.VerifyEquivalenceStim(base, res.Circuit, j.lib,
-			res.BaselinePeriod, res.Period, warmup, stims[l])
-		if err != nil {
-			return false, 0, err
-		}
-		if len(ms) > 0 {
-			return false, len(ms), nil
-		}
-	}
-	return true, 0, nil
 }

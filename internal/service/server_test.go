@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -248,6 +249,57 @@ func TestDedupInflight(t *testing.T) {
 	if got := srv.mExecuted.Value(); got != 1 {
 		t.Errorf("pipeline executed %v times for the group, want 1", got)
 	}
+}
+
+// TestJobPanicIsolated: a pipeline panic fails its own job and the
+// submissions deduplicated onto it, puts the stack in the job's event
+// stream and counts it. A job running alongside it finishes with the
+// bytes a clean server returns, and the server keeps serving.
+func TestJobPanicIsolated(t *testing.T) {
+	_, refTS := newTestServer(t, testConfig())
+	ref, _ := submitJob(t, refTS, JobRequest{Netlist: tinyBench})
+	want := doneResult(t, waitTerminal(t, refTS, ref.ID)).Netlist
+
+	gate := make(chan struct{})
+	srv, ts := newTestServer(t, testConfig())
+	boom := Params{VerifyCycles: 7}
+	srv.preRun = func(_ context.Context, j *job) {
+		if j.params.VerifyCycles == boom.VerifyCycles {
+			<-gate
+			panic("injected pipeline fault")
+		}
+	}
+	bad, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench, Params: boom})
+	waitState(t, ts, bad.ID, func(st JobStatus) bool { return st.State == StateRunning })
+	waiter, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench, Params: boom})
+	good, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench})
+	close(gate)
+
+	for _, id := range []string{bad.ID, waiter.ID} {
+		st := waitTerminal(t, ts, id)
+		if st.State != StateFailed || !strings.Contains(st.Error, "injected pipeline fault") {
+			t.Fatalf("job %s: state %q error %q, want failed by the panic", id, st.State, st.Error)
+		}
+	}
+	if got := doneResult(t, waitTerminal(t, ts, good.ID)).Netlist; got != want {
+		t.Error("job running beside the panic returned different bytes than a clean server")
+	}
+	if v := srv.mPanicked.Value(); v != 1 {
+		t.Errorf("jobs_panicked_total = %g, want 1", v)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + bad.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(events, []byte("goroutine ")) {
+		t.Errorf("event stream carries no stack:\n%s", events)
+	}
+
+	// The server keeps serving after the panic.
+	after, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench, Params: Params{VerifyCycles: 16}})
+	doneResult(t, waitTerminal(t, ts, after.ID))
 }
 
 // TestJobDeadline: a job whose deadline expires finishes in the timeout

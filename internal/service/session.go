@@ -5,37 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 
-	"virtualsync/internal/celllib"
 	"virtualsync/internal/core"
 	"virtualsync/internal/netlist"
 )
-
-// ShapeKey returns the structural fingerprint of a submission: a hash
-// over the circuit's node names, kinds and fanin arities (but not its
-// wiring, cell bindings or drive strengths), the library and the
-// normalized parameters. Submissions with equal shape keys are
-// candidates for the incremental near-miss path: a structural diff
-// between them is expressible as an ECO edit list.
-func ShapeKey(c *netlist.Circuit, lib *celllib.Library, p Params) (string, error) {
-	h := sha256.New()
-	var lines []string
-	c.Live(func(n *netlist.Node) {
-		lines = append(lines, fmt.Sprintf("%s|%v|%d", n.Name, n.Kind, len(n.Fanins)))
-	})
-	sort.Strings(lines)
-	for _, ln := range lines {
-		fmt.Fprintln(h, ln)
-	}
-	if err := celllib.WriteLibrary(h, lib); err != nil {
-		return "", fmt.Errorf("service: hashing library: %w", err)
-	}
-	fmt.Fprintf(h, "params|step=%g|frac=%g|latches=%v|replace=%v|skipbase=%v|verify=%d|lanes=%d\n",
-		p.StepFrac, p.SelectFrac, *p.UseLatches, *p.BufferReplace, p.SkipBaseline, p.VerifyCycles, p.VerifyLanes)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
 
 // ecoKey derives the result-cache key of an ECO submission from the
 // resolved base identity plus the canonical edit script. Identical edit
@@ -48,27 +22,25 @@ func ecoKey(baseKey, baseJob string, edits []netlist.Edit) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// sessionMeta identifies one stored session: the job that produced it,
-// the content key of its base circuit and its structural shape.
+// sessionMeta identifies one stored session: the job that produced it
+// and the content key of its base circuit (empty for sessions advanced
+// by an ECO job).
 type sessionMeta struct {
 	JobID string
 	Key   string
-	Shape string
 }
 
 // sessionStore is a bounded LRU of live optimization sessions, indexed
-// three ways: by the job that produced them (explicit base_job chains),
-// by base-circuit content key (netlist-addressed ECO), and by shape key
-// (near-miss rerouting). Take removes the session from the store, giving
-// the caller exclusive use; Put returns it (possibly advanced) under new
-// identifiers.
+// two ways: by the job that produced them (explicit base_job chains)
+// and by base-circuit content key (netlist-addressed ECO). Take removes
+// the session from the store, giving the caller exclusive use; Put
+// returns it (possibly advanced) under new identifiers.
 type sessionStore struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used; values are *sessionNode
-	byJob   map[string]*list.Element
-	byKey   map[string]string // base content key -> job ID
-	byShape map[string]string // shape key -> job ID
+	mu    sync.Mutex
+	cap   int
+	order *list.List // front = most recently used; values are *sessionNode
+	byJob map[string]*list.Element
+	byKey map[string]string // base content key -> job ID
 }
 
 type sessionNode struct {
@@ -81,11 +53,10 @@ func newSessionStore(capacity int) *sessionStore {
 		capacity = 1
 	}
 	return &sessionStore{
-		cap:     capacity,
-		order:   list.New(),
-		byJob:   map[string]*list.Element{},
-		byKey:   map[string]string{},
-		byShape: map[string]string{},
+		cap:   capacity,
+		order: list.New(),
+		byJob: map[string]*list.Element{},
+		byKey: map[string]string{},
 	}
 }
 
@@ -102,9 +73,6 @@ func (st *sessionStore) Put(meta sessionMeta, sess *core.Session) {
 	if meta.Key != "" {
 		st.byKey[meta.Key] = meta.JobID
 	}
-	if meta.Shape != "" {
-		st.byShape[meta.Shape] = meta.JobID
-	}
 	for st.order.Len() > st.cap {
 		st.removeLocked(st.order.Back())
 	}
@@ -116,9 +84,6 @@ func (st *sessionStore) removeLocked(el *list.Element) {
 	delete(st.byJob, n.meta.JobID)
 	if st.byKey[n.meta.Key] == n.meta.JobID {
 		delete(st.byKey, n.meta.Key)
-	}
-	if st.byShape[n.meta.Shape] == n.meta.JobID {
-		delete(st.byShape, n.meta.Shape)
 	}
 }
 
@@ -140,18 +105,6 @@ func (st *sessionStore) TakeByJob(id string) (*core.Session, sessionMeta, bool) 
 func (st *sessionStore) TakeByKey(key string) (*core.Session, sessionMeta, bool) {
 	st.mu.Lock()
 	id, ok := st.byKey[key]
-	st.mu.Unlock()
-	if !ok {
-		return nil, sessionMeta{}, false
-	}
-	return st.TakeByJob(id)
-}
-
-// TakeByShape removes and returns a session structurally matching the
-// given shape key.
-func (st *sessionStore) TakeByShape(shape string) (*core.Session, sessionMeta, bool) {
-	st.mu.Lock()
-	id, ok := st.byShape[shape]
 	st.mu.Unlock()
 	if !ok {
 		return nil, sessionMeta{}, false

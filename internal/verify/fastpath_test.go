@@ -9,7 +9,8 @@ import (
 
 // TestFastPathEngagesAndAgrees streams random generated cases through
 // the checker twice — once with the bit-parallel fast path, once with
-// the event-engine oracle forced — and demands identical verdicts. It
+// a one-lane checker, which runs the event-engine oracle alone — and
+// demands identical verdicts. It
 // also demands the fast path actually engages on a healthy fraction of
 // passing cases: the gate conditions (exact original, supported
 // optimized circuit, clean calibration) must not silently rot into
@@ -20,7 +21,7 @@ func TestFastPathEngagesAndAgrees(t *testing.T) {
 	}
 	fast := NewChecker()
 	slow := NewChecker()
-	slow.DisableBitSim = true
+	slow.Lanes = 1
 	rng := rand.New(rand.NewSource(77))
 	cases, passes, engaged, full := 0, 0, 0, 0
 	for i := 0; i < 40; i++ {
@@ -37,7 +38,7 @@ func TestFastPathEngagesAndAgrees(t *testing.T) {
 			t.Fatalf("case %d: fast path verdict %v, event oracle %v", i, rf, rs)
 		}
 		if rs.FastPath {
-			t.Fatalf("case %d: DisableBitSim checker claims fast path", i)
+			t.Fatalf("case %d: one-lane checker claims fast path", i)
 		}
 		if rf.Outcome == Pass && rf.Stage == "" {
 			passes++

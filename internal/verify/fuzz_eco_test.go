@@ -171,14 +171,8 @@ func FuzzIncrementalECO(f *testing.F) {
 		if _, err := res.Circuit.TopoOrder(); err != nil {
 			t.Fatalf("ECO circuit unschedulable: %v", err)
 		}
-		warmup := d.Warmup
-		for _, e := range res.Plan.R.Edges {
-			if e.Lambda+3 > warmup {
-				warmup = e.Lambda + 3
-			}
-		}
 		ms, err := sim.VerifyEquivalence(sess.Circuit, res.Circuit, lib,
-			res.BaselinePeriod, res.Period, d.Cycles, warmup, d.StimSeed)
+			res.BaselinePeriod, res.Period, d.Cycles, max(d.Warmup, res.VerifyWarmup()), d.StimSeed)
 		if err != nil {
 			t.Fatalf("equivalence sim: %v", err)
 		}

@@ -21,7 +21,6 @@ import (
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/core"
 	"virtualsync/internal/gen"
-	"virtualsync/internal/netlist"
 	"virtualsync/internal/sim"
 )
 
@@ -106,13 +105,10 @@ type Checker struct {
 	// margined baseline T0 — which is an order of magnitude faster and is
 	// what the fuzz targets and the shrinker use.
 	Search bool
-	// DisableBitSim forces the pure event-engine oracle even when the
-	// bit-parallel fast path applies — the escape hatch and the
-	// benchmarking baseline.
-	DisableBitSim bool
-	// Lanes selects the fast path's stimulus width, 1..sim.MaxLanes;
-	// 0 means the default 64. Widths beyond 64 pack multiple machine
-	// words per value (K = ceil(Lanes/64)).
+	// Lanes selects the stimulus width, 1..sim.MaxLanes; 0 means the
+	// default 64. One lane runs the pure event-engine oracle on the
+	// historical vector; widths beyond 64 pack multiple machine words
+	// per value (K = ceil(Lanes/64)).
 	Lanes int
 }
 
@@ -216,16 +212,12 @@ func (ck *Checker) Check(d *gen.Decoded) (rep *Report) {
 	return rep
 }
 
-// defaultLanes is the fast path's stimulus width when the checker does
-// not select one: one lane per bit of a machine word.
+// defaultLanes is the stimulus width when the checker does not select
+// one: one lane per bit of a machine word.
 const defaultLanes = 64
 
-// confirmLaneCap bounds how many mismatching lanes get an event-engine
-// confirmation run before the checker settles for the lane-0 verdict.
-const confirmLaneCap = 8
-
-// LaneWidth reports the effective fast-path stimulus width: the
-// configured Lanes after applying the default and the sim.MaxLanes cap.
+// LaneWidth reports the effective stimulus width: the configured Lanes
+// after applying the default and the sim.MaxLanes cap.
 func (ck *Checker) LaneWidth() int { return ck.laneCount() }
 
 // laneCount resolves the checker's configured lane width.
@@ -239,186 +231,40 @@ func (ck *Checker) laneCount() int {
 	return ck.Lanes
 }
 
-// simStage runs the differential simulation and writes the verdict into
-// rep.
-//
-// Both sides of the fast path run bit-parallel, each on the cheapest
-// engine that is exact for it: the zero-delay BitSim for phase-0
-// flip-flop designs (sim.BitSimExact — every generated original), the
-// word-parallel continuous-time WaveSim for circuits carrying
-// multi-period logic waves (every optimized circuit). The scalar event
-// engine is demoted to a calibration oracle: it simulates the
-// optimized circuit once on the historical lane-0 stimulus (and the
-// original too, when that side needed WaveSim), and lane 0 of each
-// word engine must reproduce its trace exactly before any wide verdict
-// is trusted. The lane-0 verdict itself — event-simulated optimized
-// trace against the exact original trace — is therefore as strict as
-// the old two-event-sim oracle; any lane-0 mismatch is re-confirmed by
-// the pure event path before it becomes a Fail, keeping the shrinker
-// and regression flow byte-identical.
-//
-// Lanes 1.. are wide coverage: the word traces are compared lanewise
-// and any flagged lane is confirmed by the event engine (up to
-// confirmLaneCap), then re-verified through the full two-event-sim
-// oracle before it Fails, so counterexamples reaching the shrinker and
-// regression corpus are always authoritative-engine products. Coverage
-// is credited per lane actually proven.
+// simStage runs the differential simulation on d's stimulus knobs and
+// writes the verdict of sim.CheckEquivalence into rep. Lane 0 is the
+// historical single-vector stimulus, so a one-lane checker reproduces
+// the pure event-engine oracle byte for byte, and every Fail carries
+// oracle mismatches the shrinker and regression flow can replay.
 func (ck *Checker) simStage(d *gen.Decoded, res *core.Result, rep *Report) {
-	reset := resetCycles(d)
-	historical := sim.ResetStimulus(d.Circuit, d.Cycles, reset, d.StimSeed)
-	if r := unflushed(d.Circuit, historical, d.Warmup); r != nil {
+	stims := sim.LaneStimulus(d.Circuit, d.Cycles, resetCycles(d), d.StimSeed, ck.laneCount())
+	if r := unflushed(d.Circuit, stims[0], d.Warmup); r != nil {
 		rep.Outcome = Skip
 		rep.Stage = "reset"
 		rep.Detail = fmt.Sprintf("register %q keeps its power-on state past warm-up cycle %d", r.Name, d.Warmup)
 		return
 	}
-
-	fail := func(detail string, ms []sim.Mismatch, lane int) {
+	v, err := sim.CheckEquivalence(d.Circuit, res.Circuit, ck.Lib,
+		res.BaselinePeriod, res.Period, d.Warmup, stims)
+	if err != nil {
 		rep.Outcome = Fail
 		rep.Stage = "sim"
-		rep.Detail = detail
-		rep.Mismatches = ms
-		rep.FailLane = lane
-	}
-	// slow is the pure event-engine oracle on the historical stimulus —
-	// the pre-fast-path behavior, byte for byte.
-	slow := func() {
-		rep.Lanes = 1
-		ms, err := sim.VerifyEquivalenceStim(d.Circuit, res.Circuit, ck.Lib,
-			res.BaselinePeriod, res.Period, d.Warmup, historical)
-		if err != nil {
-			fail(err.Error(), nil, -1)
-			return
-		}
-		if len(ms) > 0 {
-			fail(fmt.Sprintf("%d trace mismatches, first %v", len(ms), ms[0]), ms, 0)
-		}
-	}
-
-	if ck.DisableBitSim || !sameInputs(d.Circuit, res.Circuit) {
-		slow()
+		rep.Detail = err.Error()
 		return
 	}
-
-	lanes := ck.laneCount()
-	scalar := sim.LaneStimulus(d.Circuit, d.Cycles, reset, d.StimSeed, lanes)
-	lr, err := sim.VerifyEquivalenceLanes(d.Circuit, res.Circuit, ck.Lib,
-		res.BaselinePeriod, res.Period, d.Warmup, scalar)
-	if err != nil {
-		// An engine rejected the pair (e.g. zero-delay settle failure);
-		// not a verdict — the event oracle decides.
-		slow()
+	rep.Lanes = v.Lanes
+	rep.FastPath = v.FastPath
+	if v.OK() {
 		return
 	}
-
-	// Calibration: the scalar event engine stays the authority. It
-	// simulates the optimized circuit on the historical lane-0 stimulus
-	// (errors here Fail, as on the old path), and lane 0 of the word
-	// engine must reproduce its trace exactly — WaveSim is exact by
-	// construction, so a calibration miss means an engine bug, and the
-	// case falls back to the pure oracle rather than trusting either
-	// fast engine.
-	evSim, err := sim.New(res.Circuit, ck.Lib, sim.Options{T: res.Period, Cycles: d.Cycles})
-	if err != nil {
-		fail(err.Error(), nil, -1)
-		return
+	rep.Outcome = Fail
+	rep.Stage = "sim"
+	rep.Detail = fmt.Sprintf("%d trace mismatches, first %v", len(v.Mismatches), v.Mismatches[0])
+	if v.FailLane > 0 {
+		rep.Detail = fmt.Sprintf("lane %d: %s", v.FailLane, rep.Detail)
 	}
-	evOpt, err := evSim.Run(scalar[0])
-	if err != nil {
-		fail(err.Error(), nil, -1)
-		return
-	}
-	optLane0, err := lr.TraceB.Lane(0)
-	if err != nil {
-		slow()
-		return
-	}
-	if len(sim.CompareTraces(evOpt, optLane0, d.Warmup)) > 0 {
-		slow()
-		return
-	}
-	origLane0, err := lr.TraceA.Lane(0)
-	if err != nil {
-		slow()
-		return
-	}
-	if lr.EngineA == sim.EngineWaveSim {
-		// The original was outside BitSim's proven-exact domain and ran
-		// on WaveSim too; calibrate that side against the event engine
-		// as well before trusting any wide verdict.
-		evA, err := sim.New(d.Circuit, ck.Lib, sim.Options{T: res.BaselinePeriod, Cycles: d.Cycles})
-		if err != nil {
-			slow()
-			return
-		}
-		ta, err := evA.Run(scalar[0])
-		if err != nil {
-			slow()
-			return
-		}
-		if len(sim.CompareTraces(ta, origLane0, d.Warmup)) > 0 {
-			slow()
-			return
-		}
-	}
-	if ms := sim.CompareTraces(origLane0, evOpt, d.Warmup); len(ms) > 0 {
-		// Lane 0 disagrees. Before this becomes a Fail, the full
-		// two-event-sim oracle must agree: a shrinker- and
-		// regression-compatible counterexample needs both traces from
-		// the authoritative engine.
-		slow()
-		return
-	}
-	rep.FastPath = true
-	rep.Lanes = 1
-
-	mask := lr.Mask
-	if sim.MaskLanes(mask) == 0 {
-		rep.Lanes = lanes
-		return
-	}
-	// Some widened lane disagrees (lane 0 cannot: both word engines
-	// agree with evOpt there). Only the event engine can declare a bug,
-	// so re-simulate the optimized circuit on each flagged lane's
-	// stimulus, lowest-first up to the cap, and compare against the
-	// bit-parallel original trace. A lane the event engine clears was an
-	// engine artifact; a lane it confirms is re-verified through the
-	// full two-event-sim oracle before it Fails, so counterexamples
-	// reaching the shrinker and regression corpus are always
-	// authoritative-engine products.
-	cleared := 0
-	checked := 0
-	for l := 1; l < lanes && checked < confirmLaneCap; l++ {
-		if !sim.MaskHasLane(mask, l) {
-			continue
-		}
-		checked++
-		evL, err := evSim.Run(scalar[l])
-		if err != nil {
-			fail(err.Error(), nil, l)
-			return
-		}
-		laneL, err := lr.TraceA.Lane(l)
-		if err != nil {
-			break
-		}
-		if len(sim.CompareTraces(laneL, evL, d.Warmup)) == 0 {
-			cleared++
-			continue
-		}
-		ms, err := sim.VerifyEquivalenceStim(d.Circuit, res.Circuit, ck.Lib,
-			res.BaselinePeriod, res.Period, d.Warmup, scalar[l])
-		if err != nil {
-			fail(err.Error(), nil, l)
-			return
-		}
-		if len(ms) > 0 {
-			rep.Lanes = lanes
-			fail(fmt.Sprintf("lane %d: %d trace mismatches, first %v", l, len(ms), ms[0]), ms, l)
-			return
-		}
-	}
-	rep.Lanes = lanes - sim.MaskLanes(mask) + cleared
+	rep.Mismatches = v.Mismatches
+	rep.FailLane = v.FailLane
 }
 
 // resetCycles is the length of the zero-input reset prefix: feedback
@@ -428,22 +274,6 @@ func (ck *Checker) simStage(d *gen.Decoded, res *core.Result, rep *Report) {
 // skips cases whose original the prefix cannot flush.
 func resetCycles(d *gen.Decoded) int {
 	return max(d.Warmup-4, 0)
-}
-
-// sameInputs reports whether both circuits expose identical primary
-// input lists — the precondition for sharing stimulus between them (the
-// event-engine path re-checks this inside VerifyEquivalenceStim).
-func sameInputs(a, b *netlist.Circuit) bool {
-	ia, ib := a.Inputs(), b.Inputs()
-	if len(ia) != len(ib) {
-		return false
-	}
-	for i := range ia {
-		if ia[i].Name != ib[i].Name {
-			return false
-		}
-	}
-	return true
 }
 
 // optimize runs the configured optimization flow. A (nil, nil) return

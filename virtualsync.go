@@ -41,7 +41,6 @@ import (
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/retime"
 	"virtualsync/internal/sim"
-	"virtualsync/internal/sizing"
 	"virtualsync/internal/sta"
 )
 
@@ -124,17 +123,9 @@ type BaselineResult struct {
 // period retiming, and a final sizing pass with area recovery. The input
 // circuit is not modified.
 func RetimeAndSize(c *Circuit, lib *Library) (*BaselineResult, error) {
-	work := c.Clone()
-	if _, err := sizing.Size(work, lib); err != nil {
-		return nil, fmt.Errorf("virtualsync: sizing: %w", err)
-	}
-	rt, _, err := retime.Retime(work, lib)
+	rt, res, err := retime.Baseline(c, lib)
 	if err != nil {
-		return nil, fmt.Errorf("virtualsync: retiming: %w", err)
-	}
-	res, err := sizing.Size(rt, lib)
-	if err != nil {
-		return nil, fmt.Errorf("virtualsync: post-retiming sizing: %w", err)
+		return nil, fmt.Errorf("virtualsync: %w", err)
 	}
 	area, err := lib.CircuitArea(rt)
 	if err != nil {
