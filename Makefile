@@ -28,11 +28,9 @@ test:
 	$(GO) test ./...
 	$(GO) -C bench test ./...
 
-# Race-instrumented run of the whole module. The LP branch-and-bound
-# time budget auto-scales under the race build tag (internal/lp/race_on.go)
-# so wall-clock slowdown does not change feasibility results. The
-# explicit -timeout covers the full-flow suite tests in internal/expt,
-# which can exceed go test's 10m default under race on a 1-CPU box.
+# Race-instrumented run of the whole module. The explicit -timeout
+# covers the full-flow suite tests in internal/expt, which can exceed go
+# test's 10m default under race on a 1-CPU box.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -84,24 +82,26 @@ fuzz-short:
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseNetlist -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/vfuzz replay internal/verify/testdata/regressions
 
-# Proc-count identity: Table 1 on three circuits must be byte-identical
-# at GOMAXPROCS=1 and GOMAXPROCS=2 except for the wall-clock columns
-# (t(s) in the table, runtime_s and wall_s in the CSV), which are masked
+# Proc-count identity: Table 1 on all ten circuits and the vsync report
+# on mem_ctrl must be byte-identical at GOMAXPROCS=1 and GOMAXPROCS=2
+# except for the wall-clock fields (t(s) in the table, runtime_s and
+# wall_s in the CSV, the runtime: line of the report), which are masked
 # before the diff. Everything is built and written in a temporary
 # directory.
-PROCS_CIRCUITS = s5378,systemcdes,s9234
-
 check-procs:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/vexp" ./cmd/vexp || exit 1; \
+	$(GO) build -o "$$dir/vsync" ./cmd/vsync || exit 1; \
 	for p in 1 2; do \
-		GOMAXPROCS=$$p "$$dir/vexp" -exp table1 -circuits $(PROCS_CIRCUITS) \
+		GOMAXPROCS=$$p "$$dir/vexp" -exp table1 \
 			-csv "$$dir/p$$p.csv" > "$$dir/p$$p.txt" 2>/dev/null || exit 1; \
 		sed -E 's/\| +[0-9.]+( +[^ ]+)$$/| t(s)\1/' "$$dir/p$$p.txt" > "$$dir/p$$p.masked"; \
 		awk -F, -v OFS=, '{ $$11 = "-"; $$12 = "-"; print }' "$$dir/p$$p.csv" >> "$$dir/p$$p.masked"; \
+		GOMAXPROCS=$$p "$$dir/vsync" -bench mem_ctrl -verify 0 > "$$dir/v$$p.txt" 2>&1 || exit 1; \
+		sed -E 's/^( *runtime:).*/\1 -/' "$$dir/v$$p.txt" >> "$$dir/p$$p.masked"; \
 	done; \
 	diff "$$dir/p1.masked" "$$dir/p2.masked" && \
-		echo "check-procs: Table 1 identical at GOMAXPROCS=1 and 2 (wall-clock columns masked)"
+		echo "check-procs: Table 1 and the mem_ctrl report identical at GOMAXPROCS=1 and 2 (wall-clock fields masked)"
 
 # Regenerate every paper table/figure (writes results/).
 bench:

@@ -148,13 +148,7 @@ func retargetPlan(ctx context.Context, r *Region, T float64, opts Options, prev 
 	return p, nil
 }
 
-// regionBudget bounds one full-pipeline optimization attempt; targets
-// that cannot be settled in this time are treated as infeasible (the
-// period search simply stops a step earlier).
-const regionBudget = 100 * time.Second
-
 func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options) (*Plan, error) {
-	deadline := time.Now().Add(regionBudget)
 	nE := len(r.Edges)
 	tol := gapTol(T)
 
@@ -274,9 +268,6 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 	for round := 0; round < maxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		if time.Now().After(deadline) {
-			return nil, nil // budget exhausted: treat T as infeasible
 		}
 		spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE), fixed: make([]Placement, nE), warm: warm}
 		cur := pending

@@ -1,7 +1,7 @@
 // Package lp implements a linear-programming solver (bounded-variable
 // revised primal simplex over a sparse column form, with Dantzig pricing
-// and a Bland anti-cycling fallback) and a warm-started, optionally
-// parallel branch-and-bound wrapper for mixed-integer programs. It plays
+// and a Bland anti-cycling fallback) and a warm-started, sequential
+// best-first branch-and-bound wrapper for mixed-integer programs. It plays
 // the role of the commercial ILP solver (Gurobi) used in the VirtualSync
 // paper.
 //

@@ -127,20 +127,21 @@ type ECOInfo struct {
 
 // SolverStats mirrors lp.Stats in the wire format.
 type SolverStats struct {
-	Pivots      int `json:"pivots"`
-	CrashPivots int `json:"crash_pivots,omitempty"`
-	BnBNodes    int `json:"bnb_nodes"`
-	WarmStarts  int `json:"warm_starts"`
-	ColdStarts  int `json:"cold_starts"`
+	Pivots     int `json:"pivots"`
+	BnBNodes   int `json:"bnb_nodes"`
+	WarmStarts int `json:"warm_starts"`
+	ColdStarts int `json:"cold_starts"`
+	// CrashPivots is always 0 and never sent; the bench module still
+	// reads the field.
+	CrashPivots int `json:"-"`
 }
 
 func solverStatsFrom(s lp.Stats) SolverStats {
 	return SolverStats{
-		Pivots:      s.Pivots(),
-		CrashPivots: s.CrashPivots,
-		BnBNodes:    s.Nodes,
-		WarmStarts:  s.WarmStarts,
-		ColdStarts:  s.ColdStarts,
+		Pivots:     s.Pivots(),
+		BnBNodes:   s.Nodes,
+		WarmStarts: s.WarmStarts,
+		ColdStarts: s.ColdStarts,
 	}
 }
 

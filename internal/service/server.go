@@ -176,7 +176,6 @@ type Server struct {
 	mCacheHits   *Counter
 	mCacheMisses *Counter
 	mPivots      *Counter
-	mCrashPivots *Counter
 	mNodes       *Counter
 	mWarmStarts  *Counter
 	mColdStarts  *Counter
@@ -213,7 +212,6 @@ func New(ctx context.Context, cfg Config) *Server {
 	s.mCacheHits = s.reg.Counter("vsync_cache_hits_total", "Submissions served from the content-hash result cache.")
 	s.mCacheMisses = s.reg.Counter("vsync_cache_misses_total", "Submissions that had to run the pipeline.")
 	s.mPivots = s.reg.Counter("vsync_solver_pivots_total", "Simplex pivots spent by completed jobs.")
-	s.mCrashPivots = s.reg.Counter("vsync_solver_crash_pivots_total", "Warm-start basis re-seating pivots spent by completed jobs.")
 	s.mNodes = s.reg.Counter("vsync_solver_bnb_nodes_total", "Branch-and-bound nodes solved by completed jobs.")
 	s.mWarmStarts = s.reg.Counter("vsync_solver_warm_starts_total", "LP solves seeded from a prior basis.")
 	s.mColdStarts = s.reg.Counter("vsync_solver_cold_starts_total", "LP solves from the all-slack basis.")
@@ -530,7 +528,6 @@ func (s *Server) finishJob(j *job, onlyFrom, state string, res *JobResult, errMs
 	if ok && executed && res != nil {
 		s.mExecuted.Inc()
 		s.mPivots.Add(float64(res.Solver.Pivots))
-		s.mCrashPivots.Add(float64(res.Solver.CrashPivots))
 		s.mNodes.Add(float64(res.Solver.BnBNodes))
 		s.mWarmStarts.Add(float64(res.Solver.WarmStarts))
 		s.mColdStarts.Add(float64(res.Solver.ColdStarts))
