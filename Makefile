@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-sim bench-eco serve-smoke
+.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-core bench-sim bench-eco serve-smoke
 
 # The full pre-commit gate: formatting, vet, build, the whole test
 # suite, the race detector over every package, coverage floors, a short
@@ -66,7 +66,10 @@ cover:
 # kernel scratch buffers, and the wave target (word-parallel WaveSim vs
 # the scalar event engine on optimizer-produced circuits, every lane, no
 # calibration escape) races the event arena and per-lane projection
-# state.
+# state. FuzzPropagateVsReference holds the wave validator's scheduled
+# sweep to the original all-edges sweep on fuzz-built plans: bit for bit
+# except sub-1e-9 rounding drift and transparent-latch rings the old
+# sweep settles only past its bound (DESIGN.md §5.1).
 FUZZTIME ?= 20s
 
 fuzz-short:
@@ -80,6 +83,7 @@ fuzz-short:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseNetlist -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateVsReference -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/vfuzz replay internal/verify/testdata/regressions
 
 # Proc-count identity: Table 1 on all ten circuits and the vsync report
@@ -117,6 +121,17 @@ bench-lp:
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_lp.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_lp.json 2>/dev/null || \
 		echo "note: BENCH_lp.json changed — review the numbers and commit the update"
+
+# Wave-validator benchmark only, with machine-readable output in
+# BENCH_core.json: one full Plan.Validate (propagation plus constraint
+# checks) of the final optimized plans of mem_ctrl, ac97_ctrl and
+# systemcdes. Benchmark names carry the -N GOMAXPROCS suffix and the
+# cpus metric records the host's CPU count.
+bench-core:
+	$(GO) test -json -run '^$$' -bench '^BenchmarkPlanValidate$$' -benchmem ./internal/core > BENCH_core.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_core.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
+	@git diff --quiet -- BENCH_core.json 2>/dev/null || \
+		echo "note: BENCH_core.json changed — review the numbers and commit the update"
 
 # Simulation-engine benchmarks only, with machine-readable output in
 # BENCH_sim.json: event engine vs the zero-delay and continuous-time

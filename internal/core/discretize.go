@@ -146,8 +146,8 @@ func (p *Plan) realize(ctx context.Context) error {
 			}
 		}
 	}
-	if vs := p.Validate(); len(vs) > 0 {
-		if vs = p.repairChains(vs); len(vs) > 0 {
+	if st, vs := p.validate(ValidateParams{}); len(vs) > 0 {
+		if vs = p.repairChains(st, vs); len(vs) > 0 {
 			return fmt.Errorf("core: realization invalid after repair: %v", vs[0])
 		}
 	}
@@ -271,8 +271,9 @@ func mathAbs(x float64) float64 {
 
 // repairChains tries to fix validation failures by nudging the chain on
 // the violating edge: late-side failures shrink the chain, early-side
-// failures grow it. It returns the remaining violations.
-func (p *Plan) repairChains(vs []Violation) []Violation {
+// failures grow it. st and vs are the result of validating the current
+// plan. It returns the remaining violations.
+func (p *Plan) repairChains(st *waveState, vs []Violation) []Violation {
 	buf := p.R.Lib.Cell("BUF")
 	fastest := buf.Options[len(buf.Options)-1].Delay
 	for attempt := 0; attempt < 4*len(p.R.Edges)+8; attempt++ {
@@ -293,7 +294,7 @@ func (p *Plan) repairChains(vs []Violation) []Violation {
 					target, lateSide = v.Edge, false
 				}
 			} else if v.Gate >= 0 && v.Check == "non-interference" {
-				target, lateSide = p.spreadRepairEdge(v.Gate)
+				target, lateSide = p.spreadRepairEdge(st, v.Gate)
 			}
 			if target >= 0 {
 				break
@@ -322,25 +323,22 @@ func (p *Plan) repairChains(vs []Violation) []Violation {
 			p.Chain[target] = append(ch, len(buf.Options)-1)
 			p.ChainDelay[target] += fastest
 		}
-		vs = p.Validate()
+		st, vs = p.validate(ValidateParams{})
 	}
 	return vs
 }
 
 // spreadRepairEdge chooses which in-edge of a gate to nudge to shrink its
-// wave spread: the latest in-edge if its chain overshoots the requested
-// delay (shrink it), otherwise the earliest in-edge (grow it).
-func (p *Plan) spreadRepairEdge(gi int) (edge int, lateSide bool) {
-	st, vs := p.propagate(p.env(ValidateParams{}))
-	if st == nil || len(vs) > 0 {
+// wave spread under the wave state st: the latest in-edge if its chain
+// overshoots the requested delay (shrink it), otherwise the earliest
+// in-edge (grow it).
+func (p *Plan) spreadRepairEdge(st *waveState, gi int) (edge int, lateSide bool) {
+	if st == nil {
 		return -1, false
 	}
 	lateEdge, earlyEdge := -1, -1
 	lateVal, earlyVal := 0.0, 0.0
-	for ei, e := range p.R.Edges {
-		if e.To.Kind != RefGate || e.To.Idx != gi {
-			continue
-		}
+	for _, ei := range p.R.sched.in(gi) {
 		if lateEdge == -1 || st.oLate[ei] > lateVal {
 			lateEdge, lateVal = ei, st.oLate[ei]
 		}
@@ -506,10 +504,11 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac f
 				p.XiReq[i] = sol.Value(mv.xi[i])
 				p.Chain[i], p.ChainDelay[i] = p.buildChain(p.XiReq[i])
 			}
-			if vs := p.Validate(); len(vs) == 0 {
+			st, vs := p.validate(ValidateParams{})
+			if len(vs) == 0 {
 				return true
 			}
-			if vs := p.repairChains(p.Validate()); len(vs) == 0 {
+			if vs := p.repairChains(st, vs); len(vs) == 0 {
 				return true
 			}
 		}

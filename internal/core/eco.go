@@ -300,6 +300,7 @@ func spliceRegion(prev *Region, work *netlist.Circuit, lib *celllib.Library, bas
 		Edges:      append([]Edge(nil), prev.Edges...),
 		Removed:    append([]netlist.NodeID(nil), prev.Removed...),
 		removedSet: make(map[netlist.NodeID]bool, len(prev.removedSet)),
+		sched:      prev.sched, // a function of Gates and Edges only
 		Baseline:   base,
 	}
 	for id, gi := range prev.GateIdx {

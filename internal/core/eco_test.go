@@ -31,6 +31,9 @@ func regionsEqual(t *testing.T, want, got *Region) {
 	if !reflect.DeepEqual(want.Edges, got.Edges) {
 		t.Errorf("Edges differ")
 	}
+	if !reflect.DeepEqual(want.sched, got.sched) {
+		t.Errorf("validator schedules differ")
+	}
 	if !reflect.DeepEqual(want.Removed, got.Removed) {
 		t.Errorf("Removed differ: %v vs %v", want.Removed, got.Removed)
 	}

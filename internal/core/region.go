@@ -83,6 +83,9 @@ type Region struct {
 
 	removedSet map[netlist.NodeID]bool
 
+	// sched is the wave validator's sweep plan over Gates and Edges.
+	sched *schedule
+
 	// Baseline is the STA of the working circuit before optimization.
 	Baseline *sta.Result
 
@@ -344,6 +347,8 @@ func buildRegion(work *netlist.Circuit, lib *celllib.Library, base *sta.Result, 
 	if sinkErr != nil {
 		return nil, sinkErr
 	}
+
+	r.sched = newSchedule(r)
 
 	// 5. The untouched logic outside the region still has to meet the
 	// target period classically; record its requirement.

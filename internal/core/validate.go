@@ -115,19 +115,114 @@ func (p *Plan) Validate() []Violation {
 
 // ValidateWith is Validate with selected quantities overridden.
 func (p *Plan) ValidateWith(params ValidateParams) []Violation {
+	_, vs := p.validate(params)
+	return vs
+}
+
+// validate is ValidateWith that also returns the propagated wave state,
+// nil when propagation fails.
+func (p *Plan) validate(params ValidateParams) (*waveState, []Violation) {
 	env := p.env(params)
 	st, vs := p.propagate(env)
 	if st == nil {
-		return vs
+		return nil, vs
 	}
-	return append(vs, p.check(st, env)...)
+	return st, append(vs, p.check(st, env)...)
+}
+
+// schedule is a region's validator sweep plan. It depends only on the
+// region's structure, so buildRegion builds it once (spliceRegion shares
+// it) and every propagate call reads it without modification.
+type schedule struct {
+	// inStart/inEdges index each gate's in-edges in ascending edge order
+	// (compressed sparse rows): gate gi reads the edges
+	// inEdges[inStart[gi]:inStart[gi+1]].
+	inStart, inEdges []int
+	// order lists the gates topologically over the λ=0 gate-to-gate
+	// edges; gates on a λ=0 cycle (none in a legal region) follow in
+	// index order.
+	order []int
+	// sinkEdges lists the edges into sinks in ascending edge order.
+	sinkEdges []int
+}
+
+// newSchedule derives the sweep plan of r's current edges.
+func newSchedule(r *Region) *schedule {
+	nG := len(r.Gates)
+	s := &schedule{inStart: make([]int, nG+1)}
+	succ := make([][]int, nG)
+	indeg := make([]int, nG)
+	for ei, e := range r.Edges {
+		switch e.To.Kind {
+		case RefGate:
+			s.inStart[e.To.Idx+1]++
+			if e.From.Kind == RefGate && e.Lambda == 0 {
+				succ[e.From.Idx] = append(succ[e.From.Idx], e.To.Idx)
+				indeg[e.To.Idx]++
+			}
+		case RefSink:
+			s.sinkEdges = append(s.sinkEdges, ei)
+		}
+	}
+	for gi := 0; gi < nG; gi++ {
+		s.inStart[gi+1] += s.inStart[gi]
+	}
+	s.inEdges = make([]int, s.inStart[nG])
+	next := append([]int(nil), s.inStart[:nG]...)
+	for ei, e := range r.Edges {
+		if e.To.Kind == RefGate {
+			s.inEdges[next[e.To.Idx]] = ei
+			next[e.To.Idx]++
+		}
+	}
+
+	s.order = make([]int, 0, nG)
+	for gi, d := range indeg {
+		if d == 0 {
+			s.order = append(s.order, gi)
+		}
+	}
+	for h := 0; h < len(s.order); h++ {
+		for _, gj := range succ[s.order[h]] {
+			if indeg[gj]--; indeg[gj] == 0 {
+				s.order = append(s.order, gj)
+			}
+		}
+	}
+	for gi, d := range indeg {
+		if d > 0 {
+			s.order = append(s.order, gi)
+		}
+	}
+	return s
+}
+
+// in returns gate gi's in-edges in ascending edge order.
+func (s *schedule) in(gi int) []int {
+	return s.inEdges[s.inStart[gi]:s.inStart[gi+1]]
 }
 
 // propagate computes arrival times to fixpoint. Sequential delay units
 // with flip-flop behaviour emit constants, which breaks every legal cycle;
 // a cycle without one fails to converge and is reported.
+//
+// Each sweep visits the gates in the region schedule's topological order
+// and evaluates a gate's in-edges right before the gate itself, so
+// values computed earlier in the sweep are used at once (Gauss–Seidel);
+// sink edges come last. Every stored value is the same expression of the
+// same upstream values as in a sweep that re-evaluates all edges from
+// the previous sweep's gates, so the fixpoint is the same and only the
+// number of sweeps shrinks: one to settle the λ=0 logic, plus one per
+// feedback hop the arrivals still travel. The two orders can stop a few
+// ulps apart when a sweep's only movement is a rounding step below the
+// change test's 1e-12 (DESIGN.md §5.1). With TransparentLatches, a
+// latch on a feedback ring passes early arrivals on until they drop
+// below its open edge, so the ring turns that takes depend on the
+// delays; one sweep here covers a whole turn, where the all-edges sweep
+// covers one gate per sweep and can hit the nG+nE+8 bound first.
 func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 	r := p.R
+	sc := r.sched
 	nG, nE := len(r.Gates), len(r.Edges)
 	opts := p.Opts
 	opts.Ru, opts.Rl = env.ru, env.rl
@@ -138,10 +233,9 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 	// can land on consecutive same-size-class slots — for regions whose
 	// per-edge arrays fill the 4KiB class, that puts wLate/wEarly/oLate/
 	// oEarly at identical page offsets, and the store→load pattern in the
-	// edge loop below then pays 4K-aliasing stalls (measured ~3x on the
-	// whole fixpoint, flipping with unrelated allocation history). The
-	// distinct pads keep every pair of sections off a common 4KiB stride
-	// no matter what nG and nE are.
+	// edge evaluation below then pays 4K-aliasing stalls. The distinct
+	// pads keep every pair of sections off a common 4KiB stride no matter
+	// what nG and nE are.
 	buf := make([]float64, 2*nG+4*nE+15*bufPad)
 	off := 0
 	take := func(n, pad int) []float64 {
@@ -162,62 +256,62 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 		st.early[gi] = math.Inf(1)
 	}
 
-	fromTimes := func(e Edge) (float64, float64) {
-		switch e.From.Kind {
-		case RefGate:
-			return st.late[e.From.Idx], st.early[e.From.Idx]
-		default:
-			return r.sourceTimes(e.From.Idx, opts)
+	// edge evaluates edge ei from its driver's current arrivals and
+	// reports whether any of its four values moved.
+	edge := func(ei int) (changed bool) {
+		e := &r.Edges[ei]
+		var upL, upE float64
+		if e.From.Kind == RefGate {
+			upL, upE = st.late[e.From.Idx], st.early[e.From.Idx]
+		} else {
+			upL, upE = r.sourceTimes(e.From.Idx, opts)
 		}
+		shift := -float64(e.Lambda) * T
+		wL := upL + shift + env.cd[ei]*opts.Ru
+		wE := upE + shift + env.cd[ei]*opts.Rl
+		var oL, oE float64
+		u := p.Unit[ei]
+		phi := u.PhaseFrac * T
+		n := float64(u.N)
+		switch u.Kind {
+		case UnitNone, UnitBuffer:
+			oL, oE = wL, wE
+		case UnitFF:
+			oL = (n+1)*T + phi + env.ff.Tcq*opts.Ru
+			oE = (n+1)*T + phi + env.ff.Tcq*opts.Rl
+		case UnitLatch:
+			open := n*T + phi + opts.Duty*T
+			oL = math.Max(open+env.lt.Tcq*opts.Ru, wL+env.lt.Tdq*opts.Ru)
+			if env.transparent && wE > open {
+				oE = wE + env.lt.Tdq*opts.Rl
+			} else {
+				oE = open + env.lt.Tcq*opts.Rl
+			}
+		}
+		if wL != st.wLate[ei] || wE != st.wEarly[ei] || oL != st.oLate[ei] || oE != st.oEarly[ei] {
+			// -inf/+inf churn does not count as progress.
+			changed = !sameOrBothInf(wL, st.wLate[ei]) || !sameOrBothInf(wE, st.wEarly[ei]) ||
+				!sameOrBothInf(oL, st.oLate[ei]) || !sameOrBothInf(oE, st.oEarly[ei])
+		}
+		st.wLate[ei], st.wEarly[ei] = wL, wE
+		st.oLate[ei], st.oEarly[ei] = oL, oE
+		return changed
 	}
 
 	maxIter := nG + nE + 8
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
-		for ei, e := range r.Edges {
-			upL, upE := fromTimes(e)
-			shift := -float64(e.Lambda) * T
-			wL := upL + shift + env.cd[ei]*opts.Ru
-			wE := upE + shift + env.cd[ei]*opts.Rl
-			var oL, oE float64
-			u := p.Unit[ei]
-			phi := u.PhaseFrac * T
-			n := float64(u.N)
-			switch u.Kind {
-			case UnitNone, UnitBuffer:
-				oL, oE = wL, wE
-			case UnitFF:
-				oL = (n+1)*T + phi + env.ff.Tcq*opts.Ru
-				oE = (n+1)*T + phi + env.ff.Tcq*opts.Rl
-			case UnitLatch:
-				open := n*T + phi + opts.Duty*T
-				oL = math.Max(open+env.lt.Tcq*opts.Ru, wL+env.lt.Tdq*opts.Ru)
-				if env.transparent && wE > open {
-					oE = wE + env.lt.Tdq*opts.Rl
-				} else {
-					oE = open + env.lt.Tcq*opts.Rl
-				}
+		for _, gi := range sc.order {
+			in := sc.in(gi)
+			if len(in) == 0 {
+				continue
 			}
-			if wL != st.wLate[ei] || wE != st.wEarly[ei] || oL != st.oLate[ei] || oE != st.oEarly[ei] {
-				// -inf/+inf churn does not count as progress.
-				if !sameOrBothInf(wL, st.wLate[ei]) || !sameOrBothInf(wE, st.wEarly[ei]) ||
-					!sameOrBothInf(oL, st.oLate[ei]) || !sameOrBothInf(oE, st.oEarly[ei]) {
-					changed = true
-				}
-			}
-			st.wLate[ei], st.wEarly[ei] = wL, wE
-			st.oLate[ei], st.oEarly[ei] = oL, oE
-		}
-		for gi, gid := range r.Gates {
-			_ = gid
 			lateIn := math.Inf(-1)
 			earlyIn := math.Inf(1)
-			found := false
-			for ei, e := range r.Edges {
-				if e.To.Kind != RefGate || e.To.Idx != gi {
-					continue
+			for _, ei := range in {
+				if edge(ei) {
+					changed = true
 				}
-				found = true
 				if st.oLate[ei] > lateIn {
 					lateIn = st.oLate[ei]
 				}
@@ -225,15 +319,17 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 					earlyIn = st.oEarly[ei]
 				}
 			}
-			if !found {
-				continue
-			}
 			nl := lateIn + env.gd[gi]*opts.Ru
 			ne := earlyIn + env.gd[gi]*opts.Rl
 			if !sameOrBothInf(nl, st.late[gi]) || !sameOrBothInf(ne, st.early[gi]) {
 				changed = true
 			}
 			st.late[gi], st.early[gi] = nl, ne
+		}
+		for _, ei := range sc.sinkEdges {
+			if edge(ei) {
+				changed = true
+			}
 		}
 		if !changed {
 			return st, nil
@@ -348,11 +444,8 @@ func SinkArrivals(p *Plan) (ok bool, late, early map[string]float64) {
 	}
 	late = map[string]float64{}
 	early = map[string]float64{}
-	for ei, e := range p.R.Edges {
-		if e.To.Kind != RefSink {
-			continue
-		}
-		name := p.R.Work.Node(p.R.Sinks[e.To.Idx].Node).Name
+	for _, ei := range p.R.sched.sinkEdges {
+		name := p.R.Work.Node(p.R.Sinks[p.R.Edges[ei].To.Idx].Node).Name
 		late[name] = st.oLate[ei]
 		early[name] = st.oEarly[ei]
 	}
