@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-core bench-sim bench-eco serve-smoke
+.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-core bench-sim bench-eco serve-smoke loc
 
 # The full pre-commit gate: formatting, vet, build, the whole test
 # suite, the race detector over every package, coverage floors, a short
@@ -164,3 +164,8 @@ bench-eco:
 # cache and /metrics behavior on resubmission.
 serve-smoke:
 	$(GO) run ./cmd/vserved -smoke
+
+# Non-test Go lines outside the bench/ module: the size metric ROADMAP.md
+# tracks. Not part of check.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l

@@ -17,7 +17,6 @@
 //	vserved [-addr :8080] [-workers n] [-queue n] [-cache n]
 //	        [-job-timeout 5m] [-drain-timeout 30s] [-lib file] [-pprof]
 //	vserved -smoke                      # one-job self-test, then exit
-//	vserved -load URL [-n 32] [-clients 4] [-bench s5378,...]
 package main
 
 import (
@@ -47,11 +46,6 @@ func main() {
 	libPath := flag.String("lib", "", "default cell library file (default: built-in vs45)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: the profiles leak operational detail)")
 	smoke := flag.Bool("smoke", false, "start an in-process server, run one job end to end, verify cache+metrics, exit")
-	load := flag.String("load", "", "run the closed-loop load generator against this base URL instead of serving")
-	loadN := flag.Int("n", 32, "load: total requests")
-	loadClients := flag.Int("clients", 4, "load: closed-loop concurrency")
-	loadBench := flag.String("bench", "s5378", "load: comma-separated benchmark circuits to cycle through")
-	loadVerify := flag.Int("verify", 0, "load: equivalence-simulation cycles per job")
 	flag.Parse()
 
 	lib, err := loadLib(*libPath)
@@ -66,11 +60,8 @@ func main() {
 		Lib:          lib,
 	}
 
-	switch {
-	case *smoke:
+	if *smoke {
 		os.Exit(runSmoke(cfg))
-	case *load != "":
-		os.Exit(runLoadGen(*load, *loadN, *loadClients, *loadBench, *loadVerify))
 	}
 
 	// The service gets a background base context: a signal must stop

@@ -1,18 +1,32 @@
 // Command vsync runs the full VirtualSync flow on a circuit: the
 // retiming&sizing baseline, the period search, validation, and (optionally)
 // functional-equivalence simulation, then writes the optimized netlist.
+// Its subcommands sta, sim and gen analyze, simulate and generate
+// circuits without optimizing them.
 //
 // Usage:
 //
 //	vsync [-lib file] [-bench name] [-o out.bench] [-step 0.005]
 //	      [-frac 0.95] [-no-latches] [-no-replace] [-verify n]
-//	      [-verify-lanes n]
-//	      [-eco edits.txt [-eco-refine]] [circuit.bench]
+//	      [-verify-lanes n] [-eco edits.txt] [circuit.bench]
+//	vsync sta [-lib file] [-T period] [-worst n] [-bench name | circuit.bench]
+//	vsync sim [-lib file] [-T period] [-cycles n] [-seed n] [-vcd out.vcd]
+//	          [-compare other.bench [-T2 period] [-warmup n]]
+//	          [-bench name | circuit.bench]
+//	vsync gen [-verilog] (-bench name [-o file] | -all [-dir dir])
 //
 // With -eco, the initial optimization is kept as a live session; the
 // edit script (one resize/swap/rewire/insertff/removeff per line) is
 // then applied and the circuit is re-optimized incrementally, reusing
 // the session's timing analysis, extracted region and solver state.
+//
+// sta prints the minimum clock period, the critical paths and any hold
+// violations (exit status 1 when there are some). sim runs event-driven
+// timing simulation on random stimulus and prints the flip-flop and
+// output traces, optionally writing a VCD dump; with -compare it
+// checks a second circuit cycle for cycle through the flow's
+// equivalence verdict instead (exit status 1 on mismatches). gen writes
+// built-in benchmark circuits as .bench or structural Verilog.
 package main
 
 import (
@@ -28,14 +42,31 @@ import (
 	"virtualsync/internal/sim"
 )
 
+// errReported fails a run whose output already shows what went wrong
+// (hold violations, simulation mismatches): vsync exits with status 1
+// and prints nothing further.
+var errReported = errors.New("failure reported")
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "vsync:", err)
+		if !errors.Is(err, errReported) {
+			fmt.Fprintln(os.Stderr, "vsync:", err)
+		}
 		os.Exit(1)
 	}
 }
 
 func run(args []string, out io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "sta":
+			return runSTA(args[1:], out)
+		case "sim":
+			return runSim(args[1:], out)
+		case "gen":
+			return runGen(args[1:], out)
+		}
+	}
 	fs := flag.NewFlagSet("vsync", flag.ContinueOnError)
 	libPath := fs.String("lib", "", "cell library file (default: built-in vs45)")
 	benchName := fs.String("bench", "", "generate a built-in benchmark instead of reading a file")
@@ -49,13 +80,11 @@ func run(args []string, out io.Writer) error {
 	skipBaseline := fs.Bool("skip-baseline", false, "assume the input is already retimed and sized")
 	timeout := fs.Duration("timeout", 0, "abort the period search after this long (0 = no limit)")
 	ecoPath := fs.String("eco", "", "ECO edit script to apply and re-optimize incrementally")
-	ecoRefine := fs.Bool("eco-refine", false, "with -eco: search below the held period after the edit")
-	fs.SetOutput(out)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
+	if ok, err := parseFlags(fs, args, out); !ok {
 		return err
+	}
+	if *verifyLanes > sim.MaxLanes {
+		return fmt.Errorf("-verify-lanes %d: want 1..%d lanes", *verifyLanes, sim.MaxLanes)
 	}
 
 	ctx := context.Background()
@@ -90,7 +119,7 @@ func run(args []string, out io.Writer) error {
 	opts.BufferReplace = !*noReplace
 
 	if *ecoPath != "" {
-		return runECO(ctx, out, base, lib, opts, *step, *ecoPath, *ecoRefine, *verify, *verifyLanes, *outPath, *timeout)
+		return runECO(ctx, out, base, lib, opts, *step, *ecoPath, *verify, *verifyLanes, *outPath, *timeout)
 	}
 
 	res, err := virtualsync.OptimizeCtx(ctx, base, lib, opts, *step)
@@ -123,7 +152,7 @@ func run(args []string, out io.Writer) error {
 // no wall-clock times so that its output is deterministic for a given
 // input (the golden tests depend on this).
 func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *virtualsync.Library,
-	opts virtualsync.Options, step float64, ecoPath string, refine bool, verify, verifyLanes int,
+	opts virtualsync.Options, step float64, ecoPath string, verify, verifyLanes int,
 	outPath string, timeout time.Duration) error {
 	script, err := os.ReadFile(ecoPath)
 	if err != nil {
@@ -144,7 +173,6 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 	if err != nil {
 		return err
 	}
-	sess.Refine = refine
 	cold := sess.Result
 	fmt.Fprintf(out, "VirtualSync: T %.2f -> %.2f (%.1f%% reduction)\n",
 		cold.BaselinePeriod, cold.Period, cold.PeriodReductionPct())
@@ -176,7 +204,7 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 	if st.Fallback {
 		fmt.Fprintf(out, "  probes: %d, fell back to the cold period search\n", st.Probes)
 	} else {
-		fmt.Fprintf(out, "  probes: %d (recovery %d, refine %d)\n", st.Probes, st.RecoverySteps, st.Refined)
+		fmt.Fprintf(out, "  probes: %d (recovery %d)\n", st.Probes, st.RecoverySteps)
 	}
 	fmt.Fprintf(out, "  T: %.2f -> %.2f; area: %.1f -> %.1f\n", cold.Period, res.Period, cold.Area, res.Area)
 
@@ -217,16 +245,37 @@ func writeOut(out io.Writer, path string, c *virtualsync.Circuit) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := virtualsync.WriteCircuit(f, c); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return virtualsync.WriteCircuit(w, c) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "optimized circuit written to %s\n", path)
 	return nil
+}
+
+// writeFile creates path and fills it with write, returning the first
+// error of the write and the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// parseFlags parses args into fs, printing usage and parse errors to
+// out. ok is false when the run should stop there: with err nil after
+// -help, with the parse error otherwise.
+func parseFlags(fs *flag.FlagSet, args []string, out io.Writer) (ok bool, err error) {
+	fs.SetOutput(out)
+	err = fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 func loadLib(path string) (*virtualsync.Library, error) {

@@ -11,7 +11,6 @@ package celllib
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"virtualsync/internal/netlist"
@@ -351,24 +350,6 @@ func Uniform(delay float64, ff, latch SeqTiming) *Library {
 	l.FF = ff
 	l.Latch = latch
 	return l
-}
-
-// Scale returns a copy of the library with all delays (combinational and
-// sequential) multiplied by f. Areas are unchanged.
-func (l *Library) Scale(f float64) *Library {
-	if f <= 0 || math.IsNaN(f) {
-		panic("celllib: non-positive scale factor")
-	}
-	out := NewLibrary(l.Name + "-scaled")
-	for name, c := range l.cells {
-		opts := make([]Option, len(c.Options))
-		for i, o := range c.Options {
-			opts[i] = Option{Delay: o.Delay * f, Area: o.Area}
-		}
-		out.cells[name] = &Cell{Name: name, Kind: c.Kind, Options: opts, Sigma: c.Sigma}
-	}
-	out.FF, out.Latch = l.FF.Scaled(f), l.Latch.Scaled(f)
-	return out
 }
 
 // SigmaFor returns the relative delay standard deviation of the cell

@@ -161,25 +161,6 @@ func TestUniformLibrary(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	l := Default().Scale(2)
-	if d, _ := l.Delay(node(netlist.KindBuf, 0)); d != 40 {
-		t.Fatalf("scaled BUF delay = %g, want 40", d)
-	}
-	if l.FF.Tcq != 60 {
-		t.Fatalf("scaled Tcq = %g, want 60", l.FF.Tcq)
-	}
-	if a, _ := l.Area(node(netlist.KindBuf, 0)); a != 1.0 {
-		t.Fatalf("scaled area changed: %g", a)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scale(0) should panic")
-		}
-	}()
-	Default().Scale(0)
-}
-
 func TestLibraryFormatRoundTrip(t *testing.T) {
 	l := Default()
 	var sb strings.Builder
@@ -222,11 +203,6 @@ func TestSigmaFields(t *testing.T) {
 	}
 	if s := l.SigmaFor(node(netlist.KindInput, 0)); s != 0 {
 		t.Errorf("port sigma = %g, want 0", s)
-	}
-	// Scaling preserves relative sigmas.
-	s2 := l.Scale(2)
-	if s2.SigmaFor(node(netlist.KindBuf, 0)) != 0.05 || s2.FF.Sigma != l.FF.Sigma {
-		t.Error("Scale dropped sigma fields")
 	}
 	// A sigma-free library parses (back-compat) and reports zero.
 	src := "library x\nff tcq=1 tsu=1 th=0\nlatch tcq=1 tdq=1 tsu=1 th=0\n"

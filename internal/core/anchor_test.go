@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"virtualsync/internal/netlist"
@@ -84,7 +85,7 @@ func TestFig3AnchorExtraction(t *testing.T) {
 func TestFig3AnchorArithmetic(t *testing.T) {
 	c := fig3Circuit(t)
 	lib := paperLib(t)
-	res, err := OptimizeAtPeriod(c, lib, 10, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 10, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,8 @@ func TestFig3AnchorArithmetic(t *testing.T) {
 			t.Errorf("sink %s hold violated: %g", name, st.oEarly[ei])
 		}
 	}
-	ms, err := sim.VerifyEquivalence(c, res.Circuit, lib, res.BaselinePeriod, 10, 50, 6, 11)
+	ms, err := sim.VerifyEquivalenceStim(c, res.Circuit, lib, res.BaselinePeriod, 10,
+		6, sim.RandomStimulus(c, 50, 11))
 	if err != nil {
 		t.Fatal(err)
 	}

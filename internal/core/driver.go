@@ -82,14 +82,9 @@ func (res *Result) VerifyWarmup() int {
 
 // OptimizeAtPeriod attempts to realize clock period T on the circuit's
 // critical part. It returns (nil, nil) when T is infeasible under the
-// VirtualSync model.
-func OptimizeAtPeriod(c *netlist.Circuit, lib *celllib.Library, T float64, opts Options) (*Result, error) {
-	return OptimizeAtPeriodCtx(context.Background(), c, lib, T, opts)
-}
-
-// OptimizeAtPeriodCtx is OptimizeAtPeriod under a context: cancellation
-// or deadline expiry aborts the attempt with ctx.Err().
-func OptimizeAtPeriodCtx(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, T float64, opts Options) (*Result, error) {
+// VirtualSync model; cancellation or deadline expiry of ctx aborts the
+// attempt with ctx.Err().
+func OptimizeAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, T float64, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,22 +162,6 @@ func optimizeExtracted(ctx context.Context, r *Region, c *netlist.Circuit, lib *
 	}, nil
 }
 
-// Optimize runs the paper's period search: starting from the circuit's
-// guard-banded baseline period (the caller typically provides a circuit
-// already optimized by retiming&sizing), the target period is reduced in
-// steps of stepFrac (paper: 0.5%) until the VirtualSync model becomes
-// infeasible, and the last feasible solution is returned.
-func Optimize(c *netlist.Circuit, lib *celllib.Library, opts Options, stepFrac float64) (*Result, error) {
-	return OptimizeCtx(context.Background(), c, lib, opts, stepFrac)
-}
-
-// OptimizeCtx is Optimize under a context: the period search checks for
-// cancellation before every probed period and inside the legalization
-// rounds, returning ctx.Err() when the context ends.
-func OptimizeCtx(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, opts Options, stepFrac float64) (*Result, error) {
-	return OptimizeObserved(ctx, c, lib, opts, stepFrac, nil)
-}
-
 // ProgressEvent is one step of the period search as reported to an
 // OptimizeObserved observer.
 type ProgressEvent struct {
@@ -200,9 +179,16 @@ type ProgressEvent struct {
 // from the search goroutine and must not block for long.
 type ProgressFunc func(ProgressEvent)
 
-// OptimizeObserved is OptimizeCtx with a progress observer: obs (when
-// non-nil) receives one event per probed period and one for the final
-// buffer-replacement pass, carrying cumulative solver work counters.
+// OptimizeObserved runs the paper's period search: starting from the
+// circuit's guard-banded baseline period (the caller typically provides
+// a circuit already optimized by retiming&sizing), the target period is
+// reduced in steps of stepFrac (paper: 0.5%) until the VirtualSync model
+// becomes infeasible, and the last feasible solution is returned. The
+// search checks ctx before every probed period and inside the
+// legalization rounds, returning ctx.Err() when the context ends. obs
+// (when non-nil) receives one event per probed period and one for the
+// final buffer-replacement pass, carrying cumulative solver work
+// counters.
 func OptimizeObserved(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, opts Options, stepFrac float64, obs ProgressFunc) (*Result, error) {
 	res, _, err := optimizeSearch(ctx, c, lib, opts, stepFrac, obs)
 	return res, err

@@ -22,11 +22,6 @@ type Session struct {
 	Opts     Options
 	StepFrac float64
 
-	// Refine lets Reoptimize search below the held period after an edit
-	// instead of stopping at the first feasible target. It trades most of
-	// the incremental speedup for a few tenths of a percent of period.
-	Refine bool
-
 	// Circuit is the current pre-optimization netlist the session owns.
 	Circuit *netlist.Circuit
 	// Result is the last successful optimization of Circuit.
@@ -56,8 +51,6 @@ type ECOStats struct {
 	// them raised the target above the held period before one succeeded.
 	Probes        int
 	RecoverySteps int
-	// Refined counts the extra downward probes taken in Refine mode.
-	Refined int
 	// Fallback reports that the incremental path gave up and the cold
 	// period search ran instead.
 	Fallback bool
@@ -210,32 +203,6 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 			mult = 1
 		} else {
 			mult *= 2
-		}
-	}
-
-	if s.Refine {
-		prev := res.Plan
-		first := res.Period
-		fails := 0
-		for j := 1; fails < 2; j++ {
-			frac := s.StepFrac * float64(j)
-			if frac >= 1 {
-				break
-			}
-			T := first * (1 - frac)
-			r2, err := optimizeExtracted(ctx, region, work, s.Lib, T, s.Opts, prev, s.Opts.BufferReplace)
-			if err != nil {
-				return nil, nil, err
-			}
-			st.Probes++
-			st.Refined++
-			if r2 == nil {
-				fails++
-				continue
-			}
-			fails = 0
-			res = r2
-			prev = r2.Plan
 		}
 	}
 

@@ -138,8 +138,8 @@ func TestReoptimizeHoldsPeriod(t *testing.T) {
 	if err := res.Circuit.Validate(); err != nil {
 		t.Fatalf("re-optimized netlist invalid: %v", err)
 	}
-	ms, err := sim.VerifyEquivalence(s.Circuit, res.Circuit, lib,
-		res.BaselinePeriod, res.Period, 50, 8, 1)
+	ms, err := sim.VerifyEquivalenceStim(s.Circuit, res.Circuit, lib, res.BaselinePeriod, res.Period,
+		8, sim.RandomStimulus(s.Circuit, 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +217,8 @@ func TestReoptimizeRecoversUpward(t *testing.T) {
 	if res.Period > res.BaselinePeriod*(1+0.02)+1e-9 {
 		t.Errorf("recovered period %.3f above baseline cap %.3f", res.Period, res.BaselinePeriod)
 	}
-	ms, err := sim.VerifyEquivalence(s.Circuit, res.Circuit, lib,
-		res.BaselinePeriod, res.Period, 50, 8, 2)
+	ms, err := sim.VerifyEquivalenceStim(s.Circuit, res.Circuit, lib, res.BaselinePeriod, res.Period,
+		8, sim.RandomStimulus(s.Circuit, 50, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,31 +251,6 @@ func TestReoptimizeStructuralEdit(t *testing.T) {
 	}
 	if err := res.Circuit.Validate(); err != nil {
 		t.Fatalf("re-optimized netlist invalid: %v", err)
-	}
-}
-
-// TestReoptimizeRefine checks that Refine mode searches below the first
-// feasible target and never returns something worse than holding.
-func TestReoptimizeRefine(t *testing.T) {
-	lib := paperLib(t)
-	c := wavePipe(t)
-	s, err := NewSession(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Refine = true
-	held := s.Result.Period
-	res, st, err := s.Reoptimize(context.Background(), []netlist.Edit{
-		{Op: netlist.EditSwapCell, Node: "g5", Cell: "W1"}, // speed up
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Refined == 0 && !st.Fallback {
-		t.Error("refine mode took no downward probes")
-	}
-	if res.Period > held+1e-9 {
-		t.Errorf("refined period %.3f worse than held %.3f", res.Period, held)
 	}
 }
 

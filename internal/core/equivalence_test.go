@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,12 +17,13 @@ import (
 func TestWavePipeFunctionalEquivalence(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	origT := res.BaselinePeriod // margined period: safely functional
-	ms, err := sim.VerifyEquivalence(c, res.Circuit, lib, origT, res.Period, 60, 6, 12345)
+	ms, err := sim.VerifyEquivalenceStim(c, res.Circuit, lib, origT, res.Period,
+		6, sim.RandomStimulus(c, 60, 12345))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +35,12 @@ func TestWavePipeFunctionalEquivalence(t *testing.T) {
 func TestLoopFunctionalEquivalence(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.01)
+	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := sim.VerifyEquivalence(c, res.Circuit, lib, res.BaselinePeriod, res.Period, 60, 8, 99)
+	ms, err := sim.VerifyEquivalenceStim(c, res.Circuit, lib, res.BaselinePeriod, res.Period,
+		8, sim.RandomStimulus(c, 60, 99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +52,13 @@ func TestLoopFunctionalEquivalence(t *testing.T) {
 func TestEquivalenceAcrossSeeds(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 2, 3, 1000, -7} {
-		ms, err := sim.VerifyEquivalence(c, res.Circuit, lib, res.BaselinePeriod, res.Period, 40, 6, seed)
+		ms, err := sim.VerifyEquivalenceStim(c, res.Circuit, lib, res.BaselinePeriod, res.Period,
+			6, sim.RandomStimulus(c, 40, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +94,7 @@ func TestLatchNonZeroPhaseEquivalence(t *testing.T) {
 	lib := latchPhaseLib(t)
 	opts := DefaultOptions()
 	opts.Phases = []float64{0.25, 0.5, 0.75}
-	res, err := Optimize(c, lib, opts, 0.02)
+	res, err := OptimizeObserved(context.Background(), c, lib, opts, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +112,8 @@ func TestLatchNonZeroPhaseEquivalence(t *testing.T) {
 		t.Fatal("every latch unit sits on phase 0")
 	}
 	for _, seed := range []int64{12345, 7, -3} {
-		ms, err := sim.VerifyEquivalence(c, res.Circuit, lib, res.BaselinePeriod, res.Period, 60, 8, seed)
+		ms, err := sim.VerifyEquivalenceStim(c, res.Circuit, lib, res.BaselinePeriod, res.Period,
+			8, sim.RandomStimulus(c, 60, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +176,7 @@ func TestMultiCycleWindowEquivalence(t *testing.T) {
 	// replace with sequential units (Section 5.4), which is what puts a
 	// unit on the stalled bypass edge.
 	lib.Cell("BUF").Options[0].Delay = 1
-	res, err := OptimizeAtPeriod(c, lib, 15, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 15, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +219,8 @@ func TestMultiCycleWindowEquivalence(t *testing.T) {
 		t.Fatal("no sequential delay unit on a window-crossing edge")
 	}
 	for _, seed := range []int64{4242, 99, -1} {
-		ms, err := sim.VerifyEquivalence(c, res.Circuit, lib, res.BaselinePeriod, res.Period, 80, 12, seed)
+		ms, err := sim.VerifyEquivalenceStim(c, res.Circuit, lib, res.BaselinePeriod, res.Period,
+			12, sim.RandomStimulus(c, 80, seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func SweepGuardBands(ctx context.Context, c *netlist.Circuit, lib *celllib.Libra
 		}
 		o := opts
 		o.Ru, o.Rl = 1+m, 1-m
-		res, err := OptimizeCtx(ctx, c, lib, o, stepFrac)
+		res, err := OptimizeObserved(ctx, c, lib, o, stepFrac, nil)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()

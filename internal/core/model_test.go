@@ -102,7 +102,7 @@ func TestNoLatchOptimization(t *testing.T) {
 	lib := paperLib(t)
 	opts := DefaultOptions()
 	opts.UseLatches = false
-	res, err := Optimize(c, lib, opts, 0.01)
+	res, err := OptimizeObserved(context.Background(), c, lib, opts, 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSinglePhaseOptimization(t *testing.T) {
 	lib := paperLib(t)
 	opts := DefaultOptions()
 	opts.Phases = []float64{0}
-	res, err := Optimize(c, lib, opts, 0.01)
+	res, err := OptimizeObserved(context.Background(), c, lib, opts, 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	o := DefaultOptions()
 	o.SelectFrac = 0
-	if _, err := Optimize(wavePipe(t), paperLib(t), o, 0.01); err == nil {
+	if _, err := OptimizeObserved(context.Background(), wavePipe(t), paperLib(t), o, 0.01, nil); err == nil {
 		t.Error("Optimize accepted invalid options")
 	}
 }

@@ -13,7 +13,7 @@ func TestOptimizeAtPeriodWavePipe(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
 	// Baseline (margined) is 21*1.1 = 23.1. Try a strong reduction: T=10.
-	res, err := OptimizeAtPeriod(c, lib, 10, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 10, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestOptimizeAtPeriodInfeasible(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
 	// T=5 is below the wave bound (23.1 + 1.1)/3 = 8.07.
-	res, err := OptimizeAtPeriod(c, lib, 5, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 5, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestOptimizeAtPeriodInfeasible(t *testing.T) {
 func TestOptimizeWavePipeSearch(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,13 @@ func TestOptimizeCtxCancelled(t *testing.T) {
 	lib := paperLib(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := OptimizeCtx(ctx, c, lib, DefaultOptions(), 0.02); !errors.Is(err, context.Canceled) {
+	if _, err := OptimizeObserved(ctx, c, lib, DefaultOptions(), 0.02, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
 	}
 	// An ample deadline must not disturb the result.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel2()
-	res, err := OptimizeCtx(ctx2, c, lib, DefaultOptions(), 0.02)
+	res, err := OptimizeObserved(ctx2, c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil || res == nil {
 		t.Fatalf("search under ample deadline failed: %v %v", res, err)
 	}
@@ -97,7 +97,7 @@ func TestOptimizeCtxCancelled(t *testing.T) {
 func TestOptimizeLoopNeedsSequentialUnit(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.005)
+	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.005, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOptimizeLoopNeedsSequentialUnit(t *testing.T) {
 func TestPlanCounters(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	res, err := OptimizeAtPeriod(c, lib, 10, DefaultOptions())
+	res, err := OptimizeAtPeriod(context.Background(), c, lib, 10, DefaultOptions())
 	if err != nil || res == nil {
 		t.Fatalf("optimize: %v, %v", res, err)
 	}
@@ -140,7 +140,7 @@ func TestPlanCounters(t *testing.T) {
 func TestOptimizedNetlistStructure(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.01)
+	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestResultSolverStats(t *testing.T) {
 	lib := paperLib(t)
 	c := wavePipe(t)
-	res, err := Optimize(c, lib, DefaultOptions(), 0.02)
+	res, err := OptimizeObserved(context.Background(), c, lib, DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -88,15 +89,15 @@ func TestRandomFullFlowEquivalence(t *testing.T) {
 		if _, err := sizing.Size(base, lib); err != nil {
 			t.Fatalf("seed %d: resize: %v", seed, err)
 		}
-		res, err := Optimize(base, lib, DefaultOptions(), 0.01)
+		res, err := OptimizeObserved(context.Background(), base, lib, DefaultOptions(), 0.01, nil)
 		if err != nil {
 			continue // e.g. circuit too trivial for selection
 		}
 		if res.Period > res.BaselinePeriod+1e-9 {
 			t.Errorf("seed %d: period regressed %.2f -> %.2f", seed, res.BaselinePeriod, res.Period)
 		}
-		ms, err := sim.VerifyEquivalence(base, res.Circuit, lib,
-			res.BaselinePeriod, res.Period, 50, 8, seed*31+1)
+		ms, err := sim.VerifyEquivalenceStim(base, res.Circuit, lib, res.BaselinePeriod, res.Period,
+			8, sim.RandomStimulus(base, 50, seed*31+1))
 		if err != nil {
 			t.Fatalf("seed %d: sim: %v", seed, err)
 		}

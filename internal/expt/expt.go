@@ -124,7 +124,7 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 		return nil, fmt.Errorf("%s: %v", spec.Name, err)
 	}
 
-	res, err := core.OptimizeCtx(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac)
+	res, err := core.OptimizeObserved(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: virtualsync: %v", spec.Name, err)
 	}
@@ -145,21 +145,21 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 	}
 
 	// Fig. 8: VirtualSync at the baseline's own period.
-	same, err := core.OptimizeAtPeriodCtx(ctx, base, cfg.Lib, res.BaselinePeriod, cfg.Opts)
+	same, err := core.OptimizeAtPeriod(ctx, base, cfg.Lib, res.BaselinePeriod, cfg.Opts)
 	if err == nil && same != nil {
 		row.AreaSamePeriod = same.Area
 		row.BaselineAreaSamePeriod = same.BaselineArea
 	}
 
 	if cfg.VerifyCycles > 0 {
-		ms, err := sim.VerifyEquivalence(base, res.Circuit, cfg.Lib,
-			res.BaselinePeriod, res.Period, cfg.VerifyCycles, res.VerifyWarmup(), cfg.VerifySeed)
+		v, err := sim.CheckEquivalence(base, res.Circuit, cfg.Lib, res.BaselinePeriod, res.Period,
+			res.VerifyWarmup(), sim.LaneStimulus(base, cfg.VerifyCycles, 0, cfg.VerifySeed, 1))
 		if err != nil {
 			return nil, fmt.Errorf("%s: equivalence sim: %v", spec.Name, err)
 		}
 		row.EquivChecked = true
-		row.EquivOK = len(ms) == 0
-		row.Mismatches = len(ms)
+		row.EquivOK = v.OK()
+		row.Mismatches = len(v.Mismatches)
 	}
 	row.Wall = time.Since(start)
 	if cfg.Progress != nil {
@@ -295,7 +295,7 @@ func RunFig1(opts core.Options) (*Fig1Result, error) {
 	if out.Retimed, err = sta.MinPeriod(retimed, lib); err != nil {
 		return nil, err
 	}
-	res, err := core.Optimize(retimed, lib, opts, 0.005)
+	res, err := core.OptimizeObserved(context.Background(), retimed, lib, opts, 0.005, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +324,7 @@ func RunFig3(opts core.Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.OptimizeAtPeriod(c, lib, 10, opts)
+	res, err := core.OptimizeAtPeriod(context.Background(), c, lib, 10, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -346,11 +346,11 @@ func RunFig3(opts core.Options) (*Fig3Result, error) {
 	for _, e := range r.Edges {
 		out.Lambdas[r.Work.Node(e.DstNode).Name] += e.Lambda
 	}
-	ms, err := sim.VerifyEquivalence(c, res.Circuit, lib, res.BaselinePeriod, 10, 50, 6, 3)
+	v, err := sim.CheckEquivalence(c, res.Circuit, lib, res.BaselinePeriod, 10, 6, sim.LaneStimulus(c, 50, 0, 3, 1))
 	if err != nil {
 		return nil, err
 	}
-	out.EquivOK = len(ms) == 0
+	out.EquivOK = v.OK()
 	return out, nil
 }
 

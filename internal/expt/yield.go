@@ -48,7 +48,7 @@ func RunYield(ctx context.Context, names []string, cfg Config, mc variation.Conf
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", spec.Name, err)
 		}
-		res, err := core.OptimizeCtx(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac)
+		res, err := core.OptimizeObserved(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: virtualsync: %v", spec.Name, err)
 		}

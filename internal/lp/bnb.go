@@ -27,12 +27,6 @@ func (m *Model) Solve() (*Solution, error) {
 	return m.SolveOpts(context.Background(), SolveOptions{})
 }
 
-// SolveCtx is Solve with cancellation: branch-and-bound stops between
-// nodes and the simplex between iterations when ctx expires.
-func (m *Model) SolveCtx(ctx context.Context) (*Solution, error) {
-	return m.SolveOpts(ctx, SolveOptions{})
-}
-
 // override tightens one variable's bounds relative to the parent node.
 type override struct {
 	v      VarID

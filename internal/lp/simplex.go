@@ -762,15 +762,3 @@ func (r *lpResult) toSolution() *Solution {
 	}
 	return sol
 }
-
-// SolveRelaxation solves the LP relaxation of the model (integrality
-// dropped).
-func (m *Model) SolveRelaxation() (*Solution, error) {
-	p, err := m.compile()
-	if err != nil {
-		return nil, err
-	}
-	lb, ub := p.defaultBounds()
-	res, lerr := solveLP(nil, p, lb, ub, nil)
-	return res.toSolution(), lerr
-}

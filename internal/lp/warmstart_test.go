@@ -228,13 +228,13 @@ func TestCrossKernelWarmStartAfterBoundTightening(t *testing.T) {
 }
 
 // TestSolveCtxCancellation verifies that a cancelled context interrupts
-// the solve before the branch-and-bound node cap is reached.
+// SolveOpts before the branch-and-bound node cap is reached.
 func TestSolveCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := timingILP(rng, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.SolveCtx(ctx); err == nil {
+	if _, err := m.SolveOpts(ctx, SolveOptions{}); err == nil {
 		t.Fatal("cancelled context did not interrupt Solve")
 	}
 }

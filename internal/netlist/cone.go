@@ -37,41 +37,6 @@ func FanoutCone(c *Circuit, seeds []NodeID) []NodeID {
 	return setToSorted(in)
 }
 
-// FaninCone returns the combinational fan-in closure of the seed nodes:
-// the seeds plus every live node reaching them upstream without passing
-// through a sequential element. Sequential elements, inputs and constants
-// reached are included but not expanded. The result is sorted by NodeID.
-func FaninCone(c *Circuit, seeds []NodeID) []NodeID {
-	seedSet := make(map[NodeID]bool, len(seeds))
-	in := make(map[NodeID]bool, len(seeds))
-	var stack []NodeID
-	for _, id := range seeds {
-		if c.Node(id) == nil || in[id] {
-			continue
-		}
-		seedSet[id] = true
-		in[id] = true
-		stack = append(stack, id)
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := c.Node(id)
-		// Reached sequentials terminate the walk (their input cone is a
-		// different clock domain of the analysis); seeds always expand.
-		if n.Kind.IsSequential() && !seedSet[id] {
-			continue
-		}
-		for _, f := range n.Fanins {
-			if !in[f] {
-				in[f] = true
-				stack = append(stack, f)
-			}
-		}
-	}
-	return setToSorted(in)
-}
-
 func setToSorted(in map[NodeID]bool) []NodeID {
 	out := make([]NodeID, 0, len(in))
 	for id := range in {

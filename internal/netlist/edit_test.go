@@ -189,21 +189,6 @@ func TestFanoutCone(t *testing.T) {
 	}
 }
 
-func TestFaninCone(t *testing.T) {
-	c := editChain(t)
-	byName := func(n string) NodeID { return c.ByName(n).ID }
-	cone := FaninCone(c, []NodeID{byName("g2")})
-	// g2 <- f1 (stop), i1.
-	if len(cone) != 3 {
-		t.Errorf("fanin cone(g2) = %v, want g2,f1,i1", cone)
-	}
-	// Sequential seed expands through its D input.
-	cone = FaninCone(c, []NodeID{byName("f1")})
-	if len(cone) != 4 { // f1, g1, i0, i1
-		t.Errorf("fanin cone(f1) = %v, want 4 nodes", cone)
-	}
-}
-
 func TestDiffEdits(t *testing.T) {
 	base := editChain(t)
 	cur := base.Clone()

@@ -261,26 +261,6 @@ func (c *Circuit) Remove(id NodeID) error {
 	return nil
 }
 
-// ReplaceFanin rewires every occurrence of old in node id's fanin list to
-// new. It returns the number of replacements made.
-func (c *Circuit) ReplaceFanin(id, old, new NodeID) (int, error) {
-	n := c.Node(id)
-	if n == nil {
-		return 0, fmt.Errorf("netlist: replaceFanin: no node %d", id)
-	}
-	if c.Node(new) == nil {
-		return 0, fmt.Errorf("netlist: replaceFanin: no replacement node %d", new)
-	}
-	count := 0
-	for i, f := range n.Fanins {
-		if f == old {
-			n.Fanins[i] = new
-			count++
-		}
-	}
-	return count, nil
-}
-
 // Bypass rewires all fanouts of node id to read from its single fanin, so
 // that id can subsequently be removed. It fails for nodes without exactly
 // one fanin.
@@ -306,39 +286,10 @@ func (c *Circuit) Bypass(id NodeID) error {
 	return nil
 }
 
-// InsertBetween creates a new node of the given kind on the edge from src
-// to dst: dst's fanin entries equal to src are redirected to the new node,
-// whose single fanin is src. Other fanouts of src are untouched.
-func (c *Circuit) InsertBetween(name string, kind Kind, src, dst NodeID) (*Node, error) {
-	d := c.Node(dst)
-	if d == nil {
-		return nil, fmt.Errorf("netlist: insertBetween: no node %d", dst)
-	}
-	found := false
-	for _, f := range d.Fanins {
-		if f == src {
-			found = true
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("netlist: insertBetween: %d does not drive %d", src, dst)
-	}
-	n, err := c.Add(name, kind, src)
-	if err != nil {
-		return nil, err
-	}
-	for i, f := range d.Fanins {
-		if f == src {
-			d.Fanins[i] = n.ID
-		}
-	}
-	return n, nil
-}
-
 // InsertAtPin creates a new single-fanin node of the given kind on exactly
 // one fanin pin of dst: the new node reads dst's current fanin at that pin
-// and dst's pin is redirected to it. Unlike InsertBetween, other pins of
-// dst reading the same driver are untouched.
+// and dst's pin is redirected to it. Other pins of dst reading the same
+// driver are untouched.
 func (c *Circuit) InsertAtPin(name string, kind Kind, dst NodeID, pin int) (*Node, error) {
 	d := c.Node(dst)
 	if d == nil {
@@ -381,17 +332,6 @@ func (c *Circuit) FlipFlops() []*Node { return c.byKind(KindDFF) }
 
 // Latches returns the live latch nodes in ID order.
 func (c *Circuit) Latches() []*Node { return c.byKind(KindLatch) }
-
-// Sequentials returns all live DFFs and latches in ID order.
-func (c *Circuit) Sequentials() []*Node {
-	var out []*Node
-	for _, n := range c.Nodes {
-		if !n.dead && n.Kind.IsSequential() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
 
 // Gates returns all live combinational gates in ID order.
 func (c *Circuit) Gates() []*Node {

@@ -84,39 +84,6 @@ func TestBypassErrors(t *testing.T) {
 	}
 }
 
-func TestInsertBetween(t *testing.T) {
-	c := buildSmall(t)
-	g1 := c.ByName("g1")
-	g2 := c.ByName("g2")
-	buf, err := c.InsertBetween("buf0", KindBuf, g1.ID, g2.ID)
-	if err != nil {
-		t.Fatalf("InsertBetween: %v", err)
-	}
-	if g2.Fanins[0] != buf.ID || buf.Fanins[0] != g1.ID {
-		t.Fatalf("wiring wrong: g2.Fanins=%v buf.Fanins=%v", g2.Fanins, buf.Fanins)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if _, err := c.InsertBetween("buf1", KindBuf, g2.ID, g1.ID); err == nil {
-		t.Fatal("InsertBetween on non-edge should fail")
-	}
-}
-
-func TestReplaceFanin(t *testing.T) {
-	c := buildSmall(t)
-	g1 := c.ByName("g1")
-	a := c.ByName("a")
-	f1 := c.ByName("f1")
-	n, err := c.ReplaceFanin(g1.ID, f1.ID, a.ID)
-	if err != nil || n != 1 {
-		t.Fatalf("ReplaceFanin = %d, %v", n, err)
-	}
-	if g1.Fanins[0] != a.ID {
-		t.Fatalf("fanin not replaced: %v", g1.Fanins)
-	}
-}
-
 func TestFanouts(t *testing.T) {
 	c := buildSmall(t)
 	fo := c.Fanouts()
@@ -297,15 +264,9 @@ func TestSelectors(t *testing.T) {
 	if n := len(c.Gates()); n != 2 {
 		t.Errorf("Gates = %d", n)
 	}
-	if n := len(c.Sequentials()); n != 2 {
-		t.Errorf("Sequentials = %d", n)
-	}
 	c.MustAdd("lt", KindLatch, c.ByName("a").ID)
 	if n := len(c.Latches()); n != 1 {
 		t.Errorf("Latches = %d", n)
-	}
-	if n := len(c.Sequentials()); n != 3 {
-		t.Errorf("Sequentials = %d", n)
 	}
 }
 

@@ -214,13 +214,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
 func (h *Histogram) name() string { return h.nm }
 
 func (h *Histogram) write(w io.Writer) {

@@ -9,13 +9,8 @@ package service
 
 import (
 	"context"
-	"errors"
 	"sync"
 )
-
-// ErrSchedulerClosed is returned by Submit/TrySubmit after Drain has
-// begun: the scheduler finishes accepted work but accepts no more.
-var ErrSchedulerClosed = errors.New("service: scheduler closed")
 
 // Task is one unit of queued work. The context passed in is the
 // scheduler's base context; it is cancelled only when a drain deadline
@@ -32,7 +27,7 @@ type Scheduler struct {
 	cancel  context.CancelFunc
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on enqueue, dequeue, close
+	cond   *sync.Cond // broadcast on enqueue and close
 	queue  []Task
 	cap    int
 	busy   int
@@ -77,14 +72,12 @@ func (s *Scheduler) worker() {
 		task := s.queue[0]
 		s.queue = s.queue[1:]
 		s.busy++
-		s.cond.Broadcast() // wake blocked submitters
 		s.mu.Unlock()
 
 		task(s.baseCtx)
 
 		s.mu.Lock()
 		s.busy--
-		s.cond.Broadcast() // wake a drain waiting for idle
 		s.mu.Unlock()
 	}
 }
@@ -100,34 +93,6 @@ func (s *Scheduler) TrySubmit(task Task) bool {
 	s.queue = append(s.queue, task)
 	s.cond.Broadcast()
 	return true
-}
-
-// Submit enqueues task, blocking while the queue is full. It returns
-// ctx.Err() if ctx ends first and ErrSchedulerClosed once draining has
-// begun.
-func (s *Scheduler) Submit(ctx context.Context, task Task) error {
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return ErrSchedulerClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if len(s.queue) < s.cap {
-			s.queue = append(s.queue, task)
-			s.cond.Broadcast()
-			return nil
-		}
-		s.cond.Wait()
-	}
 }
 
 // Drain closes the scheduler: no new tasks are accepted, every already

@@ -13,8 +13,8 @@ func TestSchedulerRunsEveryAcceptedTask(t *testing.T) {
 	s := NewScheduler(context.Background(), 4, 128)
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
-		if err := s.Submit(context.Background(), func(context.Context) { n.Add(1) }); err != nil {
-			t.Fatalf("Submit: %v", err)
+		if !s.TrySubmit(func(context.Context) { n.Add(1) }) {
+			t.Fatalf("TrySubmit %d rejected", i)
 		}
 	}
 	if err := s.Drain(context.Background()); err != nil {
@@ -71,54 +71,6 @@ func TestTrySubmitQueueFull(t *testing.T) {
 	}
 }
 
-func TestSubmitBlocksUntilSpace(t *testing.T) {
-	s := NewScheduler(context.Background(), 1, 1)
-	gate := make(chan struct{})
-	s.TrySubmit(func(context.Context) { <-gate })
-	waitFor(t, func() bool { return s.Busy() == 1 })
-	s.TrySubmit(func(context.Context) {})
-
-	submitted := make(chan error, 1)
-	go func() {
-		submitted <- s.Submit(context.Background(), func(context.Context) {})
-	}()
-	select {
-	case err := <-submitted:
-		t.Fatalf("Submit returned %v while the queue was full", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(gate) // worker drains, space opens, Submit completes
-	select {
-	case err := <-submitted:
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Submit still blocked after space opened")
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-}
-
-func TestSubmitContextCanceled(t *testing.T) {
-	s := NewScheduler(context.Background(), 1, 1)
-	gate := make(chan struct{})
-	defer close(gate)
-	s.TrySubmit(func(context.Context) { <-gate })
-	waitFor(t, func() bool { return s.Busy() == 1 })
-	s.TrySubmit(func(context.Context) {})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	if err := s.Submit(ctx, func(context.Context) { t.Error("canceled submission ran") }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Submit = %v, want context.Canceled", err)
-	}
-}
-
 func TestSubmitAfterDrain(t *testing.T) {
 	s := NewScheduler(context.Background(), 2, 4)
 	if err := s.Drain(context.Background()); err != nil {
@@ -126,9 +78,6 @@ func TestSubmitAfterDrain(t *testing.T) {
 	}
 	if s.TrySubmit(func(context.Context) {}) {
 		t.Fatal("TrySubmit accepted work after Drain")
-	}
-	if err := s.Submit(context.Background(), func(context.Context) {}); !errors.Is(err, ErrSchedulerClosed) {
-		t.Fatalf("Submit = %v, want ErrSchedulerClosed", err)
 	}
 }
 

@@ -525,32 +525,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunLoadClosedLoop exercises the load generator end to end against
-// a live server: every request must succeed, and the repeats of a single
-// payload must be served by the cache or in-flight deduplication.
-func TestRunLoadClosedLoop(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		URL:          ts.URL,
-		Clients:      3,
-		Requests:     9,
-		Payloads:     []JobRequest{{Netlist: tinyBench}},
-		PollInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 || len(rep.Latencies) != 9 {
-		t.Fatalf("report %d ok / %d errors, want 9/0", len(rep.Latencies), rep.Errors)
-	}
-	if rep.CacheHits+rep.Deduped < 6 {
-		t.Errorf("cache hits %d + deduped %d, want most of the 9 identical requests shared", rep.CacheHits, rep.Deduped)
-	}
-	if !strings.Contains(FormatLoadReport(rep), "9 requests (9 ok, 0 errors), 3 clients") {
-		t.Errorf("report header mismatch:\n%s", FormatLoadReport(rep))
-	}
-}
-
 // TestConcurrentIdenticalSubmissions hammers one payload from many
 // goroutines with no pre-warm: whatever interleaving happens, the
 // pipeline runs exactly once and every job gets the same bytes.

@@ -517,18 +517,13 @@ func CompareTraces(a, b Trace, warmup int) []Mismatch {
 	return out
 }
 
-// VerifyEquivalence simulates both circuits with the same per-cycle
-// random stimulus — each at its own clock period (the optimized circuit
-// runs faster; functionality is defined per cycle index, not wall clock)
-// — and compares every common flip-flop and primary output from cycle
-// warmup onward. Both circuits must have the same primary inputs.
-func VerifyEquivalence(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb float64, cycles, warmup int, seed int64) ([]Mismatch, error) {
-	return VerifyEquivalenceStim(a, b, lib, Ta, Tb, warmup, RandomStimulus(a, cycles, seed))
-}
-
-// VerifyEquivalenceStim is VerifyEquivalence with caller-provided
-// stimulus; the cycle count is len(stim). The fuzzing harness uses this
-// with ResetStimulus so every compared case starts from a flushed state.
+// VerifyEquivalenceStim simulates both circuits on the same per-cycle
+// stimulus — each at its own clock period (the optimized circuit runs
+// faster; functionality is defined per cycle index, not wall clock) —
+// and compares every common flip-flop and primary output from cycle
+// warmup onward; the cycle count is len(stim). Both circuits must have
+// the same primary inputs. It is the two-event-sim oracle behind
+// CheckEquivalence.
 func VerifyEquivalenceStim(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb float64, warmup int, stim [][]bool) ([]Mismatch, error) {
 	ia, ib := a.Inputs(), b.Inputs()
 	if len(ia) != len(ib) {

@@ -169,7 +169,7 @@ func TestVerifyEquivalenceIdentical(t *testing.T) {
 	lib := lib31(t)
 	a := pipeline(t)
 	b := pipeline(t)
-	ms, err := VerifyEquivalence(a, b, lib, 10, 10, 20, 2, 42)
+	ms, err := VerifyEquivalenceStim(a, b, lib, 10, 10, 2, RandomStimulus(a, 20, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestVerifyEquivalenceCatchesDifference(t *testing.T) {
 	b := pipeline(t)
 	// Sabotage b: NOT becomes BUF.
 	b.ByName("g").Kind = netlist.KindBuf
-	ms, err := VerifyEquivalence(a, b, lib, 10, 10, 20, 2, 42)
+	ms, err := VerifyEquivalenceStim(a, b, lib, 10, 10, 2, RandomStimulus(a, 20, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestVerifyEquivalenceInputMismatch(t *testing.T) {
 	a := pipeline(t)
 	b := netlist.New("other")
 	b.MustAdd("zzz", netlist.KindInput)
-	if _, err := VerifyEquivalence(a, b, lib, 10, 10, 5, 0, 1); err == nil {
+	if _, err := VerifyEquivalenceStim(a, b, lib, 10, 10, 0, RandomStimulus(a, 5, 1)); err == nil {
 		t.Fatal("input mismatch accepted")
 	}
 }

@@ -56,7 +56,7 @@ func wavePipe(t testing.TB) *netlist.Circuit {
 
 func optimized(t testing.TB, c *netlist.Circuit, lib *celllib.Library) *core.Result {
 	t.Helper()
-	res, err := core.Optimize(c, lib, core.DefaultOptions(), 0.02)
+	res, err := core.OptimizeObserved(context.Background(), c, lib, core.DefaultOptions(), 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,8 +171,8 @@ func FuzzIncrementalECO(f *testing.F) {
 		if _, err := res.Circuit.TopoOrder(); err != nil {
 			t.Fatalf("ECO circuit unschedulable: %v", err)
 		}
-		ms, err := sim.VerifyEquivalence(sess.Circuit, res.Circuit, lib,
-			res.BaselinePeriod, res.Period, d.Cycles, max(d.Warmup, res.VerifyWarmup()), d.StimSeed)
+		ms, err := sim.VerifyEquivalenceStim(sess.Circuit, res.Circuit, lib, res.BaselinePeriod, res.Period,
+			max(d.Warmup, res.VerifyWarmup()), sim.RandomStimulus(sess.Circuit, d.Cycles, d.StimSeed))
 		if err != nil {
 			t.Fatalf("equivalence sim: %v", err)
 		}

@@ -15,6 +15,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -99,7 +100,7 @@ type Checker struct {
 	// optimization result before the validation/apply/simulation stages —
 	// the harness's own sensitivity test.
 	Mutate *Mutation
-	// Search selects the full period search (core.Optimize) instead of
+	// Search selects the full period search (core.OptimizeObserved) instead of
 	// the default single-period probe. The probe runs the identical
 	// pipeline at one target period — T0*(1-TFrac), falling back to the
 	// margined baseline T0 — which is an order of magnitude faster and is
@@ -280,16 +281,16 @@ func resetCycles(d *gen.Decoded) int {
 // means no feasible solution at the probed period — a Skip, not a bug.
 func (ck *Checker) optimize(d *gen.Decoded) (*core.Result, error) {
 	if ck.Search {
-		return core.Optimize(d.Circuit, ck.Lib, ck.Opts, d.StepFrac)
+		return core.OptimizeObserved(context.Background(), d.Circuit, ck.Lib, ck.Opts, d.StepFrac, nil)
 	}
 	rgn, err := core.Extract(d.Circuit, ck.Lib, core.ExtractOptions{SelectFrac: ck.Opts.SelectFrac})
 	if err != nil {
 		return nil, err
 	}
 	T0 := rgn.Baseline.MinPeriod * ck.Opts.Ru
-	res, err := core.OptimizeAtPeriod(d.Circuit, ck.Lib, T0*(1-d.TFrac), ck.Opts)
+	res, err := core.OptimizeAtPeriod(context.Background(), d.Circuit, ck.Lib, T0*(1-d.TFrac), ck.Opts)
 	if err == nil && res == nil && d.TFrac > 0 {
-		res, err = core.OptimizeAtPeriod(d.Circuit, ck.Lib, T0, ck.Opts)
+		res, err = core.OptimizeAtPeriod(context.Background(), d.Circuit, ck.Lib, T0, ck.Opts)
 	}
 	return res, err
 }

@@ -15,7 +15,7 @@
 //   - a 45nm-style cell library                    (DefaultLibrary, LoadLibrary)
 //   - static timing analysis                       (AnalyzeTiming, MinPeriod)
 //   - the retiming&sizing baseline                 (RetimeAndSize)
-//   - the VirtualSync optimizer                    (Optimize, OptimizeAtPeriod)
+//   - the VirtualSync optimizer                    (Optimize, OptimizeCtx, NewSession)
 //   - event-driven functional verification         (VerifyEquivalence)
 //   - the paper's benchmark suite generator        (GenerateBenchmark, BenchmarkNames)
 //
@@ -68,7 +68,7 @@ type (
 	// (Result.Solver) or an optimization progress event.
 	SolverStats = lp.Stats
 	// ProgressEvent is one period-search step reported to the observer of
-	// OptimizeObserved.
+	// NewSession.
 	ProgressEvent = core.ProgressEvent
 	// ProgressFunc observes period-search progress.
 	ProgressFunc = core.ProgressFunc
@@ -139,31 +139,14 @@ func RetimeAndSize(c *Circuit, lib *Library) (*BaselineResult, error) {
 // reduced in 0.5 % steps until the model becomes infeasible, and the last
 // feasible, validated solution is returned.
 func Optimize(c *Circuit, lib *Library, opts Options) (*Result, error) {
-	return core.Optimize(c, lib, opts, 0.005)
+	return OptimizeCtx(context.Background(), c, lib, opts, 0.005)
 }
 
-// OptimizeStep is Optimize with an explicit period-search step fraction.
-func OptimizeStep(c *Circuit, lib *Library, opts Options, stepFrac float64) (*Result, error) {
-	return core.Optimize(c, lib, opts, stepFrac)
-}
-
-// OptimizeCtx is OptimizeStep under a context: cancellation or deadline
-// expiry aborts the period search with ctx.Err().
+// OptimizeCtx is Optimize with an explicit period-search step fraction,
+// under a context: cancellation or deadline expiry aborts the period
+// search with ctx.Err().
 func OptimizeCtx(ctx context.Context, c *Circuit, lib *Library, opts Options, stepFrac float64) (*Result, error) {
-	return core.OptimizeCtx(ctx, c, lib, opts, stepFrac)
-}
-
-// OptimizeObserved is OptimizeCtx with a progress observer: obs (when
-// non-nil) receives one event per probed period plus one for the final
-// buffer-replacement pass, each carrying cumulative solver statistics.
-func OptimizeObserved(ctx context.Context, c *Circuit, lib *Library, opts Options, stepFrac float64, obs ProgressFunc) (*Result, error) {
-	return core.OptimizeObserved(ctx, c, lib, opts, stepFrac, obs)
-}
-
-// OptimizeAtPeriod attempts to realize one specific clock period; it
-// returns (nil, nil) when the period is infeasible under the model.
-func OptimizeAtPeriod(c *Circuit, lib *Library, T float64, opts Options) (*Result, error) {
-	return core.OptimizeAtPeriod(c, lib, T, opts)
+	return core.OptimizeObserved(ctx, c, lib, opts, stepFrac, nil)
 }
 
 // NewSession runs the full VirtualSync period search on c and keeps the
@@ -197,24 +180,13 @@ func DiffEdits(base, cur *Circuit) ([]Edit, bool) { return netlist.DiffEdits(bas
 // random stimulus (each at its own clock period) and compares every
 // common flip-flop and primary output from cycle warmup onward. An empty
 // result means the circuits are functionally equivalent on this stimulus.
+// It is the flow's verdict, sim.CheckEquivalence, on one stimulus lane.
 func VerifyEquivalence(a, b *Circuit, lib *Library, Ta, Tb float64, cycles, warmup int, seed int64) ([]Mismatch, error) {
-	return sim.VerifyEquivalence(a, b, lib, Ta, Tb, cycles, warmup, seed)
-}
-
-// LaneReport summarizes a bit-parallel differential simulation; see
-// sim.LaneReport.
-type LaneReport = sim.LaneReport
-
-// VerifyEquivalenceLanes is VerifyEquivalence widened to lanes
-// independent stimulus vectors (up to sim.MaxLanes = 4096) evaluated
-// bit-parallel: each side runs on the zero-delay engine where that is
-// provably exact and on the word-parallel continuous-time engine
-// otherwise, so wave-pipelined optimized circuits verify bit-parallel
-// too. Lane 0 uses seed itself, reproducing the VerifyEquivalence
-// stimulus. The report's Mask flags disagreeing lanes; Fail() is the
-// aggregate verdict.
-func VerifyEquivalenceLanes(a, b *Circuit, lib *Library, Ta, Tb float64, cycles, warmup, lanes int, seed int64) (*LaneReport, error) {
-	return sim.VerifyEquivalenceLanes(a, b, lib, Ta, Tb, warmup, sim.LaneStimulus(a, cycles, 0, seed, lanes))
+	v, err := sim.CheckEquivalence(a, b, lib, Ta, Tb, warmup, sim.LaneStimulus(a, cycles, 0, seed, 1))
+	if err != nil {
+		return nil, err
+	}
+	return v.Mismatches, nil
 }
 
 // BenchmarkNames lists the paper's benchmark suite (Table 1 circuits).
