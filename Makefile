@@ -1,15 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-core bench-sim bench-eco serve-smoke loc
+.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-core bench-sim bench-eco loc
 
 # The full pre-commit gate: formatting, vet, build, the whole test
 # suite, the race detector over every package, coverage floors, a short
-# differential-fuzzing pass with regression replay, the daemon smoke
-# test, the proc-count identity check, and the simulation and
-# incremental-ECO benchmarks (throughput, allocs/op and
+# differential-fuzzing pass, the proc-count identity check, and the
+# simulation and incremental-ECO benchmarks (throughput, allocs/op and
 # cold-vs-incremental speedup evidence in BENCH_sim.json and
 # BENCH_eco.json).
-check: fmt vet build test race cover fuzz-short serve-smoke check-procs bench-sim bench-eco
+check: fmt vet build test race cover fuzz-short check-procs bench-sim bench-eco
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -24,6 +23,12 @@ vet:
 build:
 	$(GO) build ./...
 
+# The whole suite, including the replay of every stored regression seed
+# (TestRegressions, which re-injects the mutation each sensitivity seed
+# was recorded from) and the daemon's end-to-end checks in
+# internal/service: progress streaming, cache hits that spend no solver
+# pivots, /metrics, and a result byte-identical to the one-shot flow
+# (TestResultMatchesOneShot).
 test:
 	$(GO) test ./...
 	$(GO) -C bench test ./...
@@ -55,9 +60,11 @@ cover:
 	done; exit $$fail
 
 # Short continuous-fuzzing pass: each native target gets ~20s of input
-# generation (one target per go test invocation, as the fuzzer requires),
-# then every stored regression seed is replayed, including re-injecting
-# the mutation each sensitivity seed was recorded from. FuzzParseNetlist
+# generation (one target per go test invocation, as the fuzzer requires).
+# The stored regression seeds are replayed by TestRegressions in test
+# and race. A FuzzOptimizeEquivalence failure prints its shrunk
+# counterexample as a regression seed to save under
+# internal/verify/testdata/regressions. FuzzParseNetlist
 # guards the daemon's trust boundary: the .bench parser never panics and
 # Write∘Parse is idempotent on every netlist it accepts. Two differential
 # targets run twice, once plain for input-generation throughput and once
@@ -84,7 +91,6 @@ fuzz-short:
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseNetlist -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateVsReference -fuzztime $(FUZZTIME)
-	$(GO) run ./cmd/vfuzz replay internal/verify/testdata/regressions
 
 # Proc-count identity: Table 1 on all ten circuits and the vsync report
 # on mem_ctrl must be byte-identical at GOMAXPROCS=1 and GOMAXPROCS=2
@@ -157,13 +163,6 @@ bench-eco:
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_eco.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_eco.json 2>/dev/null || \
 		echo "note: BENCH_eco.json changed — review the numbers and commit the update"
-
-# End-to-end self-test of the optimization daemon: starts vserved on an
-# ephemeral port, submits a job over HTTP, streams progress, checks the
-# result is byte-identical to the one-shot vsync CLI, and verifies the
-# cache and /metrics behavior on resubmission.
-serve-smoke:
-	$(GO) run ./cmd/vserved -smoke
 
 # Non-test Go lines outside the bench/ module: the size metric ROADMAP.md
 # tracks. Not part of check.

@@ -27,6 +27,7 @@ import (
 	"virtualsync/internal/expt"
 	"virtualsync/internal/gen"
 	"virtualsync/internal/lp"
+	"virtualsync/internal/prng"
 	"virtualsync/internal/sim"
 	"virtualsync/internal/sta"
 	"virtualsync/internal/variation"
@@ -467,7 +468,7 @@ func BenchmarkBitSim(b *testing.B) {
 	if !sim.BitSimExact(c) {
 		b.Fatal("s13207 should be BitSimExact")
 	}
-	seeds := gen.LaneSeeds(1, 64)
+	seeds := prng.LaneSeeds(1, 64)
 	scalar := make([][][]bool, len(seeds))
 	for l, seed := range seeds {
 		scalar[l] = sim.RandomStimulus(c, simBenchCycles, seed)
@@ -593,8 +594,8 @@ func BenchmarkVerifyEquivalenceSides(b *testing.B) {
 }
 
 // verifyBenchCase returns a deterministic decodable fuzz case whose full
-// differential check passes — the representative workload of one vfuzz
-// campaign exec.
+// differential check passes — the representative workload of one
+// differential fuzzing exec.
 func verifyBenchCase(b *testing.B, ck *verify.Checker) *gen.Decoded {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -619,7 +620,7 @@ func verifyBenchCase(b *testing.B, ck *verify.Checker) *gen.Decoded {
 // sides on the exact bit-parallel engine of their timing regime, the
 // scalar event engine demoted to lane-0 calibration) and at one lane
 // ("event": the event-engine oracle alone). lanes/s is the
-// campaign throughput the vfuzz run command reports.
+// differential-fuzzing throughput in stimulus vectors checked.
 func BenchmarkVerifyEquivalence(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

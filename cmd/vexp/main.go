@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"virtualsync/internal/core"
 	"virtualsync/internal/expt"
@@ -55,7 +56,7 @@ func main() {
 		var err error
 		rows, err = expt.RunSuite(ctx, names, cfg)
 		if err != nil {
-			fatal(err)
+			fatal(timeoutErr(err, *timeout))
 		}
 		if *csvPath != "" {
 			f, err := os.Create(*csvPath)
@@ -98,10 +99,7 @@ func main() {
 		mc := variation.Config{Samples: *samples, Seed: *seed, Model: variation.DefaultModel()}
 		ys, err := expt.RunYield(ctx, names, cfg, mc)
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				fatal(fmt.Errorf("yield experiment exceeded -timeout %v", *timeout))
-			}
-			fatal(err)
+			fatal(timeoutErr(err, *timeout))
 		}
 		fmt.Print(expt.FormatYield(ys))
 	case "all":
@@ -121,6 +119,14 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
+}
+
+// timeoutErr names the -timeout flag when err is the run's deadline.
+func timeoutErr(err error, timeout time.Duration) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("run exceeded -timeout %v", timeout)
+	}
+	return err
 }
 
 func fatal(err error) {

@@ -16,14 +16,12 @@
 //
 //	vserved [-addr :8080] [-workers n] [-queue n] [-cache n]
 //	        [-job-timeout 5m] [-drain-timeout 30s] [-lib file] [-pprof]
-//	vserved -smoke                      # one-job self-test, then exit
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -45,7 +43,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	libPath := flag.String("lib", "", "default cell library file (default: built-in vs45)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: the profiles leak operational detail)")
-	smoke := flag.Bool("smoke", false, "start an in-process server, run one job end to end, verify cache+metrics, exit")
 	flag.Parse()
 
 	lib, err := loadLib(*libPath)
@@ -58,10 +55,6 @@ func main() {
 		CacheEntries: *cacheEntries,
 		JobTimeout:   *jobTimeout,
 		Lib:          lib,
-	}
-
-	if *smoke {
-		os.Exit(runSmoke(cfg))
 	}
 
 	// The service gets a background base context: a signal must stop
@@ -118,9 +111,4 @@ func loadLib(path string) (*virtualsync.Library, error) {
 	}
 	defer f.Close()
 	return virtualsync.LoadLibrary(f)
-}
-
-func fatalf(format string, args ...any) int {
-	fmt.Fprintf(os.Stderr, "vserved: "+format+"\n", args...)
-	return 1
 }

@@ -4,7 +4,7 @@ package main
 // the -eco report carries no wall-clock times, so the tests pin the
 // exact bytes: periods, cone size, incremental-STA counts,
 // splice/transfer status and probe counts, and the whole output of the
-// sta, sim and gen subcommands. Regenerate after an intentional format
+// sta, sim, gen and yield subcommands. Regenerate after an intentional format
 // change with
 //
 //	go test ./cmd/vsync -run TestGolden -update
@@ -76,9 +76,9 @@ func TestGoldenECOReport(t *testing.T) {
 }
 
 // TestGoldenSubcommands pins the output and the exit status of the sta,
-// sim and gen subcommands, -help included. The golden files were first
-// written by the standalone vsta, vsim and vgen commands that these
-// subcommands replace.
+// sim, gen and yield subcommands, -help included. The golden files were
+// first written by the standalone vsta, vsim, vgen and vyield commands
+// that these subcommands replace.
 func TestGoldenSubcommands(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -94,6 +94,8 @@ func TestGoldenSubcommands(t *testing.T) {
 		{"help_sta.txt", []string{"sta", "-help"}, false},
 		{"help_sim.txt", []string{"sim", "-help"}, false},
 		{"help_gen.txt", []string{"gen", "-help"}, false},
+		{"yield_s5378.txt", []string{"yield", "-bench", "s5378", "-samples", "50", "-seed", "7", "-workers", "1"}, false},
+		{"help_yield.txt", []string{"yield", "-help"}, false},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -117,5 +119,17 @@ func TestVerifyLanesAboveMax(t *testing.T) {
 	}
 	if buf.Len() > 0 {
 		t.Errorf("rejected run printed output:\n%s", buf.String())
+	}
+}
+
+// TestYieldTuneTimeout checks that a -tune run cut by -timeout names
+// the flag instead of reporting a bare context error. The s5378
+// baseline alone outlasts the 1ms deadline, so the sweep always starts
+// with an expired context.
+func TestYieldTuneTimeout(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"yield", "-bench", "s5378", "-tune", "-timeout", "1ms"}, &buf)
+	if err == nil || err.Error() != "run exceeded -timeout 1ms" {
+		t.Fatalf("vsync yield -tune -timeout 1ms: error %v, want \"run exceeded -timeout 1ms\"\noutput:\n%s", err, buf.String())
 	}
 }

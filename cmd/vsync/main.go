@@ -2,7 +2,8 @@
 // retiming&sizing baseline, the period search, validation, and (optionally)
 // functional-equivalence simulation, then writes the optimized netlist.
 // Its subcommands sta, sim and gen analyze, simulate and generate
-// circuits without optimizing them.
+// circuits without optimizing them; yield measures the timing yield of
+// the optimized circuit under process variation.
 //
 // Usage:
 //
@@ -14,6 +15,10 @@
 //	          [-compare other.bench [-T2 period] [-warmup n]]
 //	          [-bench name | circuit.bench]
 //	vsync gen [-verilog] (-bench name [-o file] | -all [-dir dir])
+//	vsync yield [-lib file] [-bench name] [-samples n] [-seed s] [-workers w]
+//	            [-timeout d] [-gsigma g] [-lscale l] [-dsigma d] [-minfactor f]
+//	            [-periods a,b,c] [-tune] [-margins m1,m2] [-target y]
+//	            [-step f] [-frac f] [-skip-baseline] [circuit.bench]
 //
 // With -eco, the initial optimization is kept as a live session; the
 // edit script (one resize/swap/rewire/insertff/removeff per line) is
@@ -26,7 +31,10 @@
 // output traces, optionally writing a VCD dump; with -compare it
 // checks a second circuit cycle for cycle through the flow's
 // equivalence verdict instead (exit status 1 on mismatches). gen writes
-// built-in benchmark circuits as .bench or structural Verilog.
+// built-in benchmark circuits as .bench or structural Verilog. yield
+// prints a Monte Carlo yield-versus-period table for the baseline and
+// the optimized circuit, or with -tune a guard-band margin sweep (exit
+// status 1 when no margin reaches -target).
 package main
 
 import (
@@ -65,6 +73,8 @@ func run(args []string, out io.Writer) error {
 			return runSim(args[1:], out)
 		case "gen":
 			return runGen(args[1:], out)
+		case "yield":
+			return runYield(args[1:], out)
 		}
 	}
 	fs := flag.NewFlagSet("vsync", flag.ContinueOnError)
@@ -87,12 +97,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-verify-lanes %d: want 1..%d lanes", *verifyLanes, sim.MaxLanes)
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := withTimeout(*timeout)
+	defer cancel()
 
 	lib, err := loadLib(*libPath)
 	if err != nil {
@@ -264,6 +270,15 @@ func writeFile(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	return err
+}
+
+// withTimeout returns a context that expires after d, or never when d
+// is 0.
+func withTimeout(d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(context.Background(), d)
+	}
+	return context.WithCancel(context.Background())
 }
 
 // parseFlags parses args into fs, printing usage and parse errors to

@@ -64,27 +64,26 @@ func NewSession(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, o
 	if stepFrac <= 0 {
 		stepFrac = 0.005
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	work := c.Clone()
-	base, err := sta.Analyze(work, lib)
+	res, region, err := optimizeSearch(ctx, c, lib, opts, stepFrac, obs)
 	if err != nil {
 		return nil, err
 	}
-	res, region, err := optimizeSearch(ctx, work, lib, opts, stepFrac, obs)
-	if err != nil {
-		return nil, err
-	}
+	return newSession(lib, opts, stepFrac, res, region), nil
+}
+
+// newSession keeps the extracted region's working copy of the circuit
+// and its timing analysis as the session state, as Reoptimize does
+// after every edit.
+func newSession(lib *celllib.Library, opts Options, stepFrac float64, res *Result, region *Region) *Session {
 	return &Session{
 		Lib:      lib,
 		Opts:     opts,
 		StepFrac: stepFrac,
-		Circuit:  work,
+		Circuit:  region.Work,
 		Result:   res,
 		region:   region,
-		base:     base,
-	}, nil
+		base:     region.Baseline,
+	}
 }
 
 // NewSessionAtPeriod builds a session from a single-target optimization
@@ -98,28 +97,15 @@ func NewSessionAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Li
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	work := c.Clone()
-	base, err := sta.Analyze(work, lib)
+	region, err := Extract(c, lib, ExtractOptions{SelectFrac: opts.SelectFrac})
 	if err != nil {
 		return nil, err
 	}
-	region, err := Extract(work, lib, ExtractOptions{SelectFrac: opts.SelectFrac})
-	if err != nil {
-		return nil, err
-	}
-	res, err := optimizeExtracted(ctx, region, work, lib, T, opts, nil, opts.BufferReplace)
+	res, err := optimizeExtracted(ctx, region, c, lib, T, opts, nil, opts.BufferReplace)
 	if err != nil || res == nil {
 		return nil, err
 	}
-	return &Session{
-		Lib:      lib,
-		Opts:     opts,
-		StepFrac: 0.005,
-		Circuit:  work,
-		Result:   res,
-		region:   region,
-		base:     base,
-	}, nil
+	return newSession(lib, opts, 0.005, res, region), nil
 }
 
 // Reoptimize applies the edits to the session's circuit and re-runs the

@@ -121,12 +121,12 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 	// and retiming").
 	base, _, err := retime.Baseline(c, cfg.Lib)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %v", spec.Name, err)
+		return nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 
 	res, err := core.OptimizeObserved(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%s: virtualsync: %v", spec.Name, err)
+		return nil, fmt.Errorf("%s: virtualsync: %w", spec.Name, err)
 	}
 	rst := res.Plan.R.Stats()
 	row.NCS, row.NCG = rst.SelectedFFs, rst.RegionGates
@@ -155,7 +155,7 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 		v, err := sim.CheckEquivalence(base, res.Circuit, cfg.Lib, res.BaselinePeriod, res.Period,
 			res.VerifyWarmup(), sim.LaneStimulus(base, cfg.VerifyCycles, 0, cfg.VerifySeed, 1))
 		if err != nil {
-			return nil, fmt.Errorf("%s: equivalence sim: %v", spec.Name, err)
+			return nil, fmt.Errorf("%s: equivalence sim: %w", spec.Name, err)
 		}
 		row.EquivChecked = true
 		row.EquivOK = v.OK()

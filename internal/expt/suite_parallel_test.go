@@ -2,8 +2,12 @@ package expt
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
+
+	"virtualsync/internal/variation"
 )
 
 // TestRunSuiteParallelDeterminism runs the two smallest paper circuits
@@ -60,6 +64,22 @@ func TestRunSuiteCollectsErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), n) {
 			t.Errorf("joined error does not mention %s: %v", n, err)
 		}
+	}
+}
+
+// TestRunExpiredDeadline checks that an expired run deadline survives
+// the per-circuit error wrapping of RunSuite and RunYield, so front ends
+// can tell a timeout from a failure with errors.Is.
+func TestRunExpiredDeadline(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	names := []string{"s5378"}
+	if _, err := RunSuite(ctx, names, DefaultConfig()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("RunSuite under an expired deadline: %v, want context.DeadlineExceeded", err)
+	}
+	mc := variation.Config{Samples: 10, Seed: 1, Model: variation.DefaultModel()}
+	if _, err := RunYield(ctx, names, DefaultConfig(), mc); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("RunYield under an expired deadline: %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -46,15 +46,15 @@ func RunYield(ctx context.Context, names []string, cfg Config, mc variation.Conf
 		}
 		base, _, err := retime.Baseline(c, cfg.Lib)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %v", spec.Name, err)
+			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		res, err := core.OptimizeObserved(ctx, base, cfg.Lib, cfg.Opts, cfg.StepFrac, nil)
 		if err != nil {
-			return nil, fmt.Errorf("%s: virtualsync: %v", spec.Name, err)
+			return nil, fmt.Errorf("%s: virtualsync: %w", spec.Name, err)
 		}
 		cmp, err := variation.Compare(ctx, base, res, cfg.Lib, mc)
 		if err != nil {
-			return nil, fmt.Errorf("%s: monte carlo: %v", spec.Name, err)
+			return nil, fmt.Errorf("%s: monte carlo: %w", spec.Name, err)
 		}
 		out = append(out, &YieldResult{Name: spec.Name, Cmp: cmp})
 		if cfg.Progress != nil {

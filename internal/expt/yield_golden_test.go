@@ -1,12 +1,13 @@
-package main
+package expt
 
-// Golden-file test for the yield report vyield prints. The fixture is a
-// hand-written Monte Carlo comparison (no sampling), so the test pins
-// the exact report bytes: period marks, yield columns, and the
-// count-sorted capped first-fail summary. Regenerate after an
-// intentional format change with
+// Golden-file test for the yield report FormatYield renders (vsync
+// yield and vexp -exp yield print it). The fixture is a hand-written
+// Monte Carlo comparison (no sampling), so the test pins the exact
+// report bytes: period marks, yield columns, and the count-sorted
+// capped first-fail summary. Regenerate after an intentional format
+// change with
 //
-//	go test ./cmd/vyield -run TestGolden -update
+//	go test ./internal/expt -run TestGoldenYield -update
 
 import (
 	"bytes"
@@ -15,13 +16,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"virtualsync/internal/expt"
 	"virtualsync/internal/variation"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-func fixtureYield() []*expt.YieldResult {
+func fixtureYield() []*YieldResult {
 	periods := []float64{10, 10.55, 11.1, 12.1}
 	base := &variation.Result{
 		Name: "fig1-base", Samples: 400, Seed: 7, Periods: periods,
@@ -42,7 +42,7 @@ func fixtureYield() []*expt.YieldResult {
 			{},
 		},
 	}
-	return []*expt.YieldResult{{
+	return []*YieldResult{{
 		Name: "fig1",
 		Cmp: &variation.Comparison{
 			TOpt: 10, TBase: 12.1, Base: base, Opt: opt,
@@ -51,7 +51,7 @@ func fixtureYield() []*expt.YieldResult {
 }
 
 func TestGoldenYield(t *testing.T) {
-	got := expt.FormatYield(fixtureYield())
+	got := FormatYield(fixtureYield())
 	path := filepath.Join("testdata", "golden", "yield.txt")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -1,7 +1,7 @@
 package gen
 
 // This file implements the deterministic circuit-from-bytes decoder used
-// by the differential fuzzing harness (internal/verify, cmd/vfuzz). A raw
+// by the differential fuzzing harness (internal/verify). A raw
 // byte string — the native Go fuzzing corpus format — is interpreted as a
 // small synchronous pipeline plus the simulation knobs that make the case
 // replayable. The mapping is total modulo structural caps: every byte
@@ -43,7 +43,10 @@ type Decoded struct {
 	// TFrac is the single-period probe target: T = T0*(1-TFrac), where T0
 	// is the circuit's guard-banded baseline period.
 	TFrac float64
-	// StepFrac is the period-search step for full Optimize runs.
+	// StepFrac is a period-search step fraction. The differential
+	// checker probes one period and does not read it; it stays in the
+	// decoding and in the regression seed knobs so that decoded cases
+	// and stored seeds keep their identity.
 	StepFrac float64
 }
 

@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"virtualsync"
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/gen"
 	"virtualsync/internal/netlist"
@@ -71,5 +73,48 @@ func TestSkipBaselineHistoryIndependent(t *testing.T) {
 	}
 	if len(gl) != len(wl) {
 		t.Fatalf("resize of %s: result depends on the server's history (%d vs %d lines)", gate.Name, len(gl), len(wl))
+	}
+}
+
+// TestResultMatchesOneShot: a job served by the daemon, baseline
+// included, returns the netlist bytes the one-shot vsync flow writes
+// for the same input and name (retiming&sizing baseline, period search,
+// WriteCircuit).
+func TestResultMatchesOneShot(t *testing.T) {
+	c := gen.MustGenerate(gen.Spec{Name: "oneshot", Seed: 5, TargetGates: 60, TargetFFs: 8,
+		Stage1Depth: 6, Stage2Depth: 4, StageWidth: 2, FastBypass: true, WallFrac: 0.9, NumInputs: 4})
+	var text bytes.Buffer
+	if err := netlist.Write(&text, c); err != nil {
+		t.Fatal(err)
+	}
+
+	in, err := virtualsync.LoadCircuit(strings.NewReader(text.String()), "oneshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := virtualsync.DefaultLibrary()
+	b, err := virtualsync.RetimeAndSize(in, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := virtualsync.OptimizeCtx(context.Background(), b.Circuit, lib, virtualsync.DefaultOptions(), 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := virtualsync.WriteCircuit(&want, res.Circuit); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, testConfig())
+	st, _ := submitJob(t, ts, JobRequest{Netlist: text.String(), Name: "oneshot"})
+	r := doneResult(t, waitTerminal(t, ts, st.ID))
+	if r.Period >= r.BaselinePeriod {
+		t.Fatalf("service did not improve the period (%v -> %v); pick a circuit the flow can optimize",
+			r.BaselinePeriod, r.Period)
+	}
+	if r.Netlist != want.String() {
+		t.Fatalf("service result differs from the one-shot flow (%d vs %d bytes)\n--- service ---\n%s\n--- one-shot ---\n%s",
+			len(r.Netlist), want.Len(), r.Netlist, want.String())
 	}
 }

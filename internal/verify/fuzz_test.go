@@ -11,11 +11,13 @@ package verify
 // input, minimal default case, deep single stage, bypass+ring flags.
 
 import (
+	"fmt"
 	"testing"
 
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/core"
 	"virtualsync/internal/gen"
+	"virtualsync/internal/prng"
 	"virtualsync/internal/sim"
 )
 
@@ -31,15 +33,42 @@ func fuzzSeeds(f *testing.F) {
 // FuzzOptimizeEquivalence is the flagship target: decode, run the whole
 // VirtualSync pipeline, and demand cycle-accurate boundary equivalence
 // between original and optimized netlists under reset+random stimulus.
+// A failure reports the shrunk counterexample as a regression seed.
 func FuzzOptimizeEquivalence(f *testing.F) {
 	fuzzSeeds(f)
 	ck := NewChecker()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rep := ck.CheckBytes(data); rep.Outcome == Fail {
 			d, _ := gen.DecodeCase(data)
-			t.Fatalf("differential check failed: %v\ncircuit:\n%s", rep, d.Circuit.String())
+			t.Fatal(counterexample(ck, d, rep))
 		}
 	})
+}
+
+// Markers around the regression seed in a counterexample message.
+const (
+	seedBegin = "----- regression seed -----\n"
+	seedEnd   = "----- end of seed -----\n"
+)
+
+// counterexample shrinks a case that fails under ck and renders the
+// failure message: the original verdict, then the shrunk case in the
+// regression seed format. Saved as testdata/regressions/<name>.bench,
+// the seed becomes a permanent TestRegressions case.
+func counterexample(ck *Checker, d *gen.Decoded, rep *Report) string {
+	shrunk, spent := ck.Shrink(d, 0)
+	return fmt.Sprintf("differential check failed: %v\nshrunk in %d checks; save as testdata/regressions/<name>.bench to replay it:\n%s%s%s",
+		rep, spent, seedBegin, FormatRegression(shrunk, seedNote(ck, ck.Check(shrunk))), seedEnd)
+}
+
+// seedNote is the note of a regression seed that fails under ck with
+// rep. A seed found under an injected mutation records it
+// ("mutation=NAME; ..."), so TestRegressions re-injects it on replay.
+func seedNote(ck *Checker, rep *Report) string {
+	if ck.Mutate == nil {
+		return rep.String()
+	}
+	return "mutation=" + ck.Mutate.Name + "; " + rep.String()
 }
 
 // FuzzLegalize stresses the legalized plan itself: whenever the pipeline
@@ -100,7 +129,7 @@ func FuzzBitSimAgainstEventSim(f *testing.F) {
 			return // no STA baseline: period choice undefined, skip
 		}
 		T := rgn.Baseline.MinPeriod * 1.05
-		seeds := gen.LaneSeeds(d.StimSeed, 64)
+		seeds := prng.LaneSeeds(d.StimSeed, 64)
 		scalar := make([][][]bool, len(seeds))
 		for l, seed := range seeds {
 			scalar[l] = sim.RandomStimulus(d.Circuit, d.Cycles, seed)
@@ -163,7 +192,7 @@ func FuzzWaveBitSimAgainstEventSim(f *testing.F) {
 			}
 			return
 		}
-		seeds := gen.LaneSeeds(d.StimSeed, lanes)
+		seeds := prng.LaneSeeds(d.StimSeed, lanes)
 		scalar := make([][][]bool, len(seeds))
 		for l, seed := range seeds {
 			scalar[l] = sim.RandomStimulus(res.Circuit, d.Cycles, seed)

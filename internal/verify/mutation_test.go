@@ -3,6 +3,7 @@ package verify
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -98,8 +99,7 @@ func TestMutationSmoke(t *testing.T) {
 			}
 
 			if os.Getenv("VFUZZ_WRITE_SEEDS") == "1" {
-				note := "mutation=" + mut.Name + "; " + srep.String()
-				path, err := SaveRegression("testdata/regressions", shrunk, note)
+				path, err := SaveRegression("testdata/regressions", shrunk, seedNote(ck, srep))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,14 +129,11 @@ func TestRegressions(t *testing.T) {
 		if rep := NewChecker().Check(seed.Case); rep.Outcome == Fail {
 			t.Errorf("%s: fails under the real pipeline: %v", path, rep)
 		}
-		if !strings.HasPrefix(seed.Note, "mutation=") {
+		name := mutationOf(seed.Note)
+		if name == "" {
 			continue
 		}
-		name := strings.TrimPrefix(seed.Note, "mutation=")
-		if i := strings.IndexByte(name, ';'); i >= 0 {
-			name = name[:i]
-		}
-		mut := MutationByName(strings.TrimSpace(name))
+		mut := MutationByName(name)
 		if mut == nil {
 			t.Errorf("%s: unknown mutation %q in note", path, name)
 			continue
@@ -147,5 +144,64 @@ func TestRegressions(t *testing.T) {
 			t.Errorf("%s: mutation %q no longer detected on its stored counterexample: %v",
 				path, mut.Name, rep)
 		}
+	}
+}
+
+// mutationOf returns the bug class a seed note records ("mutation=NAME;
+// ..."), or "" for a seed of the real pipeline.
+func mutationOf(note string) string {
+	name, ok := strings.CutPrefix(note, "mutation=")
+	if !ok {
+		return ""
+	}
+	name, _, _ = strings.Cut(name, ";")
+	return strings.TrimSpace(name)
+}
+
+// TestCounterexampleMessage checks that a fuzz failure message carries a
+// replayable seed: on a mutation-injected failing case, the seed between
+// the markers loads with LoadRegression, names its mutation, and still
+// fails with that mutation re-injected.
+func TestCounterexampleMessage(t *testing.T) {
+	files, err := RegressionFiles("testdata/regressions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed *Seed
+	for _, path := range files {
+		if s, err := LoadRegression(path); err == nil && mutationOf(s.Note) != "" {
+			seed = s
+			break
+		}
+	}
+	if seed == nil {
+		t.Fatal("no mutation seed checked in under testdata/regressions")
+	}
+	ck := NewChecker()
+	ck.Mutate = MutationByName(mutationOf(seed.Note))
+	rep := ck.Check(seed.Case)
+	if rep.Outcome != Fail {
+		t.Fatalf("%s: mutation seed does not fail: %v", seed.Path, rep)
+	}
+
+	msg := counterexample(ck, seed.Case, rep)
+	_, text, ok := strings.Cut(msg, seedBegin)
+	text, _, ok2 := strings.Cut(text, seedEnd)
+	if !ok || !ok2 {
+		t.Fatalf("failure message has no marked seed:\n%s", msg)
+	}
+	path := filepath.Join(t.TempDir(), "reg_message.bench")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadRegression(path)
+	if err != nil {
+		t.Fatalf("seed from the failure message does not load: %v\n%s", err, text)
+	}
+	if name := mutationOf(got.Note); name != ck.Mutate.Name {
+		t.Fatalf("seed note %q names mutation %q, want %q", got.Note, name, ck.Mutate.Name)
+	}
+	if again := ck.Check(got.Case); again.Outcome != Fail {
+		t.Fatalf("seed from the failure message no longer fails: %v\n%s", again, text)
 	}
 }

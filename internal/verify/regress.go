@@ -4,7 +4,7 @@ package verify
 // .bench netlist whose header comments carry the replay knobs, making
 // every stored failure a permanent, human-readable seed test:
 //
-//	# vfuzz regression seed
+//	# regression seed
 //	# note: sim mismatch at f3, cycle 17
 //	# knobs: cycles=24 warmup=10 stimseed=513 tfrac=0.050000 stepfrac=0.020000
 //	INPUT(pi0)
@@ -28,7 +28,7 @@ import (
 // FormatRegression renders a fuzz case in the regression seed format.
 func FormatRegression(d *gen.Decoded, note string) string {
 	var b strings.Builder
-	b.WriteString("# vfuzz regression seed\n")
+	b.WriteString("# regression seed\n")
 	if note != "" {
 		b.WriteString("# note: " + strings.ReplaceAll(note, "\n", " ") + "\n")
 	}

@@ -8,10 +8,11 @@
 // output in the same cycles as the original — the paper's core
 // correctness claim.
 //
-// The harness has three consumers: native Go fuzz targets (fuzz_test.go)
-// over the byte-string decoder in internal/gen, the cmd/vfuzz CLI, and a
-// mutation smoke mode (mutate.go) that injects known bug classes into
-// the optimization result and demands the checker catches each one.
+// The harness has two consumers: native Go fuzz targets (fuzz_test.go)
+// over the byte-string decoder in internal/gen, whose failures report a
+// shrunk regression seed, and a mutation smoke mode (mutate.go) that
+// injects known bug classes into the optimization result and demands
+// the checker catches each one.
 package verify
 
 import (
@@ -100,12 +101,6 @@ type Checker struct {
 	// optimization result before the validation/apply/simulation stages —
 	// the harness's own sensitivity test.
 	Mutate *Mutation
-	// Search selects the full period search (core.OptimizeObserved) instead of
-	// the default single-period probe. The probe runs the identical
-	// pipeline at one target period — T0*(1-TFrac), falling back to the
-	// margined baseline T0 — which is an order of magnitude faster and is
-	// what the fuzz targets and the shrinker use.
-	Search bool
 	// Lanes selects the stimulus width, 1..sim.MaxLanes; 0 means the
 	// default 64. One lane runs the pure event-engine oracle on the
 	// historical vector; widths beyond 64 pack multiple machine words
@@ -277,12 +272,12 @@ func resetCycles(d *gen.Decoded) int {
 	return max(d.Warmup-4, 0)
 }
 
-// optimize runs the configured optimization flow. A (nil, nil) return
-// means no feasible solution at the probed period — a Skip, not a bug.
+// optimize runs the pipeline at one target period, T0*(1-TFrac), falling
+// back to the margined baseline T0: the identical flow the period search
+// probes, an order of magnitude faster than the whole search. A (nil,
+// nil) return means no feasible solution at the probed period — a Skip,
+// not a bug.
 func (ck *Checker) optimize(d *gen.Decoded) (*core.Result, error) {
-	if ck.Search {
-		return core.OptimizeObserved(context.Background(), d.Circuit, ck.Lib, ck.Opts, d.StepFrac, nil)
-	}
 	rgn, err := core.Extract(d.Circuit, ck.Lib, core.ExtractOptions{SelectFrac: ck.Opts.SelectFrac})
 	if err != nil {
 		return nil, err
