@@ -147,7 +147,8 @@ bench-core:
 # original/optimized lanes/s on an optimized s5378 pair, plus one full
 # differential check with the fast path at 64 and 256 lanes and forced
 # off. allocs/op on the engine benchmarks documents the pooled,
-# steady-state Run buffers.
+# steady-state Run buffers. Benchmark names carry the -N GOMAXPROCS
+# suffix and the cpus metric records the host's CPU count.
 bench-sim:
 	$(GO) test -json -run '^$$' -bench 'EventSim|BitSim|WaveSim|VerifyEquivalence' -benchmem . > BENCH_sim.json
 	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' BENCH_sim.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
@@ -157,7 +158,8 @@ bench-sim:
 # Incremental-ECO benchmark: one cold period search on s5378, then
 # per-iteration single-gate edits through Session.Reoptimize. The
 # speedup-x metric in BENCH_eco.json is the cold search time over the
-# mean incremental re-optimization time.
+# mean incremental re-optimization time; the cpus metric records the
+# host's CPU count next to the -N GOMAXPROCS suffix.
 bench-eco:
 	$(GO) test -json -run '^$$' -bench '^BenchmarkECO$$' -benchmem . > BENCH_eco.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_eco.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true

@@ -3,7 +3,8 @@
 // single-gate edits served by Session.Reoptimize. The reported
 // speedup-x metric is the cold search time over the mean incremental
 // re-optimization time — the headline number for the ECO subsystem
-// (tracked in BENCH_eco.json via make bench-eco).
+// (tracked in BENCH_eco.json via make bench-eco) — and cpus the host's
+// CPU count.
 package virtualsync_test
 
 import (
@@ -70,4 +71,5 @@ func BenchmarkECO(b *testing.B) {
 	b.ReportMetric(ecoColdTime.Seconds()*1e3, "cold-ms")
 	b.ReportMetric(float64(inc.Milliseconds()), "eco-ms")
 	b.ReportMetric(ecoColdTime.Seconds()/inc.Seconds(), "speedup-x")
+	reportCPUs(b)
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -430,6 +431,12 @@ func BenchmarkSuiteParallel(b *testing.B) {
 	}
 }
 
+// reportCPUs records the host's CPU count next to the -N GOMAXPROCS
+// suffix of the benchmark name.
+func reportCPUs(b *testing.B) {
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
+}
+
 // simBenchCycles is the shared workload depth of the simulation-engine
 // benchmarks: one Run simulates this many clock cycles of s13207.
 const simBenchCycles = 32
@@ -458,6 +465,7 @@ func BenchmarkEventSim(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "vectors/s")
+	reportCPUs(b)
 }
 
 // BenchmarkBitSim measures the 64-lane bit-parallel engine on the same
@@ -492,6 +500,7 @@ func BenchmarkBitSim(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*64/b.Elapsed().Seconds(), "vectors/s")
+	reportCPUs(b)
 }
 
 // BenchmarkWaveSim measures the word-parallel continuous-time engine on
@@ -524,6 +533,7 @@ func BenchmarkWaveSim(b *testing.B) {
 			}
 			b.ReportMetric(float64(lanes), "lane-width")
 			b.ReportMetric(float64(b.N)*float64(lanes)/b.Elapsed().Seconds(), "lanes/s")
+			reportCPUs(b)
 		})
 	}
 }
@@ -571,6 +581,7 @@ func BenchmarkVerifyEquivalenceSides(b *testing.B) {
 			}
 			b.ReportMetric(float64(lanes), "lane-width")
 			b.ReportMetric(float64(b.N)*float64(lanes)/b.Elapsed().Seconds(), "lanes/s")
+			reportCPUs(b)
 		})
 		b.Run(fmt.Sprintf("side=optimized/lanes=%d", lanes), func(b *testing.B) {
 			s, err := sim.NewWave(res.Circuit, lib, sim.WaveOptions{T: res.Period, Cycles: simBenchCycles, Lanes: lanes})
@@ -589,6 +600,7 @@ func BenchmarkVerifyEquivalenceSides(b *testing.B) {
 			}
 			b.ReportMetric(float64(lanes), "lane-width")
 			b.ReportMetric(float64(b.N)*float64(lanes)/b.Elapsed().Seconds(), "lanes/s")
+			reportCPUs(b)
 		})
 	}
 }
@@ -642,6 +654,7 @@ func BenchmarkVerifyEquivalence(b *testing.B) {
 			}
 			b.ReportMetric(float64(mode.lanes), "lane-width")
 			b.ReportMetric(float64(lanes)/b.Elapsed().Seconds(), "lanes/s")
+			reportCPUs(b)
 		})
 	}
 }

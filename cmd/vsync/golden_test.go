@@ -2,9 +2,9 @@ package main
 
 // Golden-file tests for vsync's output. The flow is deterministic and
 // the -eco report carries no wall-clock times, so the tests pin the
-// exact bytes: periods, cone size, incremental-STA counts,
-// splice/transfer status and probe counts, and the whole output of the
-// sta, sim, gen and yield subcommands. Regenerate after an intentional format
+// exact bytes: periods, cone size, plan/basis transfer status and probe
+// counts, and the whole output of the sta, sim, gen and yield
+// subcommands. Regenerate after an intentional format
 // change with
 //
 //	go test ./cmd/vsync -run TestGolden -update

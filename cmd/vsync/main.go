@@ -22,8 +22,8 @@
 //
 // With -eco, the initial optimization is kept as a live session; the
 // edit script (one resize/swap/rewire/insertff/removeff per line) is
-// then applied and the circuit is re-optimized incrementally, reusing
-// the session's timing analysis, extracted region and solver state.
+// then applied and the circuit is re-optimized incrementally, warm from
+// the session's last plan and solver basis.
 //
 // sta prints the minimum clock period, the critical paths and any hold
 // violations (exit status 1 when there are some). sim runs event-driven
@@ -189,16 +189,6 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 	}
 	fmt.Fprintf(out, "ECO: %d edits applied\n", len(edits))
 	fmt.Fprintf(out, "  dirty cone: %d of %d nodes\n", st.ConeNodes, sess.Circuit.Len())
-	if st.STA != nil {
-		fmt.Fprintf(out, "  timing: incremental, %d arrivals recomputed (%d changed)\n",
-			st.STA.ArrivalRecomputed, st.STA.ArrivalChanged)
-	} else {
-		fmt.Fprintf(out, "  timing: full re-analysis\n")
-	}
-	region := "rebuilt"
-	if st.Spliced {
-		region = "spliced"
-	}
 	plan := "cold start"
 	switch {
 	case st.PlanTransferred && st.BasisTransferred:
@@ -206,7 +196,7 @@ func runECO(ctx context.Context, out io.Writer, base *virtualsync.Circuit, lib *
 	case st.PlanTransferred:
 		plan = "plan transferred"
 	}
-	fmt.Fprintf(out, "  region: %s; %s\n", region, plan)
+	fmt.Fprintf(out, "  region: %s\n", plan)
 	if st.Fallback {
 		fmt.Fprintf(out, "  probes: %d, fell back to the cold period search\n", st.Probes)
 	} else {

@@ -5,103 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"virtualsync/internal/celllib"
-	"virtualsync/internal/gen"
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/sim"
-	"virtualsync/internal/sta"
 )
-
-// regionsEqual requires two regions over timing-equivalent circuits to
-// be structurally and numerically identical (working circuits aside).
-func regionsEqual(t *testing.T, want, got *Region) {
-	t.Helper()
-	if !reflect.DeepEqual(want.Gates, got.Gates) {
-		t.Errorf("Gates differ: %v vs %v", want.Gates, got.Gates)
-	}
-	if !reflect.DeepEqual(want.GateIdx, got.GateIdx) {
-		t.Errorf("GateIdx differ")
-	}
-	if !reflect.DeepEqual(want.Sources, got.Sources) {
-		t.Errorf("Sources differ: %+v vs %+v", want.Sources, got.Sources)
-	}
-	if !reflect.DeepEqual(want.Sinks, got.Sinks) {
-		t.Errorf("Sinks differ: %+v vs %+v", want.Sinks, got.Sinks)
-	}
-	if !reflect.DeepEqual(want.Edges, got.Edges) {
-		t.Errorf("Edges differ")
-	}
-	if !reflect.DeepEqual(want.sched, got.sched) {
-		t.Errorf("validator schedules differ")
-	}
-	if !reflect.DeepEqual(want.Removed, got.Removed) {
-		t.Errorf("Removed differ: %v vs %v", want.Removed, got.Removed)
-	}
-	if want.ExternalPeriod != got.ExternalPeriod {
-		t.Errorf("ExternalPeriod: %v vs %v", want.ExternalPeriod, got.ExternalPeriod)
-	}
-	if !reflect.DeepEqual(want.Baseline.MaxArrival, got.Baseline.MaxArrival) ||
-		!reflect.DeepEqual(want.Baseline.MinArrival, got.Baseline.MinArrival) ||
-		want.Baseline.MinPeriod != got.Baseline.MinPeriod {
-		t.Errorf("Baseline analysis differs")
-	}
-}
-
-// TestSpliceRegionMatchesColdExtract pins the splice path to the cold
-// one: after a non-structural edit that keeps the removal selection, the
-// spliced region must be identical to a fresh Extract of the edited
-// circuit, with the baseline analysis coming from incremental STA.
-func TestSpliceRegionMatchesColdExtract(t *testing.T) {
-	lib := celllib.Default()
-	spec, _ := gen.SpecByName("systemcdes")
-	c, err := gen.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevRegion, err := Extract(c, lib, ExtractOptions{SelectFrac: DefaultOptions().SelectFrac})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := sta.Analyze(c, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Speed up one gate that has headroom; a pure delay change keeps the
-	// structure and, with high likelihood, the selection.
-	var edit *netlist.Edit
-	c.Live(func(nd *netlist.Node) {
-		if edit != nil || !nd.Kind.IsCombinational() {
-			return
-		}
-		if d, _, _, ok := lib.FasterDrive(nd); ok {
-			edit = &netlist.Edit{Op: netlist.EditResize, Node: nd.Name, Drive: d}
-		}
-	})
-	if edit == nil {
-		t.Skip("no resizable gate")
-	}
-	work := c.Clone()
-	er, err := work.ApplyEdits([]netlist.Edit{*edit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newBase, _, err := sta.AnalyzeIncremental(work, lib, base, er.Touched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed := selectRemovable(work, lib, newBase, DefaultOptions().SelectFrac)
-	if !sameIDs(removed, prevRegion.Removed) {
-		t.Skipf("edit changed the removal selection (%d vs %d flip-flops)", len(removed), len(prevRegion.Removed))
-	}
-
-	cold, err := Extract(work, lib, ExtractOptions{SelectFrac: DefaultOptions().SelectFrac})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spliced := spliceRegion(prevRegion, work, lib, newBase)
-	regionsEqual(t, cold, spliced)
-}
 
 // TestReoptimizeHoldsPeriod runs an ECO that only relaxes a non-critical
 // gate: the held period must stay feasible on the incremental path, and
@@ -131,6 +37,11 @@ func TestReoptimizeHoldsPeriod(t *testing.T) {
 	}
 	if !st.PlanTransferred {
 		t.Error("plan should transfer across a non-structural edit")
+	}
+	// The rebuilt region must list its edges in the previous positional
+	// order, or the warm simplex basis cannot carry.
+	if !st.BasisTransferred {
+		t.Error("basis should carry across a non-structural edit")
 	}
 	if res.Period > held+1e-9 {
 		t.Errorf("period %.3f regressed past held %.3f", res.Period, held)
@@ -227,9 +138,9 @@ func TestReoptimizeRecoversUpward(t *testing.T) {
 	}
 }
 
-// TestReoptimizeStructuralEdit exercises the rebuild path: a flip-flop
-// insertion changes the region structure, so the session must re-extract
-// rather than splice, and the result must stay functionally equivalent.
+// TestReoptimizeStructuralEdit exercises a structural edit: a flip-flop
+// insertion changes the region structure, and the re-optimized netlist
+// must stay valid.
 func TestReoptimizeStructuralEdit(t *testing.T) {
 	lib := paperLib(t)
 	c := wavePipe(t)
@@ -237,14 +148,11 @@ func TestReoptimizeStructuralEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := s.Reoptimize(context.Background(), []netlist.Edit{
+	res, _, err := s.Reoptimize(context.Background(), []netlist.Edit{
 		{Op: netlist.EditInsertFF, Name: "eco_ff", Node: "g4", Pin: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Spliced {
-		t.Error("structural edit must not splice the previous region")
 	}
 	if res == nil || res.Circuit == nil {
 		t.Fatal("structural ECO returned no result")
@@ -273,8 +181,8 @@ func TestReoptimizeRejectsBadEdits(t *testing.T) {
 }
 
 // TestTransferPlanIdentity covers the edge-remap rules: identical
-// structure carries units, the legalized set and the basis; a reordered
-// or partial structure carries what matches and drops the basis.
+// structure carries units and the basis; a reordered or partial
+// structure carries what matches and drops the basis.
 func TestTransferPlanIdentity(t *testing.T) {
 	lib := paperLib(t)
 	c := wavePipe(t)

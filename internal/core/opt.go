@@ -26,10 +26,6 @@ type Plan struct {
 	GateDrive    []int     // per gate: discretized drive
 	GateDelay    []float64 // per gate: realized delay
 
-	// SdSet marks the edges that were legalized with the exact model,
-	// reusable as a hint for nearby target periods.
-	SdSet []bool
-
 	// Basis is the optimal simplex basis of the plan's final timing LP.
 	// The period sweep threads it into the next probe's solve the same
 	// way prev carries unit placements, so neighbouring periods start
@@ -128,7 +124,6 @@ func retargetPlan(ctx context.Context, r *Region, T float64, opts Options, prev 
 		Chain:        make([][]int, nE),
 		ChainDelay:   make([]float64, nE),
 		GateDelayReq: make([]float64, len(r.Gates)),
-		SdSet:        prev.SdSet,
 		Basis:        sol.Basis,
 	}
 	for gi := range r.Gates {
@@ -368,7 +363,6 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 	for gi := range r.Gates {
 		p.GateDelayReq[gi] = finalMV.gateDelayOf(finalSol, gi)
 	}
-	p.SdSet = inSd
 	p.Basis = finalSol.Basis
 	for ei := 0; ei < nE; ei++ {
 		p.XiReq[ei] = finalSol.Value(finalMV.xi[ei])

@@ -131,8 +131,8 @@ func (p *Plan) validate(params ValidateParams) (*waveState, []Violation) {
 }
 
 // schedule is a region's validator sweep plan. It depends only on the
-// region's structure, so buildRegion builds it once (spliceRegion shares
-// it) and every propagate call reads it without modification.
+// region's structure, so buildRegion builds it once and every propagate
+// call reads it without modification.
 type schedule struct {
 	// inStart/inEdges index each gate's in-edges in ascending edge order
 	// (compressed sparse rows): gate gi reads the edges

@@ -153,20 +153,14 @@ func FormatEdits(edits []Edit) string {
 	return b.String()
 }
 
-// EditResult summarizes what ApplyEdits changed, in the terms the
-// incremental re-optimization path needs.
+// EditResult summarizes what ApplyEdits changed.
 type EditResult struct {
 	// Touched are the nodes whose timing view may have changed:
 	// resized/swapped gates (delay change), rewired gates (input change)
 	// and their former drivers (downstream view change), inserted
 	// flip-flops, and the readers of removed flip-flops. They seed the
-	// dirty fan-out cone (FanoutCone) and incremental STA.
+	// dirty fan-out cone (FanoutCone) whose size an ECO reports.
 	Touched []NodeID
-	// Rewired are the nodes whose fanin wiring changed, i.e. the edits
-	// altered graph structure and not just cell binding.
-	Rewired []NodeID
-	// SeqChanged reports that a flip-flop was inserted or removed.
-	SeqChanged bool
 }
 
 // ApplyEdits applies the edits to the circuit in order, mutating it in
@@ -177,7 +171,6 @@ type EditResult struct {
 func (c *Circuit) ApplyEdits(edits []Edit) (*EditResult, error) {
 	res := &EditResult{}
 	touched := func(id NodeID) { res.Touched = append(res.Touched, id) }
-	rewired := func(id NodeID) { res.Rewired = append(res.Rewired, id) }
 	for i, e := range edits {
 		fail := func(format string, args ...interface{}) (*EditResult, error) {
 			return nil, fmt.Errorf("netlist: edit %d (%s): %s", i+1, FormatEdit(e), fmt.Sprintf(format, args...))
@@ -216,7 +209,6 @@ func (c *Circuit) ApplyEdits(edits []Edit) (*EditResult, error) {
 			// The old driver's arrival is unchanged, but its downstream
 			// (required-side) view lost this consumer.
 			touched(old)
-			rewired(n.ID)
 		case EditInsertFF:
 			if e.Pin < 0 || e.Pin >= len(n.Fanins) {
 				return fail("node %q has no pin %d", e.Node, e.Pin)
@@ -227,8 +219,6 @@ func (c *Circuit) ApplyEdits(edits []Edit) (*EditResult, error) {
 			}
 			touched(ff.ID)
 			touched(n.ID)
-			rewired(n.ID)
-			res.SeqChanged = true
 		case EditRemoveFF:
 			if n.Kind != KindDFF {
 				return fail("node %q is %v, not DFF", e.Node, n.Kind)
@@ -239,7 +229,6 @@ func (c *Circuit) ApplyEdits(edits []Edit) (*EditResult, error) {
 			fanouts := c.Fanouts()
 			for _, reader := range fanouts[n.ID] {
 				touched(reader)
-				rewired(reader)
 			}
 			if err := c.Bypass(n.ID); err != nil {
 				return fail("%v", err)
@@ -247,13 +236,11 @@ func (c *Circuit) ApplyEdits(edits []Edit) (*EditResult, error) {
 			if err := c.Remove(n.ID); err != nil {
 				return fail("%v", err)
 			}
-			res.SeqChanged = true
 		default:
 			return fail("unknown op")
 		}
 	}
 	res.Touched = dedupIDs(res.Touched)
-	res.Rewired = dedupIDs(res.Rewired)
 	return res, nil
 }
 

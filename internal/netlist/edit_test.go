@@ -42,9 +42,6 @@ func TestApplyEditsResizeSwap(t *testing.T) {
 	if !reflect.DeepEqual(res.Touched, want) {
 		t.Errorf("touched = %v, want %v", res.Touched, want)
 	}
-	if len(res.Rewired) != 0 || res.SeqChanged {
-		t.Errorf("resize/swap should not report structural change: %+v", res)
-	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +57,9 @@ func TestApplyEditsRewire(t *testing.T) {
 	if g2.Fanins[1] != c.ByName("i0").ID {
 		t.Errorf("g2 pin 1 = %d, want i0", g2.Fanins[1])
 	}
-	if len(res.Rewired) != 1 || res.Rewired[0] != g2.ID {
-		t.Errorf("rewired = %v, want [g2]", res.Rewired)
+	// The former driver i1 lost a consumer, so it is touched too.
+	if want := []NodeID{c.ByName("i1").ID, g2.ID}; !reflect.DeepEqual(res.Touched, want) {
+		t.Errorf("touched = %v, want %v (i1, g2)", res.Touched, want)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -78,8 +76,8 @@ func TestApplyEditsInsertRemoveFF(t *testing.T) {
 	if ff == nil || ff.Kind != KindDFF {
 		t.Fatalf("eco_ff not inserted: %v", ff)
 	}
-	if !res.SeqChanged {
-		t.Error("insertff should set SeqChanged")
+	if want := []NodeID{c.ByName("g2").ID, ff.ID}; !reflect.DeepEqual(res.Touched, want) {
+		t.Errorf("touched = %v, want %v (g2, eco_ff)", res.Touched, want)
 	}
 	if c.ByName("g2").Fanins[1] != ff.ID {
 		t.Error("g2 pin 1 should read eco_ff")
@@ -98,8 +96,8 @@ func TestApplyEditsInsertRemoveFF(t *testing.T) {
 	if c.ByName("g2").Fanins[1] != c.ByName("i1").ID {
 		t.Error("g2 pin 1 should read i1 again after removeff")
 	}
-	if !res.SeqChanged || len(res.Rewired) != 1 {
-		t.Errorf("removeff impact wrong: %+v", res)
+	if want := []NodeID{c.ByName("g2").ID}; !reflect.DeepEqual(res.Touched, want) {
+		t.Errorf("touched = %v, want %v (g2)", res.Touched, want)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

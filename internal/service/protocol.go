@@ -115,11 +115,13 @@ type ECOInfo struct {
 	Incremental bool `json:"incremental"`
 	// Edits is the number of edits applied.
 	Edits int `json:"edits,omitempty"`
-	// Spliced, ConeNodes, Probes and RecoverySteps mirror core.ECOStats.
-	Spliced       bool `json:"spliced,omitempty"`
-	ConeNodes     int  `json:"cone_nodes,omitempty"`
-	Probes        int  `json:"probes,omitempty"`
-	RecoverySteps int  `json:"recovery_steps,omitempty"`
+	// Spliced is always false (every ECO rebuilds its region), so it is
+	// never sent. It stays because the bench module still reads it.
+	Spliced bool `json:"spliced,omitempty"`
+	// ConeNodes, Probes and RecoverySteps mirror core.ECOStats.
+	ConeNodes     int `json:"cone_nodes,omitempty"`
+	Probes        int `json:"probes,omitempty"`
+	RecoverySteps int `json:"recovery_steps,omitempty"`
 	// Fallback marks an incremental attempt that degraded to the cold
 	// period search internally.
 	Fallback bool `json:"fallback,omitempty"`

@@ -300,6 +300,13 @@ func (s *Server) newJobLocked(key string, c *netlist.Circuit, lib *celllib.Libra
 	return j
 }
 
+// maxVerifyLaneCycles bounds the equivalence simulation one job may ask
+// for, verify_cycles × max(verify_lanes, 1). The stimulus holds that
+// many values per primary input, and running out of memory kills the
+// process, which runJob's recover cannot catch. The budget admits 48
+// cycles at sim.MaxLanes lanes, the widest check the CLI runs.
+const maxVerifyLaneCycles = 1 << 18
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	var req JobRequest
@@ -346,6 +353,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	params := req.Params.Normalize()
+	if params.VerifyCycles > maxVerifyLaneCycles/max(params.VerifyLanes, 1) {
+		httpError(w, http.StatusBadRequest, "verify_cycles %d x verify_lanes %d exceeds the limit of %d lane-cycles",
+			params.VerifyCycles, params.VerifyLanes, maxVerifyLaneCycles)
+		return
+	}
 	var key string
 	if c != nil {
 		key, err = CacheKey(c, lib, params)
@@ -718,7 +730,6 @@ func (s *Server) executeECO(ctx context.Context, j *job) (*JobResult, error) {
 	out, err := s.buildResult(ctx, j, sess.Circuit, res, &ECOInfo{
 		Incremental:   true,
 		Edits:         len(j.edits),
-		Spliced:       st.Spliced,
 		ConeNodes:     st.ConeNodes,
 		Probes:        st.Probes,
 		RecoverySteps: st.RecoverySteps,

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"virtualsync/internal/sim"
 )
 
 // tinyBench is a minimal pipeline the full flow (baseline + period
@@ -160,6 +162,40 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		if _, code := postBody(t, ts, []byte(tc.body)); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, code)
 		}
+	}
+}
+
+// TestSubmitBoundsVerification rejects equivalence checks above the
+// lane-cycle budget before they allocate anything, and still admits the
+// sizes the repository runs.
+func TestSubmitBoundsVerification(t *testing.T) {
+	if 48*sim.MaxLanes > maxVerifyLaneCycles {
+		t.Fatalf("budget %d does not admit 48 cycles x %d lanes", maxVerifyLaneCycles, sim.MaxLanes)
+	}
+	_, ts := newTestServer(t, testConfig())
+	body := fmt.Sprintf(`{"netlist": %q, "params": {"verify_cycles": 1000000000}}`, tinyBench)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized verification: HTTP %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(string(msg), fmt.Sprint(maxVerifyLaneCycles)) {
+		t.Errorf("error does not name the limit: %s", msg)
+	}
+
+	st, code := submitJob(t, ts, JobRequest{Netlist: tinyBench, Params: Params{VerifyCycles: 48, VerifyLanes: 64}})
+	if code != http.StatusAccepted {
+		t.Fatalf("48 cycles x 64 lanes: HTTP %d, want 202", code)
+	}
+	if st = waitTerminal(t, ts, st.ID); st.State != StateDone {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
 	}
 }
 

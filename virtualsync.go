@@ -151,9 +151,9 @@ func OptimizeCtx(ctx context.Context, c *Circuit, lib *Library, opts Options, st
 
 // NewSession runs the full VirtualSync period search on c and keeps the
 // state needed for incremental ECO re-optimization: call Reoptimize on
-// the returned session to apply an edit list and re-solve from the
-// previous timing analysis, region extraction and solver basis instead
-// of rerunning the search cold. obs may be nil.
+// the returned session to apply an edit list and re-solve warm from the
+// previous plan and solver basis instead of rerunning the search cold.
+// obs may be nil.
 func NewSession(ctx context.Context, c *Circuit, lib *Library, opts Options, stepFrac float64, obs ProgressFunc) (*Session, error) {
 	return core.NewSession(ctx, c, lib, opts, stepFrac, obs)
 }
