@@ -4,7 +4,8 @@ GO ?= go
 
 # The full pre-commit gate: formatting, vet, build, the whole test
 # suite, the race detector over every package, coverage floors, a short
-# differential-fuzzing pass, the proc-count identity check, and the
+# fuzzing pass, the proc-count identity check (which also holds Table 1
+# and Figs. 1-3 to the committed results/), and the
 # simulation and incremental-ECO benchmarks (throughput, allocs/op and
 # cold-vs-incremental speedup evidence in BENCH_sim.json and
 # BENCH_eco.json).
@@ -64,9 +65,11 @@ cover:
 # The stored regression seeds are replayed by TestRegressions in test
 # and race. A FuzzOptimizeEquivalence failure prints its shrunk
 # counterexample as a regression seed to save under
-# internal/verify/testdata/regressions. FuzzParseNetlist
-# guards the daemon's trust boundary: the .bench parser never panics and
-# Write∘Parse is idempotent on every netlist it accepts. Two differential
+# internal/verify/testdata/regressions. FuzzParseNetlist,
+# FuzzParseLibrary and FuzzParseEdits guard the daemon's trust boundary:
+# the .bench, cell-library and edit-script parsers never panic, every
+# value they accept is in range (phases in [0,1), library values
+# finite), and Write∘Parse is idempotent on everything they accept. Two differential
 # targets run twice, once plain for input-generation throughput and once
 # race-instrumented: the LP target (the sparse LU kernel, cold and
 # warm-started, vs a cold solve on the test-only dense oracle) races the
@@ -90,28 +93,40 @@ fuzz-short:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseNetlist -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseEdits -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/celllib -run '^$$' -fuzz FuzzParseLibrary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateVsReference -fuzztime $(FUZZTIME)
 
-# Proc-count identity: Table 1 on all ten circuits and the vsync report
-# on mem_ctrl must be byte-identical at GOMAXPROCS=1 and GOMAXPROCS=2
-# except for the wall-clock fields (t(s) in the table, runtime_s and
-# wall_s in the CSV, the runtime: line of the report), which are masked
-# before the diff. Everything is built and written in a temporary
-# directory.
+# Proc-count identity and checked results. Table 1 on all ten circuits
+# and the vsync report on mem_ctrl must be byte-identical at GOMAXPROCS=1
+# and GOMAXPROCS=2 except for the wall-clock fields (t(s) in the table,
+# runtime_s and wall_s in the CSV, the runtime: line of the report),
+# which are masked before the diff. The masked GOMAXPROCS=1 Table 1 must
+# also match the committed results/table1.{txt,csv}, and vexp -exp
+# fig1, fig2 and fig3 must reproduce results/ byte for byte. A change
+# that moves QoR therefore regenerates results/ (make bench) in the
+# same commit. Everything is built and written in a temporary directory.
 check-procs:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mask_txt() { sed -E 's/\| +[0-9.]+( +[^ ]+)$$/| t(s)\1/' "$$1"; }; \
+	mask_csv() { awk -F, -v OFS=, '{ $$11 = "-"; $$12 = "-"; print }' "$$1"; }; \
 	$(GO) build -o "$$dir/vexp" ./cmd/vexp || exit 1; \
 	$(GO) build -o "$$dir/vsync" ./cmd/vsync || exit 1; \
 	for p in 1 2; do \
 		GOMAXPROCS=$$p "$$dir/vexp" -exp table1 \
 			-csv "$$dir/p$$p.csv" > "$$dir/p$$p.txt" 2>/dev/null || exit 1; \
-		sed -E 's/\| +[0-9.]+( +[^ ]+)$$/| t(s)\1/' "$$dir/p$$p.txt" > "$$dir/p$$p.masked"; \
-		awk -F, -v OFS=, '{ $$11 = "-"; $$12 = "-"; print }' "$$dir/p$$p.csv" >> "$$dir/p$$p.masked"; \
+		mask_txt "$$dir/p$$p.txt" > "$$dir/p$$p.masked"; \
+		mask_csv "$$dir/p$$p.csv" >> "$$dir/p$$p.masked"; \
 		GOMAXPROCS=$$p "$$dir/vsync" -bench mem_ctrl -verify 0 > "$$dir/v$$p.txt" 2>&1 || exit 1; \
 		sed -E 's/^( *runtime:).*/\1 -/' "$$dir/v$$p.txt" >> "$$dir/p$$p.masked"; \
 	done; \
-	diff "$$dir/p1.masked" "$$dir/p2.masked" && \
-		echo "check-procs: Table 1 and the mem_ctrl report identical at GOMAXPROCS=1 and 2 (wall-clock fields masked)"
+	diff "$$dir/p1.masked" "$$dir/p2.masked" || exit 1; \
+	{ mask_txt results/table1.txt; mask_csv results/table1.csv; } > "$$dir/results.masked"; \
+	{ mask_txt "$$dir/p1.txt"; mask_csv "$$dir/p1.csv"; } | diff "$$dir/results.masked" - || exit 1; \
+	for f in fig1 fig2 fig3; do \
+		"$$dir/vexp" -exp $$f | diff results/$$f.txt - || exit 1; \
+	done; \
+	echo "check-procs: Table 1 and the mem_ctrl report identical at GOMAXPROCS=1 and 2 (wall-clock fields masked); Table 1 and Figs. 1-3 match results/"
 
 # Regenerate every paper table/figure (writes results/).
 bench:

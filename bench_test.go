@@ -146,7 +146,7 @@ func BenchmarkFig8AreaSamePeriod(b *testing.B) {
 // (original / sized / retimed&sized / VirtualSync).
 func BenchmarkFig1Motivation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := expt.RunFig1(core.DefaultOptions())
+		f, err := expt.RunFig1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkFig1Motivation(b *testing.B) {
 // worked example.
 func BenchmarkFig3Anchors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := expt.RunFig3(core.DefaultOptions())
+		f, err := expt.RunFig3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,16 +181,12 @@ func BenchmarkFig3Anchors(b *testing.B) {
 // BenchmarkFig2DelayUnits regenerates Fig. 2: the transfer
 // characteristics of the three delay-unit types.
 func BenchmarkFig2DelayUnits(b *testing.B) {
-	u := core.UnitTiming{T: 10, Phi: 0, Duty: 0.5, Tcq: 3, Tdq: 1, Tsu: 1, Th: 1, Delay: 2}
 	for i := 0; i < b.N; i++ {
-		pts := expt.RunFig2(u, 101)
-		if len(pts) != 101 {
-			b.Fatal("bad sample count")
-		}
+		pts := expt.RunFig2()
 		if i == 0 {
-			b.Log("\n" + expt.FormatFig2(expt.RunFig2(u, 21)))
+			b.Log("\n" + expt.FormatFig2(pts))
 			_ = os.MkdirAll("results", 0o755)
-			_ = os.WriteFile("results/fig2.txt", []byte(expt.FormatFig2(expt.RunFig2(u, 41))), 0o644)
+			_ = os.WriteFile("results/fig2.txt", []byte(expt.FormatFig2(pts)), 0o644)
 		}
 	}
 }

@@ -109,3 +109,9 @@ func TestGoldenCSV(t *testing.T) {
 	}
 	checkGolden(t, "suite.csv", b.String())
 }
+
+// TestGoldenFig2 pins vexp -exp fig2, which needs no optimizer run; its
+// golden file is the committed results/fig2.txt.
+func TestGoldenFig2(t *testing.T) {
+	checkGolden(t, "fig2.txt", expt.FormatFig2(expt.RunFig2()))
+}

@@ -24,7 +24,7 @@ func main() {
 	exp := flag.String("exp", "table1", "experiment: table1, fig1, fig2, fig3, fig6, fig7, fig8, yield, all")
 	circuits := flag.String("circuits", "", "comma-separated benchmark subset (default: all)")
 	verify := flag.Int("verify", 48, "equivalence-simulation cycles per circuit (0 to skip)")
-	step := flag.Float64("step", 0.005, "period-search step fraction")
+	step := flag.Float64("step", core.DefaultStepFrac, "period-search step fraction")
 	csvPath := flag.String("csv", "", "also write suite results as CSV to this file")
 	samples := flag.Int("samples", 400, "Monte Carlo samples per circuit (yield experiment)")
 	seed := flag.Uint64("seed", 1, "Monte Carlo seed (yield experiment)")
@@ -81,20 +81,19 @@ func main() {
 	case "fig8":
 		fmt.Print(expt.FormatFig8(rows))
 	case "fig1":
-		f, err := expt.RunFig1(core.DefaultOptions())
+		f, err := expt.RunFig1()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(expt.FormatFig1(f))
 	case "fig3":
-		f, err := expt.RunFig3(core.DefaultOptions())
+		f, err := expt.RunFig3()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(expt.FormatFig3(f))
 	case "fig2":
-		u := core.UnitTiming{T: 10, Phi: 0, Duty: 0.5, Tcq: 3, Tdq: 1, Tsu: 1, Th: 1, Delay: 2}
-		fmt.Print(expt.FormatFig2(expt.RunFig2(u, 21)))
+		fmt.Print(expt.FormatFig2(expt.RunFig2()))
 	case "yield":
 		mc := variation.Config{Samples: *samples, Seed: *seed, Model: variation.DefaultModel()}
 		ys, err := expt.RunYield(ctx, names, cfg, mc)
@@ -111,7 +110,7 @@ func main() {
 		fmt.Println()
 		fmt.Print(expt.FormatFig8(rows))
 		fmt.Println()
-		f, err := expt.RunFig1(core.DefaultOptions())
+		f, err := expt.RunFig1()
 		if err != nil {
 			fatal(err)
 		}

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"virtualsync"
+	"virtualsync/internal/core"
 	"virtualsync/internal/sim"
 )
 
@@ -81,8 +82,8 @@ func run(args []string, out io.Writer) error {
 	libPath := fs.String("lib", "", "cell library file (default: built-in vs45)")
 	benchName := fs.String("bench", "", "generate a built-in benchmark instead of reading a file")
 	outPath := fs.String("o", "", "write the optimized circuit to this file")
-	step := fs.Float64("step", 0.005, "period-search step fraction (paper: 0.005)")
-	frac := fs.Float64("frac", 0.95, "critical-path selection fraction")
+	step := fs.Float64("step", core.DefaultStepFrac, "period-search step fraction (paper: 0.005)")
+	frac := fs.Float64("frac", virtualsync.DefaultOptions().SelectFrac, "critical-path selection fraction")
 	noLatches := fs.Bool("no-latches", false, "disable latch delay units")
 	noReplace := fs.Bool("no-replace", false, "disable buffer replacement (paper 5.4)")
 	verify := fs.Int("verify", 48, "equivalence-simulation cycles (0 to skip)")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"virtualsync"
+	"virtualsync/internal/core"
 	"virtualsync/internal/expt"
 )
 
@@ -28,8 +29,8 @@ func runYield(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vyield", flag.ContinueOnError)
 	libPath := fs.String("lib", "", "cell library file (default: built-in vs45)")
 	benchName := fs.String("bench", "", "generate a built-in benchmark instead of reading a file")
-	step := fs.Float64("step", 0.005, "period-search step fraction")
-	frac := fs.Float64("frac", 0.95, "critical-path selection fraction")
+	step := fs.Float64("step", core.DefaultStepFrac, "period-search step fraction")
+	frac := fs.Float64("frac", virtualsync.DefaultOptions().SelectFrac, "critical-path selection fraction")
 	skipBaseline := fs.Bool("skip-baseline", false, "assume the input is already retimed and sized")
 
 	samples := fs.Int("samples", 1000, "Monte Carlo samples")

@@ -47,8 +47,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if loops := circuit.CombLoops(); len(loops) != 0 {
-		log.Fatalf("input circuit has combinational loops: %v", loops)
+	if _, err := circuit.TopoOrder(); err != nil {
+		log.Fatalf("input circuit: %v", err)
 	}
 
 	base, err := virtualsync.RetimeAndSize(circuit, lib)
@@ -68,8 +68,8 @@ func main() {
 	if res.NumFFUnits+res.NumLatchUnits == 0 {
 		log.Fatal("expected at least one sequential unit in the feedback loop")
 	}
-	if loops := res.Circuit.CombLoops(); len(loops) != 0 {
-		log.Fatalf("optimized circuit left a combinational loop open: %v", loops)
+	if _, err := res.Circuit.TopoOrder(); err != nil {
+		log.Fatalf("optimized circuit left a combinational loop open: %v", err)
 	}
 
 	// Show the inserted units and their clock phases.

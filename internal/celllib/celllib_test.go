@@ -241,6 +241,30 @@ func TestParseLibraryErrors(t *testing.T) {
 		{"bad seq val", "library x\nff tcq=z\n"},
 		{"missing cells", "library x\nff tcq=1 tsu=1 th=1\nlatch tcq=1 tdq=1 tsu=1 th=1\n"},
 	}
+	// Non-finite values, each in an otherwise valid library: the
+	// default one with a single value replaced.
+	var def strings.Builder
+	if err := WriteLibrary(&def, Default()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseLibraryString(def.String()); err != nil {
+		t.Fatalf("default library does not round-trip: %v", err)
+	}
+	for _, r := range []struct{ name, old, new string }{
+		{"NaN ff tcq", "ff tcq=30 ", "ff tcq=NaN "},
+		{"infinite latch tdq", " tdq=14 ", " tdq=+Inf "},
+		{"NaN ff sigma", "area=6 sigma=0.03", "area=6 sigma=NaN"},
+		{"NaN single-option delay", "ANDF kind=AND delay=20 ", "ANDF kind=AND delay=NaN "},
+		{"infinite single-option delay", "BUFF kind=BUF delay=7 ", "BUFF kind=BUF delay=+Inf "},
+		{"NaN drive delay", "delay=28,20,14", "delay=28,NaN,14"},
+		{"infinite area", "ORF kind=OR delay=20 area=2.1", "ORF kind=OR delay=20 area=Inf"},
+		{"NaN cell sigma", "area=1.5,2.1,3 sigma=0.04", "area=1.5,2.1,3 sigma=NaN"},
+	} {
+		if !strings.Contains(def.String(), r.old) {
+			t.Fatalf("%s: %q not in the default library", r.name, r.old)
+		}
+		cases = append(cases, struct{ name, src string }{r.name, strings.Replace(def.String(), r.old, r.new, 1)})
+	}
 	for _, tc := range cases {
 		if _, err := ParseLibraryString(tc.src); err == nil {
 			t.Errorf("%s: accepted %q", tc.name, tc.src)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,7 +73,7 @@ func ParseLibrary(r io.Reader) (*Library, error) {
 				}
 				switch kv[0] {
 				case "sigma":
-					v, err := strconv.ParseFloat(kv[1], 64)
+					v, err := parseNumber(kv[1])
 					if err != nil || v < 0 {
 						return nil, fmt.Errorf("line %d: bad sigma %q", lineNo, kv[1])
 					}
@@ -146,7 +147,7 @@ func parseSeqTiming(fields []string) (SeqTiming, error) {
 		if len(kv) != 2 {
 			return t, fmt.Errorf("malformed attribute %q", f)
 		}
-		v, err := strconv.ParseFloat(kv[1], 64)
+		v, err := parseNumber(kv[1])
 		if err != nil {
 			return t, fmt.Errorf("bad value in %q: %v", f, err)
 		}
@@ -174,13 +175,27 @@ func parseFloats(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, len(parts))
 	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		v, err := parseNumber(p)
 		if err != nil {
 			return nil, fmt.Errorf("bad number %q: %v", p, err)
 		}
 		out[i] = v
 	}
 	return out, nil
+}
+
+// parseNumber reads one numeric attribute. Every library value is a
+// delay, an area or a spread, so NaN and ±Inf are rejected here: NaN
+// slips past every ordering check downstream.
+func parseNumber(s string) (float64, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite value %q", s)
+	}
+	return v, nil
 }
 
 // WriteLibrary emits the library in the format accepted by ParseLibrary.

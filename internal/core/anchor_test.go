@@ -43,7 +43,7 @@ func fig3Circuit(t testing.TB) *netlist.Circuit {
 func TestFig3AnchorExtraction(t *testing.T) {
 	c := fig3Circuit(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func realizedPlan(t *testing.T) *Plan {
 	t.Helper()
 	c := wavePipe(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

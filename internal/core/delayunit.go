@@ -6,7 +6,11 @@
 // below the retiming&sizing limit.
 package core
 
-import "math"
+import (
+	"math"
+
+	"virtualsync/internal/netlist"
+)
 
 // UnitKind distinguishes the three delay-unit types of the paper's Fig. 2.
 type UnitKind int
@@ -38,7 +42,6 @@ func (k UnitKind) String() string {
 type UnitTiming struct {
 	T     float64 // clock period
 	Phi   float64 // phase shift of the unit's clock, absolute time in [0,T)
-	Duty  float64 // duty cycle D in (0,1); latch transparent in [NT+phi+DT, (N+1)T+phi)
 	Tcq   float64 // clock-to-q
 	Tdq   float64 // data-to-q (latch, transparent)
 	Tsu   float64 // setup time
@@ -82,7 +85,7 @@ func (u UnitTiming) LatchOut(in float64) (out float64, n int, ok bool) {
 	if in < lo-1e-9 || in > hi+1e-9 {
 		return 0, n, false
 	}
-	open := nf*u.T + u.Phi + u.Duty*u.T
+	open := nf*u.T + u.Phi + netlist.LatchDuty*u.T
 	// While non-transparent the data waits for the opening edge; in the
 	// transparent phase it flows through after tdq, but never before the
 	// opening-edge response itself has propagated — this keeps the

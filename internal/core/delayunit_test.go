@@ -7,7 +7,7 @@ import (
 )
 
 func unitT() UnitTiming {
-	return UnitTiming{T: 10, Phi: 0, Duty: 0.5, Tcq: 3, Tdq: 1, Tsu: 1, Th: 1, Delay: 2}
+	return UnitTiming{T: 10, Phi: 0, Tcq: 3, Tdq: 1, Tsu: 1, Th: 1, Delay: 2}
 }
 
 func TestBufferOutLinear(t *testing.T) {

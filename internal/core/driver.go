@@ -88,7 +88,7 @@ func OptimizeAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Libr
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: opts.SelectFrac})
+	r, err := Extract(c, lib, opts.SelectFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -179,6 +179,10 @@ type ProgressEvent struct {
 // from the search goroutine and must not block for long.
 type ProgressFunc func(ProgressEvent)
 
+// DefaultStepFrac is the paper's period-search step: each probe lowers
+// the target period by this fraction (0.5 %).
+const DefaultStepFrac = 0.005
+
 // OptimizeObserved runs the paper's period search: starting from the
 // circuit's guard-banded baseline period (the caller typically provides
 // a circuit already optimized by retiming&sizing), the target period is
@@ -199,13 +203,13 @@ func OptimizeObserved(ctx context.Context, c *netlist.Circuit, lib *celllib.Libr
 // for later incremental re-optimization.
 func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, opts Options, stepFrac float64, obs ProgressFunc) (*Result, *Region, error) {
 	if stepFrac <= 0 {
-		stepFrac = 0.005
+		stepFrac = DefaultStepFrac
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: opts.SelectFrac})
+	r, err := Extract(c, lib, opts.SelectFrac)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -62,7 +62,7 @@ type ECOStats struct {
 // the state needed for incremental re-optimization. obs may be nil.
 func NewSession(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, opts Options, stepFrac float64, obs ProgressFunc) (*Session, error) {
 	if stepFrac <= 0 {
-		stepFrac = 0.005
+		stepFrac = DefaultStepFrac
 	}
 	res, region, err := optimizeSearch(ctx, c, lib, opts, stepFrac, obs)
 	if err != nil {
@@ -95,7 +95,7 @@ func NewSessionAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Li
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	region, err := Extract(c, lib, ExtractOptions{SelectFrac: opts.SelectFrac})
+	region, err := Extract(c, lib, opts.SelectFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func NewSessionAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Li
 	if err != nil || res == nil {
 		return nil, err
 	}
-	return newSession(lib, opts, 0.005, res, region), nil
+	return newSession(lib, opts, DefaultStepFrac, res, region), nil
 }
 
 // Reoptimize applies the edits to the session's circuit and re-runs the
@@ -133,7 +133,7 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 	if err := work.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: edited circuit invalid: %v", err)
 	}
-	if loops := work.CombLoops(); len(loops) > 0 {
+	if _, err := work.TopoOrder(); err != nil {
 		return nil, nil, fmt.Errorf("core: edits create a combinational loop")
 	}
 	st.ConeNodes = len(netlist.FanoutCone(work, er.Touched))

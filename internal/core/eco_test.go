@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"virtualsync/internal/netlist"
@@ -170,13 +171,24 @@ func TestReoptimizeRejectsBadEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Result
-	if _, _, err := s.Reoptimize(context.Background(), []netlist.Edit{
-		{Op: netlist.EditResize, Node: "no_such_node", Drive: 1},
-	}); err == nil {
-		t.Error("unknown node should fail")
+	cases := []struct {
+		name string
+		edit netlist.Edit
+		want string // substring of the error, "" for any
+	}{
+		{"unknown node", netlist.Edit{Op: netlist.EditResize, Node: "no_such_node", Drive: 1}, ""},
+		// g1 -> g2 -> g3 -> g1: a combinational loop no flip-flop cuts.
+		{"combinational loop", netlist.Edit{Op: netlist.EditRewire, Node: "g1", Pin: 0, Driver: "g3"},
+			"edits create a combinational loop"},
 	}
-	if s.Result != before {
-		t.Error("failed ECO must not advance the session")
+	for _, tc := range cases {
+		_, _, err := s.Reoptimize(context.Background(), []netlist.Edit{tc.edit})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want failure containing %q", tc.name, err, tc.want)
+		}
+		if s.Result != before {
+			t.Errorf("%s: failed ECO must not advance the session", tc.name)
+		}
 	}
 }
 
@@ -186,7 +198,7 @@ func TestReoptimizeRejectsBadEdits(t *testing.T) {
 func TestTransferPlanIdentity(t *testing.T) {
 	lib := paperLib(t)
 	c := wavePipe(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: DefaultOptions().SelectFrac})
+	r, err := Extract(c, lib, DefaultOptions().SelectFrac)
 	if err != nil {
 		t.Fatal(err)
 	}

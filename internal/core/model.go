@@ -6,6 +6,20 @@ import (
 	"math"
 
 	"virtualsync/internal/lp"
+	"virtualsync/internal/netlist"
+)
+
+// The paper fixes these model parameters; they are constants rather
+// than Options because nothing varies them. The latch duty cycle is
+// netlist.LatchDuty, shared with the simulators.
+const (
+	// tStableFrac is the minimum gap between consecutive waves at a node,
+	// as a fraction of T (wave non-interference, paper eq. 17).
+	tStableFrac = 0.1
+	// alpha, beta and gamma weight the objective (paper eq. 22).
+	alpha = 100
+	beta  = 10
+	gamma = 10
 )
 
 // Options configures the VirtualSync optimizer.
@@ -19,17 +33,10 @@ type Options struct {
 	// Ru and Rl are the guard-band factors for process variations
 	// (paper: 1.1 and 0.9).
 	Ru, Rl float64
-	// Duty is the clock duty cycle D used by latch delay units.
-	Duty float64
-	// TStableFrac is the minimum gap between consecutive waves at a node,
-	// as a fraction of T (wave non-interference, paper eq. 17).
-	TStableFrac float64
 	// UseLatches enables latch delay units in legalization.
 	UseLatches bool
 	// BufferReplace enables the buffer-replacement pass (paper 5.4).
 	BufferReplace bool
-	// Alpha, Beta, Gamma weight the objective (paper eq. 22: 100, 10, 10).
-	Alpha, Beta, Gamma float64
 }
 
 // DefaultOptions returns the paper's experimental settings.
@@ -39,27 +46,19 @@ func DefaultOptions() Options {
 		Phases:        []float64{0, 0.25, 0.5, 0.75},
 		Ru:            1.1,
 		Rl:            0.9,
-		Duty:          0.5,
-		TStableFrac:   0.1,
 		UseLatches:    true,
 		BufferReplace: true,
-		Alpha:         100,
-		Beta:          10,
-		Gamma:         10,
 	}
 }
 
-// Validate checks option consistency: guard bands ordered around 1, duty
-// cycle and phases in range, and sane objective weights.
+// Validate checks option consistency: selection fraction in range, guard
+// bands ordered around 1, and phases in range.
 func (o Options) Validate() error {
 	if o.SelectFrac <= 0 || o.SelectFrac > 1 {
 		return fmt.Errorf("core: SelectFrac %g out of (0,1]", o.SelectFrac)
 	}
 	if o.Ru < 1 || o.Rl > 1 || o.Rl <= 0 {
 		return fmt.Errorf("core: guard bands ru=%g rl=%g must satisfy rl in (0,1] and ru >= 1", o.Ru, o.Rl)
-	}
-	if o.Duty <= 0 || o.Duty >= 1 {
-		return fmt.Errorf("core: duty cycle %g out of (0,1)", o.Duty)
 	}
 	if len(o.Phases) == 0 {
 		return fmt.Errorf("core: at least one clock phase is required")
@@ -68,13 +67,6 @@ func (o Options) Validate() error {
 		if p < 0 || p >= 1 {
 			return fmt.Errorf("core: phase %g out of [0,1)", p)
 		}
-	}
-	if o.TStableFrac < 0 || o.TStableFrac >= 1 {
-		return fmt.Errorf("core: TStableFrac %g out of [0,1)", o.TStableFrac)
-	}
-	if o.Alpha <= 0 || o.Beta <= 0 || o.Gamma < 0 {
-		return fmt.Errorf("core: objective weights must be positive (alpha=%g beta=%g gamma=%g)",
-			o.Alpha, o.Beta, o.Gamma)
 	}
 	return nil
 }
@@ -248,7 +240,7 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 	L := float64(r.maxLambda())
 	bigM := (2*L + 12) * T
 	nb := int(L) + 5
-	tstable := opts.TStableFrac * T
+	tstable := tStableFrac * T
 
 	m := lp.NewModel("virtualsync")
 	mv := &modelVars{m: m, spec: spec, reg: r}
@@ -276,7 +268,7 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 				mv.d[gi] = -1
 				mv.dAff[gi] = constAff(dmin)
 			} else {
-				mv.d[gi] = m.AddVar(fmt.Sprintf("d_%d", gi), dmin, dmax, -opts.Gamma)
+				mv.d[gi] = m.AddVar(fmt.Sprintf("d_%d", gi), dmin, dmax, -gamma)
 				mv.dAff[gi] = varAff(mv.d[gi], 1)
 			}
 		}
@@ -299,8 +291,8 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 	mv.wE = make([]lp.VarID, nE)
 	mv.cases = make([][]caseVar, nE)
 
-	ffCost := opts.Beta * unitCostEquivalent(r, UnitFF)
-	latchCost := opts.Beta * unitCostEquivalent(r, UnitLatch)
+	ffCost := beta * unitCostEquivalent(r, UnitFF)
+	latchCost := beta * unitCostEquivalent(r, UnitLatch)
 
 	for ei, e := range r.Edges {
 		// Upstream late/early arrival expressions.
@@ -324,7 +316,7 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 			xiLate = constAff(spec.freezeXi[ei] * opts.Ru)
 			xiEarly = constAff(spec.freezeXi[ei] * opts.Rl)
 		} else {
-			mv.xi[ei] = m.AddVar(fmt.Sprintf("xi_%d", ei), 0, inf, opts.Beta)
+			mv.xi[ei] = m.AddVar(fmt.Sprintf("xi_%d", ei), 0, inf, beta)
 			xiLate = varAff(mv.xi[ei], opts.Ru)
 			xiEarly = varAff(mv.xi[ei], opts.Rl)
 		}
@@ -344,8 +336,8 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 			outEarly = inEarly
 
 		case ModeEmulate:
-			mv.dl[ei] = m.AddVar(fmt.Sprintf("dl_%d", ei), 0, inf, -opts.Alpha)
-			mv.dlE[ei] = m.AddVar(fmt.Sprintf("dlE_%d", ei), 0, inf, opts.Alpha+opts.Beta)
+			mv.dl[ei] = m.AddVar(fmt.Sprintf("dl_%d", ei), 0, inf, -alpha)
+			mv.dlE[ei] = m.AddVar(fmt.Sprintf("dlE_%d", ei), 0, inf, alpha+beta)
 			// (20): the fast signal is padded at least as much.
 			constrain(m, "gap", varAff(mv.dl[ei], 1), lp.LE, varAff(mv.dlE[ei], 1))
 			// (21): padding must not reorder the signals.
@@ -510,12 +502,12 @@ func (r *Region) addUnitCaseConstraints(mv *modelVars, ei int, kind UnitKind, ph
 		gate("u_lt_wl_hi", w, lp.LE, nT.plusConst(T+phi-lt.Tsu*opts.Ru-spec.quantMargin))
 		// (14): the fast signal arrives while non-transparent.
 		gate("u_lt_we_lo", wE, lp.GE, nT.plusConst(phi+lt.Th*opts.Ru))
-		gate("u_lt_we_hi", wE, lp.LE, nT.plusConst(phi+opts.Duty*T-spec.quantMargin))
+		gate("u_lt_we_hi", wE, lp.LE, nT.plusConst(phi+netlist.LatchDuty*T-spec.quantMargin))
 		// (11)-(12): latest departure.
-		gate("u_lt_out_l1", te, lp.GE, nT.plusConst(phi+opts.Duty*T+lt.Tcq*opts.Ru))
+		gate("u_lt_out_l1", te, lp.GE, nT.plusConst(phi+netlist.LatchDuty*T+lt.Tcq*opts.Ru))
 		gate("u_lt_out_l2", te, lp.GE, w.plusConst(lt.Tdq*opts.Ru))
 		// (15): earliest departure (relaxed form).
-		gate("u_lt_out_e", teE, lp.LE, nT.plusConst(phi+opts.Duty*T+lt.Tcq*opts.Rl))
+		gate("u_lt_out_e", teE, lp.LE, nT.plusConst(phi+netlist.LatchDuty*T+lt.Tcq*opts.Rl))
 	default:
 		return fmt.Errorf("core: unit kind %v has no case constraints", kind)
 	}

@@ -11,7 +11,7 @@ func wavePipeRegion(t *testing.T) *Region {
 	t.Helper()
 	c := wavePipe(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +164,8 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Ru = 0.9 },
 		func(o *Options) { o.Rl = 1.2 },
 		func(o *Options) { o.Rl = 0 },
-		func(o *Options) { o.Duty = 0 },
-		func(o *Options) { o.Duty = 1 },
 		func(o *Options) { o.Phases = nil },
 		func(o *Options) { o.Phases = []float64{1.5} },
-		func(o *Options) { o.TStableFrac = -0.1 },
-		func(o *Options) { o.Alpha = 0 },
 	}
 	for i, mod := range bad {
 		o := DefaultOptions()

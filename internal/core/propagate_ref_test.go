@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"virtualsync/internal/netlist"
+)
 
 // propagateRef is the original Jacobi validator sweep, kept verbatim as
 // the differential oracle for propagate: every sweep re-evaluates all
@@ -72,7 +76,7 @@ func (p *Plan) propagateRef(env valEnv, maxIter int) (*waveState, []Violation) {
 				oL = (n+1)*T + phi + env.ff.Tcq*opts.Ru
 				oE = (n+1)*T + phi + env.ff.Tcq*opts.Rl
 			case UnitLatch:
-				open := n*T + phi + opts.Duty*T
+				open := n*T + phi + netlist.LatchDuty*T
 				oL = math.Max(open+env.lt.Tcq*opts.Ru, wL+env.lt.Tdq*opts.Ru)
 				if env.transparent && wE > open {
 					oE = wE + env.lt.Tdq*opts.Rl

@@ -369,7 +369,7 @@ func FuzzPropagateVsReference(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.5 + float64(next()%51)/100})
+		r, err := Extract(c, lib, 0.5+float64(next()%51)/100)
 		if err != nil {
 			return
 		}

@@ -121,22 +121,16 @@ func (r *Region) addSolverStats(sol *lp.Solution) {
 	r.statsMu.Unlock()
 }
 
-// ExtractOptions controls critical-part selection.
-type ExtractOptions struct {
-	// SelectFrac selects flip-flops on paths within SelectFrac of the
-	// largest register-to-register delay (paper: 0.95).
-	SelectFrac float64
-}
-
 // Extract identifies the critical part of the circuit following the
-// paper's methodology: combinational paths within SelectFrac of the
-// largest path delay are selected, their source and sink flip-flops become
-// removable, every other flip-flop is a boundary, and the region is closed
-// over combinational connectivity so no removed flip-flop or region gate
-// has timing consequences outside the region.
-func Extract(c *netlist.Circuit, lib *celllib.Library, opts ExtractOptions) (*Region, error) {
-	if opts.SelectFrac <= 0 || opts.SelectFrac > 1 {
-		return nil, fmt.Errorf("core: SelectFrac %g out of (0,1]", opts.SelectFrac)
+// paper's methodology: combinational paths within selectFrac of the
+// largest register-to-register delay (paper: 0.95) are selected, their
+// source and sink flip-flops become removable, every other flip-flop is
+// a boundary, and the region is closed over combinational connectivity
+// so no removed flip-flop or region gate has timing consequences outside
+// the region.
+func Extract(c *netlist.Circuit, lib *celllib.Library, selectFrac float64) (*Region, error) {
+	if selectFrac <= 0 || selectFrac > 1 {
+		return nil, fmt.Errorf("core: SelectFrac %g out of (0,1]", selectFrac)
 	}
 	if len(c.Latches()) > 0 {
 		return nil, fmt.Errorf("core: input circuit already contains latches")
@@ -146,9 +140,9 @@ func Extract(c *netlist.Circuit, lib *celllib.Library, opts ExtractOptions) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("core: %v", err)
 	}
-	removed := selectRemovable(work, lib, base, opts.SelectFrac)
+	removed := selectRemovable(work, lib, base, selectFrac)
 	if len(removed) == 0 {
-		return nil, fmt.Errorf("core: no flip-flops selected at fraction %g", opts.SelectFrac)
+		return nil, fmt.Errorf("core: no flip-flops selected at fraction %g", selectFrac)
 	}
 	return buildRegion(work, lib, base, removed)
 }

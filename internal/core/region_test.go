@@ -9,7 +9,7 @@ import (
 func TestExtractWavePipe(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestExtractWavePipe(t *testing.T) {
 func TestExtractLoop(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestExtractLoop(t *testing.T) {
 func TestExtractSelectFracOne(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 1.0})
+	r, err := Extract(c, lib, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,10 @@ func TestExtractSelectFracOne(t *testing.T) {
 func TestExtractRejectsBadFrac(t *testing.T) {
 	c := wavePipe(t)
 	lib := paperLib(t)
-	if _, err := Extract(c, lib, ExtractOptions{SelectFrac: 0}); err == nil {
+	if _, err := Extract(c, lib, 0); err == nil {
 		t.Fatal("SelectFrac 0 accepted")
 	}
-	if _, err := Extract(c, lib, ExtractOptions{SelectFrac: 1.5}); err == nil {
+	if _, err := Extract(c, lib, 1.5); err == nil {
 		t.Fatal("SelectFrac 1.5 accepted")
 	}
 }
@@ -114,7 +114,7 @@ func TestExtractRejectsLatchCircuit(t *testing.T) {
 	c := netlist.New("lt")
 	in := c.MustAdd("in", netlist.KindInput)
 	c.MustAdd("l1", netlist.KindLatch, in.ID)
-	if _, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95}); err == nil {
+	if _, err := Extract(c, lib, 0.95); err == nil {
 		t.Fatal("latch circuit accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestExtractFFChain(t *testing.T) {
 	f1 := c.MustAdd("F1", netlist.KindDFF, g1.ID)
 	f2 := c.MustAdd("F2", netlist.KindDFF, f1.ID) // shift register tail
 	c.MustAdd("out", netlist.KindOutput, f2.ID)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

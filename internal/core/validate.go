@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"virtualsync/internal/celllib"
+	"virtualsync/internal/netlist"
 )
 
 // Violation is one failed check from the wave-timing validator.
@@ -69,7 +70,6 @@ type valEnv struct {
 	gd, cd      []float64
 	ff, lt      celllib.SeqTiming
 	tstable     float64
-	duty        float64
 	transparent bool
 }
 
@@ -78,7 +78,6 @@ func (p *Plan) env(params ValidateParams) valEnv {
 		T: p.T, ru: p.Opts.Ru, rl: p.Opts.Rl,
 		gd: p.GateDelay, cd: p.ChainDelay,
 		ff: p.R.Lib.FF, lt: p.R.Lib.Latch,
-		duty: p.Opts.Duty,
 	}
 	if params.T > 0 {
 		e.T = params.T
@@ -99,7 +98,7 @@ func (p *Plan) env(params ValidateParams) valEnv {
 		e.lt = *params.Latch
 	}
 	e.transparent = params.TransparentLatches
-	e.tstable = p.Opts.TStableFrac * e.T
+	e.tstable = tStableFrac * e.T
 	return e
 }
 
@@ -280,7 +279,7 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 			oL = (n+1)*T + phi + env.ff.Tcq*opts.Ru
 			oE = (n+1)*T + phi + env.ff.Tcq*opts.Rl
 		case UnitLatch:
-			open := n*T + phi + opts.Duty*T
+			open := n*T + phi + netlist.LatchDuty*T
 			oL = math.Max(open+env.lt.Tcq*opts.Ru, wL+env.lt.Tdq*opts.Ru)
 			if env.transparent && wE > open {
 				oE = wE + env.lt.Tdq*opts.Rl
@@ -399,7 +398,7 @@ func (p *Plan) check(st *waveState, env valEnv) []Violation {
 		case UnitLatch:
 			lo := n*T + phi + env.lt.Th*opts.Ru
 			hi := (n+1)*T + phi - env.lt.Tsu*opts.Ru
-			open := n*T + phi + opts.Duty*T
+			open := n*T + phi + netlist.LatchDuty*T
 			if wE < lo-valTol {
 				add("latch-window-lo", ei, -1, lo-wE, "early arrival %g before window start %g", wE, lo)
 			}

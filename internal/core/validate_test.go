@@ -12,7 +12,7 @@ func planFor(t *testing.T, T float64) *Plan {
 	t.Helper()
 	c := wavePipe(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestValidateCatchesGateTampering(t *testing.T) {
 func TestValidateCatchesWrongWindow(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestValidateCatchesWrongWindow(t *testing.T) {
 func TestValidateDetectsUncutLoop(t *testing.T) {
 	c := loopCircuit(t)
 	lib := paperLib(t)
-	r, err := Extract(c, lib, ExtractOptions{SelectFrac: 0.95})
+	r, err := Extract(c, lib, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ type Config struct {
 	// VerifyCycles > 0 enables functional-equivalence simulation of every
 	// optimized circuit over that many cycles.
 	VerifyCycles int
-	VerifySeed   int64
 
 	// Progress, when non-nil, receives one line per finished circuit.
 	Progress io.Writer
@@ -49,14 +48,16 @@ type Config struct {
 	Workers int
 }
 
+// verifySeed seeds the stimulus of every suite equivalence check.
+const verifySeed = 1
+
 // DefaultConfig returns the paper's settings with equivalence checking on.
 func DefaultConfig() Config {
 	return Config{
 		Lib:          celllib.Default(),
 		Opts:         core.DefaultOptions(),
-		StepFrac:     0.005,
+		StepFrac:     core.DefaultStepFrac,
 		VerifyCycles: 48,
-		VerifySeed:   1,
 	}
 }
 
@@ -153,7 +154,7 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 
 	if cfg.VerifyCycles > 0 {
 		v, err := sim.CheckEquivalence(base, res.Circuit, cfg.Lib, res.BaselinePeriod, res.Period,
-			res.VerifyWarmup(), sim.LaneStimulus(base, cfg.VerifyCycles, 0, cfg.VerifySeed, 1))
+			res.VerifyWarmup(), sim.LaneStimulus(base, cfg.VerifyCycles, 0, verifySeed, 1))
 		if err != nil {
 			return nil, fmt.Errorf("%s: equivalence sim: %w", spec.Name, err)
 		}
@@ -269,8 +270,9 @@ type Fig1Result struct {
 	MarginedRetimed float64
 }
 
-// RunFig1 reproduces the paper's Fig. 1 ladder on the Fig. 1 circuit.
-func RunFig1(opts core.Options) (*Fig1Result, error) {
+// RunFig1 reproduces the paper's Fig. 1 ladder on the Fig. 1 circuit
+// under the paper's default options.
+func RunFig1() (*Fig1Result, error) {
 	lib := gen.Fig1Library()
 	c := gen.Fig1()
 	out := &Fig1Result{}
@@ -295,7 +297,7 @@ func RunFig1(opts core.Options) (*Fig1Result, error) {
 	if out.Retimed, err = sta.MinPeriod(retimed, lib); err != nil {
 		return nil, err
 	}
-	res, err := core.OptimizeObserved(context.Background(), retimed, lib, opts, 0.005, nil)
+	res, err := core.OptimizeObserved(context.Background(), retimed, lib, core.DefaultOptions(), core.DefaultStepFrac, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -316,15 +318,16 @@ type Fig3Result struct {
 	EquivOK        bool
 }
 
-// RunFig3 builds the Fig. 3 pipeline, optimizes it at the paper's T=10 and
-// reports the anchor-converted sink arrivals.
-func RunFig3(opts core.Options) (*Fig3Result, error) {
+// RunFig3 builds the Fig. 3 pipeline, optimizes it at the paper's T=10
+// under the paper's default options and reports the anchor-converted
+// sink arrivals.
+func RunFig3() (*Fig3Result, error) {
 	lib := gen.Fig1Library() // same W-cell style, tcq=3 tsu=th=1
 	c, err := fig3Circuit()
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.OptimizeAtPeriod(context.Background(), c, lib, 10, opts)
+	res, err := core.OptimizeAtPeriod(context.Background(), c, lib, 10, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -379,26 +382,29 @@ type Fig2Point struct {
 	LatchOut  float64 // NaN outside the legal window
 }
 
+// fig2Unit is the delay unit paper Fig. 2 draws: T=10 with tcq=3,
+// tdq=1, tsu=th=1 and a buffer delay of 2.
+var fig2Unit = core.UnitTiming{T: 10, Phi: 0, Tcq: 3, Tdq: 1, Tsu: 1, Th: 1, Delay: 2}
+
+// fig2Samples is the number of evenly spaced input arrivals RunFig2
+// samples over one clock period.
+const fig2Samples = 41
+
 // RunFig2 samples the three transfer characteristics of paper Fig. 2 over
 // one clock period.
-func RunFig2(u core.UnitTiming, samples int) []Fig2Point {
-	out := make([]Fig2Point, 0, samples)
-	for i := 0; i < samples; i++ {
-		in := u.Phi + u.T*float64(i)/float64(samples-1)
-		p := Fig2Point{In: in, BufferOut: u.BufferOut(in)}
+func RunFig2() []Fig2Point {
+	u := fig2Unit
+	out := make([]Fig2Point, 0, fig2Samples)
+	for i := 0; i < fig2Samples; i++ {
+		in := u.Phi + u.T*float64(i)/float64(fig2Samples-1)
+		p := Fig2Point{In: in, BufferOut: u.BufferOut(in), FFOut: math.NaN(), LatchOut: math.NaN()}
 		if v, _, ok := u.FFOut(in); ok {
 			p.FFOut = v
-		} else {
-			p.FFOut = nan()
 		}
 		if v, _, ok := u.LatchOut(in); ok {
 			p.LatchOut = v
-		} else {
-			p.LatchOut = nan()
 		}
 		out = append(out, p)
 	}
 	return out
 }
-
-func nan() float64 { return math.NaN() }

@@ -6,12 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"virtualsync/internal/core"
 	"virtualsync/internal/gen"
 )
 
 func TestRunFig1Ladder(t *testing.T) {
-	f, err := RunFig1(core.DefaultOptions())
+	f, err := RunFig1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +29,8 @@ func TestRunFig1Ladder(t *testing.T) {
 }
 
 func TestRunFig2Shapes(t *testing.T) {
-	u := core.UnitTiming{T: 10, Phi: 0, Duty: 0.5, Tcq: 3, Tdq: 1, Tsu: 1, Th: 1, Delay: 2}
-	pts := RunFig2(u, 21)
-	if len(pts) != 21 {
+	pts := RunFig2()
+	if len(pts) != fig2Samples {
 		t.Fatalf("points = %d", len(pts))
 	}
 	// Buffer is linear; FF output constant within the window; latch

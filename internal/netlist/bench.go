@@ -183,6 +183,9 @@ func parseAssign(line string) (p struct {
 			if err != nil {
 				return p, fmt.Errorf("bad phase in %q: %v", line, err)
 			}
+			if !(ph >= 0 && ph < 1) {
+				return p, fmt.Errorf("phase %g out of [0,1) in %q", ph, line)
+			}
 			p.phase = ph
 			rhs = strings.TrimSpace(rhs[:i])
 			continue

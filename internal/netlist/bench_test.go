@@ -68,6 +68,10 @@ func TestParseErrors(t *testing.T) {
 		{"undefined output", "INPUT(a)\nOUTPUT(zz)\n"},
 		{"no assignment", "INPUT(a)\nfoo bar\n"},
 		{"bad phase", "INPUT(a)\nz = DFF(a) @x\n"},
+		{"NaN phase", "INPUT(a)\nz = DFF(a) @NaN\n"},
+		{"infinite phase", "INPUT(a)\nz = LATCH(a) @+Inf\n"},
+		{"phase of one period", "INPUT(a)\nz = DFF(a) @1\n"},
+		{"negative phase", "INPUT(a)\nz = LATCH(a) @-0.25\n"},
 		{"bad drive", "INPUT(a)\nz = NOT(a) [NOT:q]\n"},
 		{"empty fanin", "INPUT(a)\nz = AND(a,)\n"},
 		{"malformed input", "INPUT a\n"},

@@ -8,10 +8,7 @@
 // tombstoned and skipped by iteration helpers.
 package netlist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind identifies the function of a node.
 type Kind int
@@ -154,6 +151,12 @@ type Node struct {
 
 	dead bool
 }
+
+// LatchDuty is the clock duty cycle D of every latch. A latch of phase p
+// in clock cycle k is opaque from kT+pT until kT+pT+D*T and transparent
+// from then until (k+1)T+pT, where it closes again. The optimizer's
+// latch model and all three simulators read this one value.
+const LatchDuty = 0.5
 
 // Dead reports whether the node has been removed from its circuit.
 func (n *Node) Dead() bool { return n == nil || n.dead }
@@ -469,7 +472,7 @@ func (c *Circuit) TopoOrder() ([]*Node, error) {
 		if n.dead {
 			continue
 		}
-		if isCombSink(n) {
+		if !n.Kind.IsSequential() {
 			for _, f := range n.Fanins {
 				fanouts[f] = append(fanouts[f], n.ID)
 				indeg[n.ID]++
@@ -499,115 +502,4 @@ func (c *Circuit) TopoOrder() ([]*Node, error) {
 			len(order), c.Len())
 	}
 	return order, nil
-}
-
-// isCombSink reports whether n's fanin edges participate in combinational
-// ordering (i.e. n is not a sequential element whose input is sampled).
-func isCombSink(n *Node) bool {
-	return !n.Kind.IsSequential()
-}
-
-// CombLoops returns the strongly connected components of size >1 (or with a
-// self-loop) of the purely combinational graph, i.e. feedback structures
-// that are not cut by any sequential element. Each loop is a sorted slice
-// of NodeIDs. A healthy synchronous circuit has none; VirtualSync must
-// re-insert sequential delay units into any loop it exposes by removing
-// flip-flops.
-func (c *Circuit) CombLoops() [][]NodeID {
-	// Tarjan's SCC over edges between combinational nodes only.
-	n := len(c.Nodes)
-	adj := make([][]NodeID, n)
-	for _, nd := range c.Nodes {
-		if nd.dead || !isCombSink(nd) {
-			continue
-		}
-		for _, f := range nd.Fanins {
-			fn := c.Nodes[f]
-			if !fn.dead && fn.Kind.IsCombinational() && nd.Kind.IsCombinational() {
-				adj[f] = append(adj[f], nd.ID)
-			}
-		}
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onstack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []NodeID
-	var loops [][]NodeID
-	next := 0
-
-	// Iterative Tarjan to avoid recursion depth limits on deep circuits.
-	type frame struct {
-		v  NodeID
-		ei int
-	}
-	for _, start := range c.Nodes {
-		if start.dead || index[start.ID] != -1 || !start.Kind.IsCombinational() {
-			continue
-		}
-		var callStack []frame
-		index[start.ID] = next
-		low[start.ID] = next
-		next++
-		stack = append(stack, start.ID)
-		onstack[start.ID] = true
-		callStack = append(callStack, frame{start.ID, 0})
-		for len(callStack) > 0 {
-			fr := &callStack[len(callStack)-1]
-			if fr.ei < len(adj[fr.v]) {
-				w := adj[fr.v][fr.ei]
-				fr.ei++
-				if index[w] == -1 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onstack[w] = true
-					callStack = append(callStack, frame{w, 0})
-				} else if onstack[w] {
-					if index[w] < low[fr.v] {
-						low[fr.v] = index[w]
-					}
-				}
-				continue
-			}
-			v := fr.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				p := &callStack[len(callStack)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []NodeID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onstack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				if len(comp) > 1 || hasSelfLoop(adj, v) {
-					sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-					loops = append(loops, comp)
-				}
-			}
-		}
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i][0] < loops[j][0] })
-	return loops
-}
-
-func hasSelfLoop(adj [][]NodeID, v NodeID) bool {
-	for _, w := range adj[v] {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }

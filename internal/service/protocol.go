@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"virtualsync/internal/core"
 	"virtualsync/internal/lp"
 	"virtualsync/internal/sim"
 )
@@ -54,10 +55,10 @@ type Params struct {
 // Normalize returns p with paper defaults filled in.
 func (p Params) Normalize() Params {
 	if p.StepFrac <= 0 {
-		p.StepFrac = 0.005
+		p.StepFrac = core.DefaultStepFrac
 	}
 	if p.SelectFrac <= 0 {
-		p.SelectFrac = 0.95
+		p.SelectFrac = core.DefaultOptions().SelectFrac
 	}
 	t := true
 	if p.UseLatches == nil {

@@ -30,20 +30,22 @@ type Config struct {
 	QueueCap int
 	// CacheEntries is the LRU result-cache capacity (default 256).
 	CacheEntries int
-	// SessionEntries bounds the live optimization sessions kept for
-	// incremental (ECO) re-optimization (default 32). Sessions hold the
-	// extracted region and last plan, so they are much heavier than
-	// cached results.
-	SessionEntries int
 	// JobTimeout is the default per-job deadline, overridable per job by
 	// Params.TimeoutMS (default 5m).
 	JobTimeout time.Duration
-	// MaxBody caps request bodies in bytes (default 32 MiB).
-	MaxBody int64
 	// Lib is the default cell library for requests that do not carry
 	// their own (default: the built-in 45nm-style library).
 	Lib *celllib.Library
 }
+
+const (
+	// sessionEntries bounds the live optimization sessions kept for
+	// incremental (ECO) re-optimization. Sessions hold the extracted
+	// region and last plan, so they are much heavier than cached results.
+	sessionEntries = 32
+	// maxBody caps request bodies in bytes.
+	maxBody = 32 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -55,14 +57,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.SessionEntries <= 0 {
-		c.SessionEntries = 32
-	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 5 * time.Minute
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 32 << 20
 	}
 	if c.Lib == nil {
 		c.Lib = celllib.Default()
@@ -201,7 +197,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		sched:    NewScheduler(ctx, cfg.Workers, cfg.QueueCap),
 		cache:    NewCache(cfg.CacheEntries),
 		reg:      NewRegistry(),
-		sessions: newSessionStore(cfg.SessionEntries),
+		sessions: newSessionStore(sessionEntries),
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
 	}
@@ -308,7 +304,7 @@ func (s *Server) newJobLocked(key string, c *netlist.Circuit, lib *celllib.Libra
 const maxVerifyLaneCycles = 1 << 18
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	var req JobRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

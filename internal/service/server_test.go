@@ -157,6 +157,7 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		{"invalid netlist", `{"netlist": "g1 = FROB(x)\n"}`},
 		{"undriven net", `{"netlist": "OUTPUT(z)\n"}`},
 		{"invalid library", fmt.Sprintf(`{"netlist": %q, "library": "not a library"}`, tinyBench)},
+		{"body over the size cap", fmt.Sprintf(`{"netlist": %q}`, tinyBench+strings.Repeat("#\n", maxBody/2))},
 	}
 	for _, tc := range cases {
 		if _, code := postBody(t, ts, []byte(tc.body)); code != http.StatusBadRequest {

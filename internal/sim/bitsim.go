@@ -50,9 +50,8 @@ type BitSim struct {
 
 // BitOptions configures a bit-parallel run.
 type BitOptions struct {
-	Duty   float64 // latch transparency starts at phase + Duty (fraction of T)
-	Cycles int     // number of clock cycles to simulate
-	Lanes  int     // meaningful stimulus lanes, 1..MaxLanes
+	Cycles int // number of clock cycles to simulate
+	Lanes  int // meaningful stimulus lanes, 1..MaxLanes
 }
 
 // bitInstant groups all clock actions that share one phase fraction.
@@ -63,7 +62,7 @@ type bitInstant struct {
 	opens  []bitOpen
 }
 
-// bitOpen is a latch opening edge. A latch with Phase+Duty >= 1 opens in
+// bitOpen is a latch opening edge. A latch with Phase+netlist.LatchDuty >= 1 opens in
 // the clock cycle after the one that scheduled it; the captured value is
 // attributed to the scheduling cycle, as in the event engine.
 type bitOpen struct {
@@ -80,9 +79,6 @@ func NewBit(c *netlist.Circuit, opts BitOptions) (*BitSim, error) {
 	}
 	if opts.Lanes < 1 || opts.Lanes > MaxLanes {
 		return nil, fmt.Errorf("sim: lane count %d outside 1..%d", opts.Lanes, MaxLanes)
-	}
-	if opts.Duty <= 0 || opts.Duty >= 1 {
-		opts.Duty = 0.5
 	}
 	order, err := c.TopoOrder()
 	if err != nil {
@@ -129,7 +125,7 @@ func NewBit(c *netlist.Circuit, opts BitOptions) (*BitSim, error) {
 			s.nLatch++
 			close := at(n.Phase)
 			close.closes = append(close.closes, n.ID)
-			openFrac := n.Phase + opts.Duty
+			openFrac := n.Phase + netlist.LatchDuty
 			deferred := openFrac >= 1
 			if deferred {
 				openFrac -= 1

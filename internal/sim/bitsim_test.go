@@ -117,7 +117,7 @@ func TestBitSimNonZeroLatchPhases(t *testing.T) {
 	}
 	const cycles = 16
 	scalar, words := packedRandom(t, c, cycles, 64)
-	bs, err := NewBit(c, BitOptions{Duty: 0.5, Cycles: cycles, Lanes: 64})
+	bs, err := NewBit(c, BitOptions{Cycles: cycles, Lanes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 // Options configures a simulation run.
 type Options struct {
 	T      float64 // clock period
-	Duty   float64 // latch transparency starts at phase + Duty*T
 	Cycles int     // number of clock cycles to simulate
 
 	// OnEvent, when non-nil, receives every committed value change — a
@@ -158,9 +157,6 @@ func New(c *netlist.Circuit, lib *celllib.Library, opts Options) (*Simulator, er
 	if opts.T <= 0 || opts.Cycles <= 0 {
 		return nil, fmt.Errorf("sim: need positive period and cycle count")
 	}
-	if opts.Duty <= 0 || opts.Duty >= 1 {
-		opts.Duty = 0.5
-	}
 	delays := make([]float64, len(c.Nodes))
 	hasLatch := false
 	for _, n := range c.Nodes {
@@ -276,7 +272,7 @@ func (s *Simulator) Run(stimulus [][]bool) (Trace, error) {
 			case netlist.KindDFF:
 				s.push(event{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc)})
 			case netlist.KindLatch:
-				open := base + n.Phase*T + s.opts.Duty*T
+				open := base + n.Phase*T + netlist.LatchDuty*T
 				s.push(event{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc), value: false}) // close
 				s.push(event{time: open, kind: evClock, node: n.ID, cycle: int32(cyc), value: true})              // open
 			case netlist.KindOutput:

@@ -73,7 +73,6 @@ type WaveSim struct {
 // WaveOptions configures a word-parallel continuous-time run.
 type WaveOptions struct {
 	T      float64 // clock period
-	Duty   float64 // latch transparency starts at phase + Duty*T
 	Cycles int     // number of clock cycles to simulate
 	Lanes  int     // meaningful stimulus lanes, 1..MaxLanes
 }
@@ -154,9 +153,6 @@ func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveS
 	}
 	if opts.Lanes < 1 || opts.Lanes > MaxLanes {
 		return nil, fmt.Errorf("sim: lane count %d outside 1..%d", opts.Lanes, MaxLanes)
-	}
-	if opts.Duty <= 0 || opts.Duty >= 1 {
-		opts.Duty = 0.5
 	}
 	delays := make([]float64, len(c.Nodes))
 	for _, n := range c.Nodes {
@@ -326,7 +322,7 @@ func (s *WaveSim) Run(stim [][]uint64) (*BitTrace, error) {
 			case netlist.KindDFF:
 				s.push(wevent{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc), slot: -1})
 			case netlist.KindLatch:
-				open := base + n.Phase*T + s.opts.Duty*T
+				open := base + n.Phase*T + netlist.LatchDuty*T
 				s.push(wevent{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc), slot: -1, open: false})
 				s.push(wevent{time: open, kind: evClock, node: n.ID, cycle: int32(cyc), slot: -1, open: true})
 			case netlist.KindOutput:

@@ -97,8 +97,12 @@ func FuzzIncrementalECO(f *testing.F) {
 		if _, err := work.ApplyEdits(edits); err != nil {
 			t.Fatalf("derived edits rejected: %v\nedits:\n%s", err, netlist.FormatEdits(edits))
 		}
-		if work.Validate() != nil || len(work.CombLoops()) > 0 {
-			return // a rewire left the domain; nothing to check
+		// A rewire may leave the domain (invalid or cyclic): nothing to check.
+		if work.Validate() != nil {
+			return
+		}
+		if _, err := work.TopoOrder(); err != nil {
+			return
 		}
 		ctx := context.Background()
 		opts := core.DefaultOptions()

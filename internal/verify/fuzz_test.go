@@ -124,7 +124,7 @@ func FuzzBitSimAgainstEventSim(f *testing.F) {
 		if !sim.BitSimExact(d.Circuit) {
 			t.Fatalf("generated original not BitSimExact")
 		}
-		rgn, err := core.Extract(d.Circuit, lib, core.ExtractOptions{SelectFrac: 1})
+		rgn, err := core.Extract(d.Circuit, lib, 1)
 		if err != nil {
 			return // no STA baseline: period choice undefined, skip
 		}

@@ -278,7 +278,7 @@ func resetCycles(d *gen.Decoded) int {
 // nil) return means no feasible solution at the probed period — a Skip,
 // not a bug.
 func (ck *Checker) optimize(d *gen.Decoded) (*core.Result, error) {
-	rgn, err := core.Extract(d.Circuit, ck.Lib, core.ExtractOptions{SelectFrac: ck.Opts.SelectFrac})
+	rgn, err := core.Extract(d.Circuit, ck.Lib, ck.Opts.SelectFrac)
 	if err != nil {
 		return nil, err
 	}

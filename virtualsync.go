@@ -51,8 +51,10 @@ type (
 	// Library is a standard-cell library with drive options and
 	// flip-flop/latch timing.
 	Library = celllib.Library
-	// Options configures the VirtualSync optimizer (guard bands, phases,
-	// duty cycle, objective weights).
+	// Options configures the VirtualSync optimizer (path selection,
+	// phases, guard bands, latch and buffer-replacement switches). The
+	// paper's fixed parameters — latch duty cycle, wave-stability gap,
+	// objective weights — are constants, not options.
 	Options = core.Options
 	// Result is a successful VirtualSync optimization: the optimized
 	// circuit, achieved period, inserted delay units and area accounting.
@@ -139,7 +141,7 @@ func RetimeAndSize(c *Circuit, lib *Library) (*BaselineResult, error) {
 // reduced in 0.5 % steps until the model becomes infeasible, and the last
 // feasible, validated solution is returned.
 func Optimize(c *Circuit, lib *Library, opts Options) (*Result, error) {
-	return OptimizeCtx(context.Background(), c, lib, opts, 0.005)
+	return OptimizeCtx(context.Background(), c, lib, opts, core.DefaultStepFrac)
 }
 
 // OptimizeCtx is Optimize with an explicit period-search step fraction,
