@@ -69,7 +69,9 @@ cover:
 # FuzzParseLibrary and FuzzParseEdits guard the daemon's trust boundary:
 # the .bench, cell-library and edit-script parsers never panic, every
 # value they accept is in range (phases in [0,1), library values
-# finite), and Write∘Parse is idempotent on everything they accept. Two differential
+# finite), and Write∘Parse is idempotent on everything they accept.
+# FuzzSubmitJob serves arbitrary bodies through POST /v1/jobs: never a
+# panic or a 500, and every 2xx body decodes as a job status. Two differential
 # targets run twice, once plain for input-generation throughput and once
 # race-instrumented: the LP target (the sparse LU kernel, cold and
 # warm-started, vs a cold solve on the test-only dense oracle) races the
@@ -95,6 +97,7 @@ fuzz-short:
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseNetlist -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseEdits -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/celllib -run '^$$' -fuzz FuzzParseLibrary -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzSubmitJob -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateVsReference -fuzztime $(FUZZTIME)
 
 # Proc-count identity and checked results. Table 1 on all ten circuits

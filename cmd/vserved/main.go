@@ -39,7 +39,7 @@ func main() {
 	workers := flag.Int("workers", 0, "optimization worker pool size (0: GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "pending-job queue capacity")
 	cacheEntries := flag.Int("cache", 256, "result-cache capacity in entries")
-	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline")
+	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "per-job deadline; a job's timeout_ms can only shorten it")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	libPath := flag.String("lib", "", "default cell library file (default: built-in vs45)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: the profiles leak operational detail)")

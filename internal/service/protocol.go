@@ -31,7 +31,8 @@ const (
 type Params struct {
 	// StepFrac is the period-search step fraction (default 0.005).
 	StepFrac float64 `json:"step_frac,omitempty"`
-	// SelectFrac is the critical-path selection fraction (default 0.95).
+	// SelectFrac is the critical-path selection fraction in (0,1]
+	// (default 0.95); a value above 1 is rejected.
 	SelectFrac float64 `json:"select_frac,omitempty"`
 	// UseLatches enables latch delay units (default true).
 	UseLatches *bool `json:"use_latches,omitempty"`
@@ -48,7 +49,8 @@ type Params struct {
 	// event-engine lane-0 calibration, capped at sim.MaxLanes). Ignored
 	// when VerifyCycles is 0.
 	VerifyLanes int `json:"verify_lanes,omitempty"`
-	// TimeoutMS bounds the job end to end; 0 uses the server default.
+	// TimeoutMS bounds the job end to end. The server's JobTimeout caps
+	// it; 0 uses JobTimeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 

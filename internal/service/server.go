@@ -30,8 +30,8 @@ type Config struct {
 	QueueCap int
 	// CacheEntries is the LRU result-cache capacity (default 256).
 	CacheEntries int
-	// JobTimeout is the default per-job deadline, overridable per job by
-	// Params.TimeoutMS (default 5m).
+	// JobTimeout is the per-job deadline (default 5m). A job's
+	// Params.TimeoutMS can shorten it, never extend it.
 	JobTimeout time.Duration
 	// Lib is the default cell library for requests that do not carry
 	// their own (default: the built-in 45nm-style library).
@@ -349,6 +349,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	params := req.Params.Normalize()
+	if params.SelectFrac > 1 {
+		httpError(w, http.StatusBadRequest, "select_frac %g out of (0,1]", params.SelectFrac)
+		return
+	}
 	if params.VerifyCycles > maxVerifyLaneCycles/max(params.VerifyLanes, 1) {
 		httpError(w, http.StatusBadRequest, "verify_cycles %d x verify_lanes %d exceeds the limit of %d lane-cycles",
 			params.VerifyCycles, params.VerifyLanes, maxVerifyLaneCycles)
@@ -579,8 +583,8 @@ func (s *Server) runJob(base context.Context, j *job) {
 	j.started = time.Now()
 	j.emitLocked(Event{State: StateRunning})
 	timeout := s.cfg.JobTimeout
-	if j.params.TimeoutMS > 0 {
-		timeout = time.Duration(j.params.TimeoutMS) * time.Millisecond
+	if ms := j.params.TimeoutMS; ms > 0 && ms < timeout.Milliseconds() {
+		timeout = time.Duration(ms) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(base, timeout)
 	j.cancel = cancel

@@ -157,6 +157,7 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		{"invalid netlist", `{"netlist": "g1 = FROB(x)\n"}`},
 		{"undriven net", `{"netlist": "OUTPUT(z)\n"}`},
 		{"invalid library", fmt.Sprintf(`{"netlist": %q, "library": "not a library"}`, tinyBench)},
+		{"select_frac above 1", fmt.Sprintf(`{"netlist": %q, "params": {"select_frac": 1.5}}`, tinyBench)},
 		{"body over the size cap", fmt.Sprintf(`{"netlist": %q}`, tinyBench+strings.Repeat("#\n", maxBody/2))},
 	}
 	for _, tc := range cases {
@@ -353,6 +354,31 @@ func TestJobDeadline(t *testing.T) {
 	if st.Result != nil {
 		t.Error("timed-out job carries a result")
 	}
+}
+
+// TestJobDeadlineCappedByServer: a job asking for more time than the
+// server's JobTimeout still gets at most JobTimeout, so no client can pin
+// a worker past the operator's limit.
+func TestJobDeadlineCappedByServer(t *testing.T) {
+	cfg := testConfig()
+	cfg.JobTimeout = time.Second
+	srv, ts := newTestServer(t, cfg)
+	left := make(chan time.Duration, 1)
+	srv.preRun = func(ctx context.Context, _ *job) {
+		dl, ok := ctx.Deadline()
+		if !ok {
+			t.Error("job runs without a deadline")
+		}
+		left <- time.Until(dl)
+	}
+	st, code := submitJob(t, ts, JobRequest{Netlist: tinyBench, Params: Params{TimeoutMS: 10 * cfg.JobTimeout.Milliseconds()}})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d, want 202", code)
+	}
+	if d := <-left; d > cfg.JobTimeout {
+		t.Fatalf("job deadline %v away, want at most JobTimeout %v", d, cfg.JobTimeout)
+	}
+	waitTerminal(t, ts, st.ID)
 }
 
 func TestCancelRunningJob(t *testing.T) {

@@ -107,32 +107,8 @@ func latchMix(t testing.TB) *netlist.Circuit {
 	return c
 }
 
-func TestBitSimNonZeroLatchPhases(t *testing.T) {
-	c := latchMix(t)
-	if BitSimExact(c) {
-		t.Fatal("latch circuit must not claim exactness")
-	}
-	if !SupportsBitSim(c) {
-		t.Fatal("latch circuit should still be supported")
-	}
-	const cycles = 16
-	scalar, words := packedRandom(t, c, cycles, 64)
-	bs, err := NewBit(c, BitOptions{Cycles: cycles, Lanes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, err := bs.Run(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At a period far above every gate delay, instants are separated by
-	// much more than any propagation path, so zero-delay two-phase
-	// semantics coincide with the event engine even through latches.
-	compareAllLanes(t, c, 10000, cycles, 1, scalar, bt)
-}
-
 func TestBitSimReusedAcrossRuns(t *testing.T) {
-	c := latchMix(t)
+	c := pipeline(t)
 	const cycles = 12
 	scalarA, wordsA := packedRandom(t, c, cycles, 64)
 	bs, err := NewBit(c, BitOptions{Cycles: cycles, Lanes: 64})
@@ -154,29 +130,31 @@ func TestBitSimReusedAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareAllLanes(t, c, 10000, cycles, 1, scalarA, bt)
+	compareAllLanes(t, c, 10, cycles, 0, scalarA, bt)
 }
 
-func TestBitSimLatchFeedbackDoesNotSettle(t *testing.T) {
-	// A latch fed by its own inverted output oscillates while open;
-	// BitSim must report the non-settling error instead of looping.
-	c := netlist.New("osc")
-	in := c.MustAdd("in", netlist.KindInput)
-	l := c.MustAdd("L", netlist.KindLatch, in.ID)
-	g := c.MustAdd("g", netlist.KindNot, l.ID)
-	l.Fanins[0] = g.ID
-	c.MustAdd("out", netlist.KindOutput, g.ID)
+// TestNewBitRejectsNonExact: BitSim models only phase-0 flip-flops, so
+// a latch or a phase-shifted flip-flop is an error at construction, and
+// BitSimExact agrees.
+func TestNewBitRejectsNonExact(t *testing.T) {
+	withLatch := netlist.New("latch")
+	in := withLatch.MustAdd("in", netlist.KindInput)
+	l := withLatch.MustAdd("L", netlist.KindLatch, in.ID)
+	withLatch.MustAdd("out", netlist.KindOutput, l.ID)
 
-	bs, err := NewBit(c, BitOptions{Cycles: 4, Lanes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := make([][]uint64, 4)
-	for i := range words {
-		words[i] = []uint64{0}
-	}
-	if _, err := bs.Run(words); err == nil {
-		t.Fatal("oscillating latch loop should fail to settle")
+	halfPhase := netlist.New("phase")
+	in = halfPhase.MustAdd("in", netlist.KindInput)
+	f := halfPhase.MustAdd("F", netlist.KindDFF, in.ID)
+	f.Phase = 0.5
+	halfPhase.MustAdd("out", netlist.KindOutput, f.ID)
+
+	for _, c := range []*netlist.Circuit{withLatch, halfPhase} {
+		if BitSimExact(c) {
+			t.Errorf("%s: BitSimExact holds", c.Name)
+		}
+		if _, err := NewBit(c, BitOptions{Cycles: 4, Lanes: 1}); err == nil {
+			t.Errorf("%s: NewBit accepted a circuit BitSim cannot model", c.Name)
+		}
 	}
 }
 
@@ -234,7 +212,7 @@ func TestEventCoreAllocFree(t *testing.T) {
 }
 
 func TestBitSimAllocFree(t *testing.T) {
-	c := latchMix(t)
+	c := pipeline(t)
 	const cycles = 16
 	bs, err := NewBit(c, BitOptions{Cycles: cycles, Lanes: 64})
 	if err != nil {

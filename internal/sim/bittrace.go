@@ -18,17 +18,8 @@ func laneWords(n int) int { return (n + 63) / 64 }
 // BitTrace converts losslessly to Lanes independent Traces.
 type BitTrace struct {
 	Lanes int
-	K     int // words per sample; 0 is read as 1 (the historical layout)
+	K     int // words per sample, laneWords(Lanes)
 	Words map[string][]uint64
-}
-
-// wordsPer returns the trace's sample stride, tolerating zero-valued K
-// on hand-built traces.
-func (t *BitTrace) wordsPer() int {
-	if t.K <= 0 {
-		return 1
-	}
-	return t.K
 }
 
 // laneMask returns a word with the low n lane bits set.
@@ -77,7 +68,7 @@ func (t *BitTrace) Lane(l int) (Trace, error) {
 	if l < 0 || l >= t.Lanes {
 		return nil, fmt.Errorf("sim: lane %d outside 0..%d", l, t.Lanes-1)
 	}
-	k := t.wordsPer()
+	k := t.K
 	word, bit := l/64, uint(l)%64
 	out := make(Trace, len(t.Words))
 	for name, row := range t.Words {
@@ -100,7 +91,7 @@ func CompareBitTraces(a, b *BitTrace, warmup int) []uint64 {
 	if b.Lanes < lanes {
 		lanes = b.Lanes
 	}
-	ka, kb := a.wordsPer(), b.wordsPer()
+	ka, kb := a.K, b.K
 	k := laneWords(lanes)
 	diff := make([]uint64, k)
 	for name, ra := range a.Words {
@@ -162,22 +153,4 @@ func PackStimulus(lanes [][][]bool) ([][]uint64, error) {
 		}
 	}
 	return words, nil
-}
-
-// UnpackLane extracts one lane's scalar stimulus from words packed with
-// stride k — the inverse of PackStimulus for that lane.
-func UnpackLane(words [][]uint64, k, lane int) [][]bool {
-	if k <= 0 {
-		k = 1
-	}
-	word, bit := lane/64, uint(lane)%64
-	out := make([][]bool, len(words))
-	for cyc, vec := range words {
-		row := make([]bool, len(vec)/k)
-		for i := range row {
-			row[i] = vec[i*k+word]>>bit&1 == 1
-		}
-		out[cyc] = row
-	}
-	return out
 }

@@ -18,7 +18,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 				t.Fatalf("packed row has %d words, want %d inputs x K=%d", len(words[0]), len(c.Inputs()), wantK)
 			}
 			for l := range scalar {
-				got := UnpackLane(words, wantK, l)
+				got := unpackLane(words, wantK, l)
 				for cyc := range got {
 					for i := range got[cyc] {
 						if got[cyc][i] != scalar[l][cyc][i] {
@@ -39,7 +39,7 @@ func TestPackLaneZeroIdentity(t *testing.T) {
 	for _, lanes := range []int{1, 64, 128, 200} {
 		scalar, words := packedRandom(t, c, 9, lanes)
 		k := (lanes + 63) / 64
-		got := UnpackLane(words, k, 0)
+		got := unpackLane(words, k, 0)
 		for cyc := range got {
 			for i, v := range got[cyc] {
 				if v != scalar[0][cyc][i] {
@@ -71,7 +71,7 @@ func TestPackStimulusRejects(t *testing.T) {
 }
 
 func TestBitTraceLaneBounds(t *testing.T) {
-	bt := &BitTrace{Lanes: 8, Words: map[string][]uint64{"x": {0xff}}}
+	bt := &BitTrace{Lanes: 8, K: 1, Words: map[string][]uint64{"x": {0xff}}}
 	if _, err := bt.Lane(8); err == nil {
 		t.Fatal("lane 8 of 8-lane trace should be out of range")
 	}
@@ -97,8 +97,8 @@ func TestBitTraceLaneBounds(t *testing.T) {
 }
 
 func TestCompareBitTracesMask(t *testing.T) {
-	a := &BitTrace{Lanes: 4, Words: map[string][]uint64{"s": {0b0101, 0b0011}}}
-	b := &BitTrace{Lanes: 4, Words: map[string][]uint64{"s": {0b0101, 0b1010}, "extra": {1, 1}}}
+	a := &BitTrace{Lanes: 4, K: 1, Words: map[string][]uint64{"s": {0b0101, 0b0011}}}
+	b := &BitTrace{Lanes: 4, K: 1, Words: map[string][]uint64{"s": {0b0101, 0b1010}, "extra": {1, 1}}}
 	if got := CompareBitTraces(a, b, 0); len(got) != 1 || got[0] != 0b1001 {
 		t.Fatalf("mismatch mask = %v, want [1001]", got)
 	}
@@ -168,4 +168,19 @@ func TestBitSimMultiWordLanes(t *testing.T) {
 		}
 		compareAllLanes(t, c, 10, cycles, 0, scalar, bt)
 	}
+}
+
+// unpackLane extracts one lane's scalar stimulus from words packed with
+// stride k — the inverse of PackStimulus for that lane.
+func unpackLane(words [][]uint64, k, lane int) [][]bool {
+	word, bit := lane/64, uint(lane)%64
+	out := make([][]bool, len(words))
+	for cyc, vec := range words {
+		row := make([]bool, len(vec)/k)
+		for i := range row {
+			row[i] = vec[i*k+word]>>bit&1 == 1
+		}
+		out[cyc] = row
+	}
+	return out
 }

@@ -11,7 +11,7 @@ import (
 
 // Engine names reported by LaneReport.
 const (
-	EngineBitSim  = "bitsim"  // levelized zero-delay two-phase engine
+	EngineBitSim  = "bitsim"  // levelized zero-delay engine
 	EngineWaveSim = "wavesim" // word-parallel continuous-time engine
 )
 
@@ -57,18 +57,13 @@ func LaneStimulus(c *netlist.Circuit, cycles, reset int, seed int64, lanes int) 
 // node's static-timing max arrival lies below T. That is the event
 // engine's delay model: primary inputs change at the cycle base,
 // flip-flop outputs at base+Tcq, and each gate adds its library delay.
-// Latches are rejected outright.
 // BitSimExact's structural test alone is necessary but not sufficient
 // for zero-delay semantics on optimized circuits — VirtualSync removes
 // flip-flops precisely so that logic waves span multiple periods while
 // leaving only phase-0 DFFs behind. The small relative guard band
-// rejects paths landing within float rounding of the edge; the
-// fallback engine is exact either way, so erring toward WaveSim only
-// costs speed.
+// rejects paths landing within float rounding of the edge; WaveSim is
+// exact either way, so erring toward it only costs speed.
 func settlesWithin(c *netlist.Circuit, lib *celllib.Library, T float64) bool {
-	if len(c.Latches()) > 0 {
-		return false
-	}
 	r, err := sta.Analyze(c, lib)
 	if err != nil {
 		return false
@@ -95,10 +90,10 @@ func laneEngine(c *netlist.Circuit, lib *celllib.Library, T float64, cycles, lan
 			return nil, "", err
 		}
 		tr, err := bs.Run(words)
-		if err == nil {
-			return tr, EngineBitSim, nil
+		if err != nil {
+			return nil, "", err
 		}
-		// Zero-delay settle failure: fall through to the event engine.
+		return tr, EngineBitSim, nil
 	}
 	ws, err := NewWave(c, lib, WaveOptions{T: T, Cycles: cycles, Lanes: lanes})
 	if err != nil {

@@ -1,13 +1,18 @@
 // Package sim implements logic simulation of gate-level circuits for the
-// VirtualSync reproduction, with two engines sharing one trace format:
+// VirtualSync reproduction, with three engines sharing one trace format:
 //
 //   - an event-driven continuous-time engine (Simulator) with transport
 //     delays, edge-triggered flip-flops and level-sensitive latches on
 //     phase-shifted clocks — the authoritative timing-accurate oracle;
-//   - a levelized, two-phase, 64-lane bit-parallel engine (BitSim, see
-//     bitsim.go) for the synchronous zero-delay semantics the
-//     verification hot path needs, evaluating 64 independent stimulus
-//     vectors per machine word.
+//   - a word-parallel continuous-time engine (WaveSim, see wavesim.go)
+//     with the same semantics, exact per lane at any period, for
+//     optimized circuits whose logic waves span clock periods;
+//   - a levelized zero-delay bit-parallel engine (BitSim, see
+//     bitsim.go) for synchronous circuits of phase-0 flip-flops whose
+//     paths settle within the period, evaluating 64 independent
+//     stimulus vectors per machine word.
+//
+// lanes.go picks the cheapest exact word engine per circuit.
 //
 // Their purpose is functional verification: an optimized circuit (with
 // flip-flops removed and delay units inserted) must latch exactly the

@@ -66,8 +66,8 @@ func CheckEquivalence(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb float6
 	}
 	lr, err := VerifyEquivalenceLanes(a, b, lib, Ta, Tb, warmup, stims)
 	if err != nil {
-		// An engine rejected the pair (e.g. a zero-delay settle
-		// failure): not a verdict.
+		// The word engines could not run the pair (mismatched inputs,
+		// or a circuit WaveSim cannot build): not a verdict.
 		return oracle()
 	}
 

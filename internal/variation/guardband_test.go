@@ -14,7 +14,7 @@ func TestSweepAndTuneGuardBands(t *testing.T) {
 	cfg := Config{Samples: 80, Seed: 21, Model: DefaultModel()}
 	margins := []float64{0.02, 0.1, 0.2}
 
-	points, err := core.SweepGuardBands(context.Background(), c, lib, opts, 0.02, margins, GuardBandYield(cfg))
+	points, err := sweepGuardBands(context.Background(), c, lib, opts, 0.02, margins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSweepAndTuneGuardBands(t *testing.T) {
 		}
 	}
 
-	best, all, err := core.TuneGuardBands(context.Background(), c, lib, opts, 0.02, margins, 0.5, GuardBandYield(cfg))
+	best, all, err := TuneGuardBands(context.Background(), c, lib, opts, 0.02, margins, 0.5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSweepAndTuneGuardBands(t *testing.T) {
 	}
 
 	// An unreachable target must fail cleanly.
-	if _, _, err := core.TuneGuardBands(context.Background(), c, lib, opts, 0.02, margins, 1.01, GuardBandYield(cfg)); err == nil {
+	if _, _, err := TuneGuardBands(context.Background(), c, lib, opts, 0.02, margins, 1.01, cfg); err == nil {
 		t.Fatal("impossible yield target accepted")
 	}
 }
@@ -65,19 +65,16 @@ func TestSweepGuardBandsValidation(t *testing.T) {
 	c := wavePipe(t)
 	lib := testLib(t)
 	opts := core.DefaultOptions()
-	if _, err := core.SweepGuardBands(context.Background(), c, lib, opts, 0.02, []float64{0.1}, nil); err == nil {
-		t.Fatal("nil yield function accepted")
-	}
-	yf := GuardBandYield(Config{Samples: 8, Seed: 1})
-	if _, err := core.SweepGuardBands(context.Background(), c, lib, opts, 0.02, nil, yf); err == nil {
+	cfg := Config{Samples: 8, Seed: 1}
+	if _, err := sweepGuardBands(context.Background(), c, lib, opts, 0.02, nil, cfg); err == nil {
 		t.Fatal("empty margin list accepted")
 	}
-	if _, err := core.SweepGuardBands(context.Background(), c, lib, opts, 0.02, []float64{-0.1}, yf); err == nil {
+	if _, err := sweepGuardBands(context.Background(), c, lib, opts, 0.02, []float64{-0.1}, cfg); err == nil {
 		t.Fatal("negative margin accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := core.SweepGuardBands(ctx, c, lib, opts, 0.02, []float64{0.1}, yf); err == nil {
+	if _, err := sweepGuardBands(ctx, c, lib, opts, 0.02, []float64{0.1}, cfg); err == nil {
 		t.Fatal("cancelled sweep returned no error")
 	}
 }

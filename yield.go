@@ -3,12 +3,11 @@ package virtualsync
 import (
 	"context"
 
-	"virtualsync/internal/core"
 	"virtualsync/internal/variation"
 )
 
-// Re-exported variation-analysis types. See internal/variation and
-// internal/core for full documentation.
+// Re-exported variation-analysis types. See internal/variation for full
+// documentation.
 type (
 	// VariationModel describes per-cell Gaussian delay variation
 	// (global/inter-die and local/intra-die components).
@@ -24,7 +23,7 @@ type (
 	YieldComparison = variation.Comparison
 	// GuardBandPoint is one guard-band sweep sample: margin, the
 	// optimization it produced, and its measured yield.
-	GuardBandPoint = core.GuardBandPoint
+	GuardBandPoint = variation.GuardBandPoint
 )
 
 // DefaultVariationModel returns a moderate 45nm-style variation model
@@ -48,5 +47,5 @@ func Yield(ctx context.Context, base *Circuit, res *Result, lib *Library, cfg Mo
 // reaching the target yield is returned, along with the whole sweep.
 func TuneGuardBands(ctx context.Context, c *Circuit, lib *Library, opts Options, stepFrac float64,
 	margins []float64, targetYield float64, cfg MonteCarloConfig) (GuardBandPoint, []GuardBandPoint, error) {
-	return core.TuneGuardBands(ctx, c, lib, opts, stepFrac, margins, targetYield, variation.GuardBandYield(cfg))
+	return variation.TuneGuardBands(ctx, c, lib, opts, stepFrac, margins, targetYield, cfg)
 }
