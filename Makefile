@@ -81,7 +81,10 @@ cover:
 # state. FuzzPropagateVsReference holds the wave validator's scheduled
 # sweep to the original all-edges sweep on fuzz-built plans: bit for bit
 # except sub-1e-9 rounding drift and transparent-latch rings the old
-# sweep settles only past its bound (DESIGN.md §5.1).
+# sweep settles only past its bound (DESIGN.md §5.1). FuzzEventQueue
+# holds the simulators' bucketed event queue to the per-event binary
+# heap it replaced on random push/drain scripts: same pop sequence,
+# including zero-delay pushes and a reset after a horizon cut.
 FUZZTIME ?= 20s
 
 fuzz-short:
@@ -99,6 +102,7 @@ fuzz-short:
 	$(GO) test ./internal/celllib -run '^$$' -fuzz FuzzParseLibrary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzSubmitJob -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateVsReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME)
 
 # Proc-count identity and checked results. Table 1 on all ten circuits
 # and the vsync report on mem_ctrl must be byte-identical at GOMAXPROCS=1

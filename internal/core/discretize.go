@@ -52,8 +52,11 @@ func (p *Plan) realize(ctx context.Context) error {
 	for ei := range freeze {
 		freeze[ei] = math.NaN()
 	}
-	// The repair LP re-solves the same frozen structure as edges freeze
-	// one batch at a time, so each round warm-starts from the last.
+	// Each round passes the previous solve's basis as a warm start, but
+	// it seldom applies: freezing an edge substitutes its delay as a
+	// constant and drops its ξ column, so the next model has fewer
+	// columns and Basis.Compatible rejects the seed. Most repair solves
+	// therefore run cold (DESIGN.md §6).
 	var warm *lp.Basis
 	solveFrozen := func() (*modelVars, bool, error) {
 		spec := &modelSpec{

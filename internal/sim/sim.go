@@ -53,71 +53,12 @@ const (
 	evSignal                  // gate/net value change
 )
 
-// event is a plain value: the queue stores events inline in a slice, so
-// scheduling allocates nothing once the backing array is warm.
+// event is the payload of one queued scalar event; its time and kind
+// are the queue key it is pushed under.
 type event struct {
-	time  float64
-	seq   int64 // FIFO tie-break within same (time, kind)
 	node  netlist.NodeID
-	kind  eventKind
 	cycle int32
 	value bool
-}
-
-// eventLess is the queue priority: time, then kind, then FIFO order.
-func eventLess(a, b *event) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a typed binary min-heap over an inline event arena. It
-// replaces container/heap to avoid interface{} boxing and the pointer
-// chasing of a *event heap; the slice is retained across runs.
-type eventQueue []event
-
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(&h[i], &h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && eventLess(&h[l], &h[small]) {
-			small = l
-		}
-		if r < n && eventLess(&h[r], &h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
 }
 
 // pendingInfo tracks, per node, the number of queued signal events and
@@ -126,7 +67,6 @@ func (q *eventQueue) pop() event {
 // returns to zero as events drain, so cross-run reset is a memclr.
 type pendingInfo struct {
 	time  float64
-	seq   int64
 	count int32
 	value bool
 }
@@ -145,8 +85,7 @@ type Simulator struct {
 	values  []bool
 	delays  []float64
 	fanouts [][]netlist.NodeID
-	queue   eventQueue
-	seq     int64
+	queue   eventQueue[event]
 	trace   Trace
 	pending []pendingInfo
 
@@ -205,8 +144,7 @@ func (s *Simulator) reset() {
 		s.latchOpen[i] = false
 		s.latchOpenAt[i] = 0
 	}
-	s.queue = s.queue[:0]
-	s.seq = 0
+	s.queue.reset()
 	for _, tr := range s.trace {
 		for i := range tr {
 			tr[i] = false
@@ -266,7 +204,7 @@ func (s *Simulator) Run(stimulus [][]bool) (Trace, error) {
 		// Primary-input changes at the cycle boundary (after the clock
 		// actions at the same instant, so edge-sampling sees old data).
 		for i, in := range inputs {
-			s.push(event{time: base, kind: evInput, node: in.ID, value: stimulus[cyc][i], cycle: int32(cyc)})
+			s.push(base, evInput, event{node: in.ID, value: stimulus[cyc][i], cycle: int32(cyc)})
 		}
 		// Flip-flop and latch clock actions; primary-output sampling.
 		for _, n := range s.c.Nodes {
@@ -275,14 +213,14 @@ func (s *Simulator) Run(stimulus [][]bool) (Trace, error) {
 			}
 			switch n.Kind {
 			case netlist.KindDFF:
-				s.push(event{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc)})
+				s.push(base+n.Phase*T, evClock, event{node: n.ID, cycle: int32(cyc)})
 			case netlist.KindLatch:
 				open := base + n.Phase*T + netlist.LatchDuty*T
-				s.push(event{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc), value: false}) // close
-				s.push(event{time: open, kind: evClock, node: n.ID, cycle: int32(cyc), value: true})              // open
+				s.push(base+n.Phase*T, evClock, event{node: n.ID, cycle: int32(cyc), value: false}) // close
+				s.push(open, evClock, event{node: n.ID, cycle: int32(cyc), value: true})            // open
 			case netlist.KindOutput:
 				// Sample at the end of the cycle.
-				s.push(event{time: base + T, kind: evClock, node: n.ID, cycle: int32(cyc)})
+				s.push(base+T, evClock, event{node: n.ID, cycle: int32(cyc)})
 			}
 		}
 	}
@@ -292,69 +230,71 @@ func (s *Simulator) Run(stimulus [][]bool) (Trace, error) {
 	// response itself (the transfer characteristic is max(open+tcq,
 	// in+tdq), matching core's delay-unit model).
 	horizon := float64(s.opts.Cycles)*T + 10*T
-	for len(s.queue) > 0 {
-		e := s.queue.pop()
-		s.popped(&e)
-		if e.time > horizon {
+	for {
+		key, ok := s.queue.next()
+		if !ok || key.time > horizon {
 			break
 		}
-		switch e.kind {
-		case evInput:
-			s.setValue(e.node, e.value, e.time)
-		case evSignal:
-			s.setValue(e.node, e.value, e.time)
-		case evClock:
-			n := s.c.Node(e.node)
-			switch n.Kind {
-			case netlist.KindDFF:
-				d := s.values[n.Fanins[0]]
-				s.capture(n.Name, int(e.cycle), d)
-				if d != s.projected(n.ID) {
-					s.push(event{time: e.time + s.lib.FF.Tcq, kind: evSignal, node: n.ID, value: d})
-				}
-			case netlist.KindLatch:
-				if e.value { // opening edge: propagate waiting data
-					s.latchOpen[n.ID] = true
-					s.latchOpenAt[n.ID] = e.time
-					d := s.values[n.Fanins[0]]
-					s.capture(n.Name, int(e.cycle), d)
-					if d != s.projected(n.ID) {
-						s.push(event{time: e.time + s.lib.Latch.Tcq, kind: evSignal, node: n.ID, value: d})
-					}
-				} else {
-					s.latchOpen[n.ID] = false
-				}
-			case netlist.KindOutput:
-				s.capture(n.Name, int(e.cycle), s.values[n.Fanins[0]])
+		for {
+			e, ok := s.queue.take()
+			if !ok {
+				break
 			}
+			s.apply(key, &e)
 		}
 	}
 	return s.trace, nil
 }
 
-// push adds an event with a FIFO sequence number and indexes signal
-// events per node.
-func (s *Simulator) push(e event) {
-	e.seq = s.seq
-	s.seq++
-	s.queue.push(e)
-	if e.kind != evSignal {
+// apply commits one event taken from the queue under key.
+func (s *Simulator) apply(key qkey, e *event) {
+	switch key.kind {
+	case evInput:
+		s.setValue(e.node, e.value, key.time)
+	case evSignal:
+		if p := &s.pending[e.node]; p.count > 0 {
+			p.count--
+		}
+		s.setValue(e.node, e.value, key.time)
+	case evClock:
+		n := s.c.Node(e.node)
+		switch n.Kind {
+		case netlist.KindDFF:
+			d := s.values[n.Fanins[0]]
+			s.capture(n.Name, int(e.cycle), d)
+			if d != s.projected(n.ID) {
+				s.push(key.time+s.lib.FF.Tcq, evSignal, event{node: n.ID, value: d})
+			}
+		case netlist.KindLatch:
+			if e.value { // opening edge: propagate waiting data
+				s.latchOpen[n.ID] = true
+				s.latchOpenAt[n.ID] = key.time
+				d := s.values[n.Fanins[0]]
+				s.capture(n.Name, int(e.cycle), d)
+				if d != s.projected(n.ID) {
+					s.push(key.time+s.lib.Latch.Tcq, evSignal, event{node: n.ID, value: d})
+				}
+			} else {
+				s.latchOpen[n.ID] = false
+			}
+		case netlist.KindOutput:
+			s.capture(n.Name, int(e.cycle), s.values[n.Fanins[0]])
+		}
+	}
+}
+
+// push queues an event and indexes signal events per node. Pushes are
+// made in causal order, so a push at the same time as the node's latest
+// pending event is the newer one and replaces it in the index.
+func (s *Simulator) push(t float64, kind eventKind, e event) {
+	s.queue.push(t, kind, e)
+	if kind != evSignal {
 		return
 	}
 	p := &s.pending[e.node]
 	p.count++
-	if e.time > p.time || (e.time == p.time && e.seq > p.seq) || p.count == 1 {
-		p.time, p.seq, p.value = e.time, e.seq, e.value
-	}
-}
-
-// popped updates the pending index when a signal event leaves the queue.
-func (s *Simulator) popped(e *event) {
-	if e.kind != evSignal {
-		return
-	}
-	if p := &s.pending[e.node]; p.count > 0 {
-		p.count--
+	if t >= p.time || p.count == 1 {
+		p.time, p.value = t, e.value
 	}
 }
 
@@ -381,7 +321,7 @@ func (s *Simulator) setValue(id netlist.NodeID, v bool, now float64) {
 		switch {
 		case n.Kind.IsCombinational():
 			nv := evalGate(n, s.values)
-			s.push(event{time: now + s.delays[n.ID], kind: evSignal, node: n.ID, value: nv})
+			s.push(now+s.delays[n.ID], evSignal, event{node: n.ID, value: nv})
 		case n.Kind == netlist.KindLatch:
 			if !s.latchOpen[n.ID] {
 				break
@@ -390,7 +330,7 @@ func (s *Simulator) setValue(id netlist.NodeID, v bool, now float64) {
 			if min := s.latchOpenAt[n.ID] + s.lib.Latch.Tcq; t < min {
 				t = min
 			}
-			s.push(event{time: t, kind: evSignal, node: n.ID, value: v})
+			s.push(t, evSignal, event{node: n.ID, value: v})
 		}
 	}
 }

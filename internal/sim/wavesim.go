@@ -51,8 +51,7 @@ type WaveSim struct {
 	projMask  []uint64 // lanes with >=1 pending signal event, k per node
 	pendCount []int32  // pending signal events per node
 
-	queue weventQueue
-	seq   int64
+	queue eventQueue[wevent]
 
 	// arena backs event value+mask words: 2k words per slot (value,
 	// then mask), recycled through freeSlots. Slices into it are never
@@ -77,71 +76,14 @@ type WaveOptions struct {
 	Lanes  int     // meaningful stimulus lanes, 1..MaxLanes
 }
 
-// wevent mirrors the scalar engine's event, with the bool value
+// wevent mirrors the scalar engine's event payload, with the bool value
 // replaced by an arena slot holding k value words and k mask words.
 // For latch clock events open distinguishes the opening edge.
 type wevent struct {
-	time  float64
-	seq   int64
 	node  netlist.NodeID
-	kind  eventKind
 	cycle int32
 	slot  int32
 	open  bool
-}
-
-func weventLess(a, b *wevent) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	return a.seq < b.seq
-}
-
-// weventQueue is the same typed binary min-heap as eventQueue, over
-// wave events.
-type weventQueue []wevent
-
-func (q *weventQueue) push(e wevent) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !weventLess(&h[i], &h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *weventQueue) pop() wevent {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && weventLess(&h[l], &h[small]) {
-			small = l
-		}
-		if r < n && weventLess(&h[r], &h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
 }
 
 // NewWave prepares a word-parallel continuous-time simulator. The
@@ -243,8 +185,7 @@ func (s *WaveSim) reset() {
 		s.latchOpen[i] = false
 		s.latchOpenAt[i] = 0
 	}
-	s.queue = s.queue[:0]
-	s.seq = 0
+	s.queue.reset()
 	s.arena = s.arena[:0]
 	s.freeSlots = s.freeSlots[:0]
 	for _, row := range s.trace.Words {
@@ -312,7 +253,7 @@ func (s *WaveSim) Run(stim [][]uint64) (*BitTrace, error) {
 	for cyc := 0; cyc < s.opts.Cycles; cyc++ {
 		base := float64(cyc) * T
 		for _, in := range s.inputs {
-			s.push(wevent{time: base, kind: evInput, node: in.ID, cycle: int32(cyc), slot: -1})
+			s.push(base, evInput, wevent{node: in.ID, cycle: int32(cyc), slot: -1})
 		}
 		for _, n := range s.c.Nodes {
 			if n.Dead() {
@@ -320,34 +261,40 @@ func (s *WaveSim) Run(stim [][]uint64) (*BitTrace, error) {
 			}
 			switch n.Kind {
 			case netlist.KindDFF:
-				s.push(wevent{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc), slot: -1})
+				s.push(base+n.Phase*T, evClock, wevent{node: n.ID, cycle: int32(cyc), slot: -1})
 			case netlist.KindLatch:
 				open := base + n.Phase*T + netlist.LatchDuty*T
-				s.push(wevent{time: base + n.Phase*T, kind: evClock, node: n.ID, cycle: int32(cyc), slot: -1, open: false})
-				s.push(wevent{time: open, kind: evClock, node: n.ID, cycle: int32(cyc), slot: -1, open: true})
+				s.push(base+n.Phase*T, evClock, wevent{node: n.ID, cycle: int32(cyc), slot: -1, open: false})
+				s.push(open, evClock, wevent{node: n.ID, cycle: int32(cyc), slot: -1, open: true})
 			case netlist.KindOutput:
-				s.push(wevent{time: base + T, kind: evClock, node: n.ID, cycle: int32(cyc), slot: -1})
+				s.push(base+T, evClock, wevent{node: n.ID, cycle: int32(cyc), slot: -1})
 			}
 		}
 	}
 
 	horizon := float64(s.opts.Cycles)*T + 10*T
-	for len(s.queue) > 0 {
-		e := s.queue.pop()
-		s.popped(&e)
-		if e.time > horizon {
+	for {
+		key, ok := s.queue.next()
+		if !ok || key.time > horizon {
 			break
 		}
-		switch e.kind {
-		case evInput:
-			i := int(s.inputIdx[e.node])
-			d := stim[e.cycle][i*s.k : (i+1)*s.k]
-			s.setWords(e.node, d, nil, e.time)
-		case evSignal:
-			s.setWords(e.node, s.slotVal(e.slot), s.slotMask(e.slot), e.time)
-			s.freeSlots = append(s.freeSlots, e.slot)
-		case evClock:
-			s.clockAction(&e)
+		for {
+			e, ok := s.queue.take()
+			if !ok {
+				break
+			}
+			switch key.kind {
+			case evInput:
+				i := int(s.inputIdx[e.node])
+				d := stim[e.cycle][i*s.k : (i+1)*s.k]
+				s.setWords(e.node, d, nil, key.time)
+			case evSignal:
+				s.popped(e.node)
+				s.setWords(e.node, s.slotVal(e.slot), s.slotMask(e.slot), key.time)
+				s.freeSlots = append(s.freeSlots, e.slot)
+			case evClock:
+				s.clockAction(key.time, &e)
+			}
 		}
 	}
 	s.stim = nil
@@ -356,16 +303,16 @@ func (s *WaveSim) Run(stim [][]uint64) (*BitTrace, error) {
 
 // clockAction handles flip-flop edges, latch close/open edges and
 // primary-output sampling, mirroring the scalar engine's evClock arm.
-func (s *WaveSim) clockAction(e *wevent) {
+func (s *WaveSim) clockAction(now float64, e *wevent) {
 	n := s.c.Node(e.node)
 	switch n.Kind {
 	case netlist.KindDFF:
-		s.respond(n, int(e.cycle), e.time+s.lib.FF.Tcq)
+		s.respond(n, int(e.cycle), now+s.lib.FF.Tcq)
 	case netlist.KindLatch:
 		if e.open { // opening edge: propagate waiting data
 			s.latchOpen[n.ID] = true
-			s.latchOpenAt[n.ID] = e.time
-			s.respond(n, int(e.cycle), e.time+s.lib.Latch.Tcq)
+			s.latchOpenAt[n.ID] = now
+			s.respond(n, int(e.cycle), now+s.lib.Latch.Tcq)
 		} else {
 			s.latchOpen[n.ID] = false
 		}
@@ -395,16 +342,14 @@ func (s *WaveSim) respond(n *netlist.Node, cycle int, at float64) {
 	slot := s.alloc()
 	copy(s.slotVal(slot), d)
 	copy(s.slotMask(slot), s.maskBuf)
-	s.push(wevent{time: at, kind: evSignal, node: n.ID, slot: slot})
+	s.push(at, evSignal, wevent{node: n.ID, slot: slot})
 }
 
-// push adds an event with a FIFO sequence number and folds signal
-// events into the per-lane pending projection.
-func (s *WaveSim) push(e wevent) {
-	e.seq = s.seq
-	s.seq++
-	s.queue.push(e)
-	if e.kind != evSignal {
+// push queues an event and folds signal events into the per-lane
+// pending projection.
+func (s *WaveSim) push(t float64, kind eventKind, e wevent) {
+	s.queue.push(t, kind, e)
+	if kind != evSignal {
 		return
 	}
 	s.pendCount[e.node]++
@@ -416,18 +361,16 @@ func (s *WaveSim) push(e wevent) {
 	}
 }
 
-// popped updates the pending projection when a signal event leaves the
-// queue. A lane whose last pending event has committed keeps its
-// projMask bit until the node's count drains, but its projected value
-// then equals the committed value, so the projection stays consistent.
-func (s *WaveSim) popped(e *wevent) {
-	if e.kind != evSignal {
-		return
-	}
-	if s.pendCount[e.node] > 0 {
-		s.pendCount[e.node]--
-		if s.pendCount[e.node] == 0 {
-			base := int(e.node) * s.k
+// popped updates the pending projection when a signal event for id
+// leaves the queue. A lane whose last pending event has committed keeps
+// its projMask bit until the node's count drains, but its projected
+// value then equals the committed value, so the projection stays
+// consistent.
+func (s *WaveSim) popped(id netlist.NodeID) {
+	if s.pendCount[id] > 0 {
+		s.pendCount[id]--
+		if s.pendCount[id] == 0 {
+			base := int(id) * s.k
 			for w := 0; w < s.k; w++ {
 				s.projMask[base+w] = 0
 			}
@@ -464,7 +407,7 @@ func (s *WaveSim) setWords(id netlist.NodeID, d, mask []uint64, now float64) {
 			slot := s.alloc()
 			evalGateWords(n, s.vals, s.k, s.slotVal(slot))
 			copy(s.slotMask(slot), s.changed)
-			s.push(wevent{time: now + s.delays[n.ID], kind: evSignal, node: n.ID, slot: slot})
+			s.push(now+s.delays[n.ID], evSignal, wevent{node: n.ID, slot: slot})
 		case n.Kind == netlist.KindLatch:
 			if !s.latchOpen[n.ID] {
 				break
@@ -476,7 +419,7 @@ func (s *WaveSim) setWords(id netlist.NodeID, d, mask []uint64, now float64) {
 			slot := s.alloc()
 			copy(s.slotVal(slot), s.vals[base:base+s.k])
 			copy(s.slotMask(slot), s.changed)
-			s.push(wevent{time: t, kind: evSignal, node: n.ID, slot: slot})
+			s.push(t, evSignal, wevent{node: n.ID, slot: slot})
 		}
 	}
 }
