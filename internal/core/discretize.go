@@ -255,7 +255,7 @@ func (p *Plan) buildChainNearest(target float64) ([]int, float64) {
 			for _, d := range tail {
 				total += buf.Options[d].Delay
 			}
-			if e := mathAbs(total - target); e < bestErr-1e-12 {
+			if e := math.Abs(total - target); e < bestErr-1e-12 {
 				chain := make([]int, k, k+len(tail))
 				chain = append(chain, tail...)
 				bestChain, bestDelay, bestErr = chain, total, e
@@ -263,13 +263,6 @@ func (p *Plan) buildChainNearest(target float64) ([]int, float64) {
 		}
 	}
 	return bestChain, bestDelay
-}
-
-func mathAbs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // repairChains tries to fix validation failures by nudging the chain on
@@ -357,52 +350,34 @@ func (p *Plan) spreadRepairEdge(st *waveState, gi int) (edge int, lateSide bool)
 
 // replaceBuffers is the paper's Section 5.4: long buffer chains are
 // replaced by sequential delay units when the exact model still validates,
-// reducing area. Chains are visited largest-area first; each successful
-// replacement re-derives the remaining buffer delays with a repair LP.
+// reducing area. Chains are visited largest-area first; each try runs on
+// a copy of the plan (tryUnitAt), and the plan adopts the copy only when
+// the re-derived buffer chains leave a net area saving.
 func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 	r := p.R
 	lpBudget := 64 // repair-LP invocations across all candidates
 	buf := r.Lib.Cell("BUF")
-	chainArea := func(ei int) float64 {
-		a := 0.0
-		for _, d := range p.Chain[ei] {
-			a += buf.Options[d].Area
-		}
-		return a
-	}
-
 	type cand struct {
 		ei   int
 		area float64
 	}
 	var cands []cand
 	for ei := range r.Edges {
-		if p.Unit[ei].Kind == UnitNone {
-			if a := chainArea(ei); a > r.Lib.Latch.Area {
-				cands = append(cands, cand{ei, a})
-			}
+		a := 0.0
+		for _, d := range p.Chain[ei] {
+			a += buf.Options[d].Area
+		}
+		if p.Unit[ei].Kind == UnitNone && a > r.Lib.Latch.Area {
+			cands = append(cands, cand{ei, a})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].area > cands[j].area })
 
 	for _, cd := range cands {
-		ei := cd.ei
-		savedUnit := p.Unit[ei]
-		savedChain := p.Chain[ei]
-		savedDelay := p.ChainDelay[ei]
-		savedXi := append([]float64(nil), p.XiReq...)
-		savedChains := make([][]int, len(p.Chain))
-		for i, ch := range p.Chain {
-			savedChains[i] = append([]int(nil), ch...)
-		}
-		savedDelays := append([]float64(nil), p.ChainDelay...)
-		areaBefore := p.InsertedArea()
-
-		done := false
-		edgeBudget := 8
-		if edgeBudget > lpBudget {
-			edgeBudget = lpBudget
-		}
+		edgeBudget := min(8, lpBudget)
+		lpBudget -= edgeBudget
+		var q *Plan
+	kinds:
 		for _, kind := range []UnitKind{UnitLatch, UnitFF} {
 			if kind == UnitLatch && !p.Opts.UseLatches {
 				continue
@@ -418,32 +393,17 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 				if edgeBudget <= 0 {
 					break
 				}
-				spent := edgeBudget
-				ok := p.tryUnitAt(ctx, ei, kind, ph, &edgeBudget)
-				lpBudget -= spent - edgeBudget
-				if ok {
-					replaced++
-					done = true
-					break
+				if q = p.tryUnitAt(ctx, cd.ei, kind, ph, &edgeBudget); q != nil {
+					break kinds
 				}
 			}
-			if done {
-				break
-			}
 		}
-		if done && p.InsertedArea() >= areaBefore {
-			// The unit fits but the re-derived buffer chains grew
-			// elsewhere: no net saving, so revert the whole move.
-			done = false
-			replaced--
-		}
-		if !done {
-			p.Unit[ei] = savedUnit
-			p.Chain[ei] = savedChain
-			p.ChainDelay[ei] = savedDelay
-			p.XiReq = savedXi
-			copy(p.Chain, savedChains)
-			copy(p.ChainDelay, savedDelays)
+		lpBudget += edgeBudget // what this edge left unspent
+		// The unit may fit while the re-derived buffer chains grew
+		// elsewhere: adopt the copy only on a net saving.
+		if q != nil && q.InsertedArea() < p.InsertedArea() {
+			*p = *q
+			replaced++
 		}
 	}
 	return replaced
@@ -451,8 +411,10 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 
 // tryUnitAt attempts to realize a unit of the given kind and phase on edge
 // ei in place of its buffer chain, re-deriving buffer delays with a repair
-// LP and validating. On failure the plan is restored by the caller.
-func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac float64, lpBudget *int) bool {
+// LP and validating. Each window index is tried on a fresh copy of p; the
+// first copy that validates is returned, nil if none does. p itself is
+// never modified.
+func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac float64, lpBudget *int) *Plan {
 	r := p.R
 	nE := len(r.Edges)
 
@@ -460,69 +422,47 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac f
 	// chain): the window index the fast signal would fall into.
 	st, vsp := p.propagate(p.env(ValidateParams{}))
 	if st == nil || len(vsp) > 0 {
-		return false
+		return nil
 	}
 	probe := st.wEarly[ei] - p.ChainDelay[ei]*p.Opts.Rl // arrival without the chain
 	nGuess := int(math.Floor((probe - phaseFrac*p.T) / p.T))
 
-	savedUnit := p.Unit[ei]
-	savedChain, savedDelay := p.Chain[ei], p.ChainDelay[ei]
-	savedXi := append([]float64(nil), p.XiReq...)
-	savedChains := make([][]int, nE)
-	savedDelays := make([]float64, nE)
-	copy(savedDelays, p.ChainDelay)
-	for i := range savedChains {
-		savedChains[i] = p.Chain[i]
-	}
-
 	for _, n := range []int{nGuess, nGuess - 1, nGuess + 1} {
-		p.Unit[ei] = Placement{Kind: kind, PhaseFrac: phaseFrac, N: n}
-		p.Chain[ei], p.ChainDelay[ei] = nil, 0
+		q := p.clone()
+		q.Unit[ei] = Placement{Kind: kind, PhaseFrac: phaseFrac, N: n}
+		q.Chain[ei], q.ChainDelay[ei] = nil, 0
 
 		// Cheap probe first: if the direct swap already validates, no
 		// repair LP is needed.
-		if vs := p.Validate(); len(vs) == 0 {
-			return true
+		if vs := q.Validate(); len(vs) == 0 {
+			return q
 		}
 		if *lpBudget <= 0 {
-			p.Unit[ei] = savedUnit
-			p.Chain[ei], p.ChainDelay[ei] = savedChain, savedDelay
 			continue
 		}
 		*lpBudget--
 		spec := &modelSpec{
-			T:           p.T,
-			opts:        p.Opts,
+			T:           q.T,
+			opts:        q.Opts,
 			modes:       make([]EdgeMode, nE),
-			fixed:       p.Unit,
-			gateDelay:   p.GateDelay,
-			quantMargin: p.quantMargin(),
+			fixed:       q.Unit,
+			gateDelay:   q.GateDelay,
+			quantMargin: q.quantMargin(),
 		}
 		for i := range spec.modes {
 			spec.modes[i] = ModeFixed
 		}
 		mv, sol, err := r.solveSpec(ctx, spec)
-		if err == nil && sol != nil {
-			for i := 0; i < nE; i++ {
-				p.XiReq[i] = sol.Value(mv.xi[i])
-				p.Chain[i], p.ChainDelay[i] = p.buildChain(p.XiReq[i])
-			}
-			st, vs := p.validate(ValidateParams{})
-			if len(vs) == 0 {
-				return true
-			}
-			if vs := p.repairChains(st, vs); len(vs) == 0 {
-				return true
-			}
+		if err != nil || sol == nil {
+			continue
 		}
-		// Restore and try the next window.
-		p.Unit[ei] = savedUnit
-		copy(p.XiReq, savedXi)
-		for i := range savedChains {
-			p.Chain[i] = savedChains[i]
-			p.ChainDelay[i] = savedDelays[i]
+		for i := 0; i < nE; i++ {
+			q.XiReq[i] = sol.Value(mv.xi[i])
+			q.Chain[i], q.ChainDelay[i] = q.buildChain(q.XiReq[i])
 		}
-		p.Chain[ei], p.ChainDelay[ei] = savedChain, savedDelay
+		if st, vs := q.validate(ValidateParams{}); len(q.repairChains(st, vs)) == 0 {
+			return q
+		}
 	}
-	return false
+	return nil
 }

@@ -36,11 +36,10 @@ type Result struct {
 	RemovedFFs     int
 	BufferReplaced int
 
-	// Pre-buffer-replacement state (paper Fig. 6/7): unit and buffer
-	// counts and the area of all inserted hardware before Section 5.4.
+	// Pre-buffer-replacement state (paper Fig. 6/7): unit counts and the
+	// area of all inserted hardware before Section 5.4.
 	PreReplaceFFUnits    int
 	PreReplaceLatchUnits int
-	PreReplaceBuffers    int
 	PreReplaceArea       float64
 	// InsertedArea is the area of inserted units and buffers after
 	// replacement.
@@ -52,6 +51,10 @@ type Result struct {
 	Solver lp.Stats
 
 	Runtime time.Duration
+
+	// atBaseline is the period search's first probe, the realized plan
+	// at BaselinePeriod; nil if it was infeasible or there was no search.
+	atBaseline *Plan
 }
 
 // PeriodReductionPct is the paper's nt column: clock-period reduction
@@ -80,34 +83,45 @@ func (res *Result) VerifyWarmup() int {
 	return max(res.Plan.R.maxLambda()+3, 4)
 }
 
+// AtBaselinePeriod is VirtualSync at the baseline's own period (paper
+// Fig. 8): a copy of the period search's first probe, finished with
+// buffer replacement when the options ask for it. It equals
+// OptimizeAtPeriod(ctx, c, lib, res.BaselinePeriod, opts) on the
+// searched circuit without solving that period again, and leaves res
+// untouched. It returns (nil, nil) when that probe was infeasible or res
+// did not come from a period search.
+func (res *Result) AtBaselinePeriod(ctx context.Context) (*Result, error) {
+	if res.atBaseline == nil {
+		return nil, nil
+	}
+	p := res.atBaseline.clone()
+	return p.finish(ctx, p.Opts.BufferReplace)
+}
+
 // OptimizeAtPeriod attempts to realize clock period T on the circuit's
 // critical part. It returns (nil, nil) when T is infeasible under the
 // VirtualSync model; cancellation or deadline expiry of ctx aborts the
 // attempt with ctx.Err().
 func OptimizeAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, T float64, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
+	s, err := NewSessionAtPeriod(ctx, c, lib, T, opts)
+	if s == nil {
 		return nil, err
 	}
-	r, err := Extract(c, lib, opts.SelectFrac)
-	if err != nil {
-		return nil, err
-	}
-	return optimizeExtracted(ctx, r, c, lib, T, opts, nil, opts.BufferReplace)
+	return s.Result, nil
 }
 
-func optimizeExtracted(ctx context.Context, r *Region, c *netlist.Circuit, lib *celllib.Library, T float64, opts Options, prev *Plan, doReplace bool) (*Result, error) {
-	start := time.Now()
+// solvePeriod runs phases 1-3 at period T, starting from prev's unit
+// placements when prev is non-nil, and realizes the plan. It returns nil
+// when T is infeasible.
+func solvePeriod(ctx context.Context, r *Region, T float64, opts Options, prev *Plan) (*Plan, error) {
 	// Logic outside the region is untouched and must still meet T under
 	// the same guard band.
 	if T < r.ExternalPeriod*opts.Ru-1e-9 {
 		return nil, nil
 	}
 	plan, err := optimizeRegion(ctx, r, T, opts, prev)
-	if err != nil {
+	if err != nil || plan == nil {
 		return nil, err
-	}
-	if plan == nil {
-		return nil, nil
 	}
 	if err := plan.realize(ctx); err != nil {
 		if ctx.Err() != nil {
@@ -115,48 +129,57 @@ func optimizeExtracted(ctx context.Context, r *Region, c *netlist.Circuit, lib *
 		}
 		return nil, nil // discretization failed: treat T as infeasible
 	}
-	preFF, preLatch := plan.NumUnits()
-	preBufs := plan.NumBuffers()
-	preArea := plan.InsertedArea()
+	return plan, nil
+}
+
+// finish turns a realized plan into a Result: buffer replacement (paper
+// Section 5.4) when replace is set, the final validation, the optimized
+// netlist and the areas. Replacement modifies the plan; without it the
+// plan is only read. Runtime covers finish alone; callers that did more
+// work overwrite it.
+func (p *Plan) finish(ctx context.Context, replace bool) (*Result, error) {
+	start := time.Now()
+	r := p.R
+	preFF, preLatch := p.NumUnits()
+	preArea := p.InsertedArea()
 	replaced := 0
-	if doReplace {
-		replaced = plan.replaceBuffers(ctx)
+	if replace {
+		replaced = p.replaceBuffers(ctx)
 	}
-	if vs := plan.Validate(); len(vs) > 0 {
+	if vs := p.Validate(); len(vs) > 0 {
 		return nil, fmt.Errorf("core: final plan invalid: %v", vs[0])
 	}
-	circuit, err := plan.Apply()
+	circuit, err := p.Apply()
 	if err != nil {
 		return nil, err
 	}
-	baseArea, err := lib.CircuitArea(c)
+	baseArea, err := r.Lib.CircuitArea(r.Work)
 	if err != nil {
 		return nil, err
 	}
-	area, err := lib.CircuitArea(circuit)
+	area, err := r.Lib.CircuitArea(circuit)
 	if err != nil {
 		return nil, err
 	}
-	nf, nl := plan.NumUnits()
+	nf, nl := p.NumUnits()
 	return &Result{
 		Solver:         r.SolverStats(),
-		Plan:           plan,
+		Plan:           p,
 		Circuit:        circuit,
-		Period:         T,
-		BaselinePeriod: r.Baseline.MinPeriod * opts.Ru,
+		Period:         p.T,
+		BaselinePeriod: r.Baseline.MinPeriod * p.Opts.Ru,
 		BaselineArea:   baseArea,
 		Area:           area,
 		NumFFUnits:     nf,
 		NumLatchUnits:  nl,
-		NumBuffers:     plan.NumBuffers(),
+		NumBuffers:     p.NumBuffers(),
 		RemovedFFs:     len(r.Removed),
 		BufferReplaced: replaced,
 
 		PreReplaceFFUnits:    preFF,
 		PreReplaceLatchUnits: preLatch,
-		PreReplaceBuffers:    preBufs,
 		PreReplaceArea:       preArea,
-		InsertedArea:         plan.InsertedArea(),
+		InsertedArea:         p.InsertedArea(),
 
 		Runtime: time.Since(start),
 	}, nil
@@ -217,13 +240,14 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 	// baseline is the margined minimum period: every term of the classic
 	// period (tcq + path + tsu) scales by ru under the same guard band.
 	T0 := r.Baseline.MinPeriod * opts.Ru
-	var best *Result
+	// best is the last feasible plan; it also seeds the next probe.
+	// atT0 is the first probe's plan, kept for Result.AtBaselinePeriod.
+	var best, atT0 *Plan
 	// Two-stage search: coarse steps (8x the refine step) descend quickly
 	// to the infeasibility frontier, then the paper's fine steps refine
 	// it. Isolated infeasible steps can be buffer-quantization artifacts,
 	// so each stage tolerates a few consecutive failures before stopping.
-	var prev *Plan
-	tryAt := func(stage string, T float64) (*Result, error) {
+	tryAt := func(stage string, T float64) (*Plan, error) {
 		if T <= 0 {
 			return nil, nil
 		}
@@ -231,19 +255,15 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 			return nil, err
 		}
 		t0 := time.Now()
-		// Buffer replacement is pure area recovery; it runs once on the
-		// final result, not at every probed period.
-		res, err := optimizeExtracted(ctx, r, c, lib, T, opts, prev, false)
-		if err == nil && res != nil {
-			// Retarget this plan's unit placements at the next period
-			// instead of re-running the full relaxation pipeline.
-			prev = res.Plan
-		}
-		debugf("T=%.2f feasible=%v hint=%v in %v", T, res != nil, prev != nil, time.Since(t0).Round(time.Millisecond))
+		// Retarget the last feasible plan's units instead of re-running
+		// the full relaxation pipeline. Buffer replacement is pure area
+		// recovery; it runs once on the final plan, not at every probe.
+		p, err := solvePeriod(ctx, r, T, opts, best)
+		debugf("T=%.2f feasible=%v hint=%v in %v", T, p != nil, best != nil, time.Since(t0).Round(time.Millisecond))
 		if obs != nil && err == nil {
-			obs(ProgressEvent{Stage: stage, T: T, Feasible: res != nil, Solver: r.SolverStats()})
+			obs(ProgressEvent{Stage: stage, T: T, Feasible: p != nil, Solver: r.SolverStats()})
 		}
-		return res, err
+		return p, err
 	}
 	coarse := stepFrac * 8
 	lastFeasibleFrac := 0.0
@@ -253,16 +273,19 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 		if frac >= 1 {
 			break
 		}
-		res, err := tryAt("probe", T0*(1-frac))
+		p, err := tryAt("probe", T0*(1-frac))
 		if err != nil {
 			return nil, nil, err
 		}
-		if res == nil {
+		if p == nil {
 			fails++
 			continue
 		}
 		fails = 0
-		best = res
+		best = p
+		if k == 0 {
+			atT0 = p
+		}
 		lastFeasibleFrac = frac
 	}
 	fails = 0
@@ -271,35 +294,41 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 		if frac >= 1 {
 			break
 		}
-		res, err := tryAt("refine", T0*(1-frac))
+		p, err := tryAt("refine", T0*(1-frac))
 		if err != nil {
 			return nil, nil, err
 		}
-		if res == nil {
+		if p == nil {
 			fails++
 			continue
 		}
 		fails = 0
-		best = res
+		best = p
 	}
 	if best == nil {
 		return nil, nil, fmt.Errorf("core: no feasible VirtualSync solution near the baseline period %g", T0)
 	}
+	replace := false
 	if opts.BufferReplace {
 		if obs != nil {
-			obs(ProgressEvent{Stage: "replace", T: best.Period, Feasible: true, Solver: r.SolverStats()})
+			obs(ProgressEvent{Stage: "replace", T: best.T, Feasible: true, Solver: r.SolverStats()})
 		}
-		// Re-run the winning period once with the area-recovery pass.
-		res, err := optimizeExtracted(ctx, r, c, lib, best.Period, opts, prev, true)
+		// Re-solve the winning period from its own plan, then run the
+		// area-recovery pass on the re-solved plan (DESIGN.md explains
+		// why replacement does not start from best itself).
+		p, err := solvePeriod(ctx, r, best.T, opts, best)
 		if err != nil {
 			return nil, nil, err
 		}
-		if res != nil {
-			best = res
+		if p != nil {
+			best, replace = p, true
 		}
 	}
-	best.BaselinePeriod = T0
-	best.Solver = r.SolverStats()
-	best.Runtime = time.Since(start)
-	return best, r, nil
+	res, err := best.finish(ctx, replace)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.atBaseline = atT0
+	res.Runtime = time.Since(start)
+	return res, r, nil
 }

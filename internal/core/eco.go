@@ -84,13 +84,11 @@ func newSession(lib *celllib.Library, opts Options, stepFrac float64, res *Resul
 	}
 }
 
-// NewSessionAtPeriod builds a session from a single-target optimization
-// at clock period T instead of the full period search. It returns
-// (nil, nil) when T is infeasible under the model. This is the cheap
-// constructor for callers that already know the target (tests, fuzzing,
-// re-runs at a known period); Reoptimize behaves identically on either
-// kind of session. The session's StepFrac starts at the paper default
-// and may be adjusted before the first Reoptimize.
+// NewSessionAtPeriod builds a session from a single-period optimization
+// at T instead of the period search; OptimizeAtPeriod is its Result. It
+// returns (nil, nil) when T is infeasible under the model. Reoptimize
+// behaves identically on either kind of session; StepFrac starts at the
+// paper default and may be adjusted before the first Reoptimize.
 func NewSessionAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, T float64, opts Options) (*Session, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -99,10 +97,16 @@ func NewSessionAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Li
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimizeExtracted(ctx, region, c, lib, T, opts, nil, opts.BufferReplace)
-	if err != nil || res == nil {
+	start := time.Now()
+	plan, err := solvePeriod(ctx, region, T, opts, nil)
+	if err != nil || plan == nil {
 		return nil, err
 	}
+	res, err := plan.finish(ctx, opts.BufferReplace)
+	if err != nil {
+		return nil, err
+	}
+	res.Runtime = time.Since(start)
 	return newSession(lib, opts, DefaultStepFrac, res, region), nil
 }
 
@@ -161,7 +165,7 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 	T0 := newBase.MinPeriod * s.Opts.Ru
 	capT := T0 * (1 + s.StepFrac)
 	held := s.Result.Period
-	var res *Result
+	var plan *Plan
 	mult := 0.0
 	for {
 		T := held * (1 + s.StepFrac*mult)
@@ -169,12 +173,12 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 		if atCap {
 			T = capT
 		}
-		res, err = optimizeExtracted(ctx, region, work, s.Lib, T, s.Opts, hint, s.Opts.BufferReplace)
+		plan, err = solvePeriod(ctx, region, T, s.Opts, hint)
 		if err != nil {
 			return nil, nil, err
 		}
 		st.Probes++
-		if res != nil {
+		if plan != nil {
 			break
 		}
 		if atCap {
@@ -188,7 +192,11 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 		}
 	}
 
-	res.Solver = region.SolverStats()
+	res, err := plan.finish(ctx, s.Opts.BufferReplace)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Runtime = time.Since(start)
 	s.Circuit = work
 	s.region = region
 	s.Result = res

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"virtualsync/internal/lp"
@@ -31,6 +32,23 @@ type Plan struct {
 	// way prev carries unit placements, so neighbouring periods start
 	// from an almost-correct basis instead of from scratch.
 	Basis *lp.Basis
+}
+
+// clone returns a copy of the plan that shares only the region and the
+// basis, which no plan method modifies.
+func (p *Plan) clone() *Plan {
+	q := *p
+	q.Unit = slices.Clone(p.Unit)
+	q.XiReq = slices.Clone(p.XiReq)
+	q.Chain = make([][]int, len(p.Chain))
+	for i, ch := range p.Chain {
+		q.Chain[i] = slices.Clone(ch)
+	}
+	q.ChainDelay = slices.Clone(p.ChainDelay)
+	q.GateDelayReq = slices.Clone(p.GateDelayReq)
+	q.GateDrive = slices.Clone(p.GateDrive)
+	q.GateDelay = slices.Clone(p.GateDelay)
+	return &q
 }
 
 // NumUnits counts inserted sequential delay units by kind.

@@ -59,12 +59,15 @@ func suitePlans(tb testing.TB) []suitePlan {
 				return
 			}
 			opts.BufferReplace = true
-			final, err := optimizeExtracted(ctx, r, base, lib, pre.Period, opts, pre.Plan, true)
+			final, err := solvePeriod(ctx, r, pre.Period, opts, pre.Plan)
+			if err == nil && final != nil {
+				_, err = final.finish(ctx, true)
+			}
 			if err != nil || final == nil {
 				suitePlansErr = fmt.Errorf("%s: replacement rerun: %v", name, err)
 				return
 			}
-			suitePlansVal = append(suitePlansVal, suitePlan{name, pre.Plan, final.Plan})
+			suitePlansVal = append(suitePlansVal, suitePlan{name, pre.Plan, final})
 		}
 	})
 	if suitePlansErr != nil {

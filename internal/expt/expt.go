@@ -79,7 +79,7 @@ type CircuitResult struct {
 	// Runtime of the VirtualSync flow.
 	Runtime time.Duration
 	// Wall is the end-to-end wall time of the whole per-circuit pipeline
-	// (generate, baseline, period search, Fig. 8 run, equivalence sim) —
+	// (generate, baseline, period search, Fig. 8 finish, equivalence sim) —
 	// what suite scheduling actually pays per circuit, as opposed to
 	// Runtime, which covers the optimizer alone.
 	Wall time.Duration
@@ -145,9 +145,13 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 		row.AreaRatioPct = 100
 	}
 
-	// Fig. 8: VirtualSync at the baseline's own period.
-	same, err := core.OptimizeAtPeriod(ctx, base, cfg.Lib, res.BaselinePeriod, cfg.Opts)
-	if err == nil && same != nil {
+	// Fig. 8: VirtualSync at the baseline's own period, finished from
+	// the period search's first probe; nil when that probe failed.
+	same, err := res.AtBaselinePeriod(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("%s: fig. 8: %w", spec.Name, err)
+	}
+	if same != nil {
 		row.AreaSamePeriod = same.Area
 		row.BaselineAreaSamePeriod = same.BaselineArea
 	}
