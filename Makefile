@@ -8,8 +8,9 @@ GO ?= go
 # and Figs. 1-3 to the committed results/), and the
 # simulation and incremental-ECO benchmarks (throughput, allocs/op and
 # cold-vs-incremental speedup evidence in BENCH_sim.json and
-# BENCH_eco.json).
-check: fmt vet build test race cover fuzz-short check-procs bench-sim bench-eco
+# BENCH_eco.json). It ends by printing the loc size metric, which every
+# change reports.
+check: fmt vet build test race cover fuzz-short check-procs bench-sim bench-eco loc
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -189,6 +190,6 @@ bench-eco:
 		echo "note: BENCH_eco.json changed — review the numbers and commit the update"
 
 # Non-test Go lines outside the bench/ module: the size metric ROADMAP.md
-# tracks. Not part of check.
+# tracks. check prints it last.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l

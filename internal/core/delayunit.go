@@ -12,13 +12,14 @@ import (
 	"virtualsync/internal/netlist"
 )
 
-// UnitKind distinguishes the three delay-unit types of the paper's Fig. 2.
+// UnitKind is the sequential delay unit placed on an edge, if any. The
+// paper's third delay unit, the buffer, is every edge's chain (Plan.Chain),
+// not a kind.
 type UnitKind int
 
 // Delay-unit kinds.
 const (
 	UnitNone UnitKind = iota
-	UnitBuffer
 	UnitFF
 	UnitLatch
 )
@@ -27,8 +28,6 @@ func (k UnitKind) String() string {
 	switch k {
 	case UnitNone:
 		return "none"
-	case UnitBuffer:
-		return "buffer"
 	case UnitFF:
 		return "ff"
 	case UnitLatch:
@@ -91,30 +90,4 @@ func (u UnitTiming) LatchOut(in float64) (out float64, n int, ok bool) {
 	// opening-edge response itself has propagated — this keeps the
 	// transfer characteristic monotone at the opening boundary.
 	return math.Max(open+u.Tcq, in+u.Tdq), n, true
-}
-
-// OutputGap evaluates the output gap of a unit for two signals arriving
-// with the given input gap, the fast one at fastIn (paper Fig. 2's x-axis
-// walk). It returns ok=false when either signal misses a legal window.
-func (u UnitTiming) OutputGap(kind UnitKind, fastIn, inputGap float64) (float64, bool) {
-	slowIn := fastIn + inputGap
-	switch kind {
-	case UnitBuffer:
-		return u.BufferOut(slowIn) - u.BufferOut(fastIn), true
-	case UnitFF:
-		of, nf, ok1 := u.FFOut(fastIn)
-		os, ns, ok2 := u.FFOut(slowIn)
-		if !ok1 || !ok2 || nf != ns {
-			return 0, false
-		}
-		return os - of, true
-	case UnitLatch:
-		of, nf, ok1 := u.LatchOut(fastIn)
-		os, ns, ok2 := u.LatchOut(slowIn)
-		if !ok1 || !ok2 || nf != ns {
-			return 0, false
-		}
-		return os - of, true
-	}
-	return inputGap, true
 }

@@ -73,57 +73,61 @@ func TestLatchOutRegions(t *testing.T) {
 	}
 }
 
+// outputGap walks paper Fig. 2's x-axis: two signals enter a unit, the
+// fast one at fastIn and the slow one gap later, and outputGap returns
+// the gap between them at the unit's output. ok is false when either
+// signal misses a legal window or the two fall into different windows.
+func outputGap(out func(float64) (float64, int, bool), fastIn, gap float64) (float64, bool) {
+	of, nf, ok1 := out(fastIn)
+	os, ns, ok2 := out(fastIn + gap)
+	if !ok1 || !ok2 || nf != ns {
+		return 0, false
+	}
+	return os - of, true
+}
+
 func TestOutputGapShapes(t *testing.T) {
 	u := unitT()
 	// Buffer: gap preserved (Fig. 2a).
-	if g, ok := u.OutputGap(UnitBuffer, 2, 3); !ok || g != 3 {
-		t.Errorf("buffer gap = %g,%v", g, ok)
+	if g := u.BufferOut(2+3) - u.BufferOut(2); g != 3 {
+		t.Errorf("buffer gap = %g", g)
 	}
 	// FF: gap collapses to zero when both arrive in one window (Fig. 2b).
-	if g, ok := u.OutputGap(UnitFF, 2, 5); !ok || g != 0 {
+	if g, ok := outputGap(u.FFOut, 2, 5); !ok || g != 0 {
 		t.Errorf("ff gap = %g,%v", g, ok)
 	}
 	// Latch, both while closed: gap collapses.
-	if g, ok := u.OutputGap(UnitLatch, 1.5, 2); !ok || g != 0 {
+	if g, ok := outputGap(u.LatchOut, 1.5, 2); !ok || g != 0 {
 		t.Errorf("latch closed gap = %g,%v", g, ok)
 	}
 	// Latch, both deep in the transparent phase: gap preserved.
-	if g, ok := u.OutputGap(UnitLatch, 8, 1); !ok || g != 1 {
+	if g, ok := outputGap(u.LatchOut, 8, 1); !ok || g != 1 {
 		t.Errorf("latch open gap = %g,%v", g, ok)
 	}
 	// Latch, fast closed / slow open: gap partially reduced (Fig. 2c).
-	g, ok := u.OutputGap(UnitLatch, 3, 5.5) // fast leaves at 8, slow at 9.5
+	g, ok := outputGap(u.LatchOut, 3, 5.5) // fast leaves at 8, slow at 9.5
 	if !ok || g <= 0 || g >= 5.5 {
 		t.Errorf("latch mixed gap = %g,%v; want in (0,5.5)", g, ok)
 	}
 }
 
-// Property: FF output gap is always zero within a window; latch output gap
-// never exceeds the input gap (Fig. 2's monotone gap-reduction property).
+// Property: the buffer preserves the gap, the FF output gap is always zero
+// within a window, and the latch output gap never exceeds the input gap
+// (Fig. 2's monotone gap-reduction property).
 func TestPropertyGapNeverGrows(t *testing.T) {
 	u := unitT()
 	f := func(fastRaw, gapRaw float64) bool {
 		fast := math.Mod(math.Abs(fastRaw), 8) + 1.0 // [1,9)
 		gap := math.Mod(math.Abs(gapRaw), 7)         // [0,7)
-		for _, kind := range []UnitKind{UnitBuffer, UnitFF, UnitLatch} {
-			g, ok := u.OutputGap(kind, fast, gap)
-			if !ok {
-				continue // slow signal fell outside the legal window
-			}
-			switch kind {
-			case UnitBuffer:
-				if math.Abs(g-gap) > 1e-9 {
-					return false
-				}
-			case UnitFF:
-				if math.Abs(g) > 1e-9 {
-					return false
-				}
-			case UnitLatch:
-				if g < -1e-9 || g > gap+1e-9 {
-					return false
-				}
-			}
+		if g := u.BufferOut(fast+gap) - u.BufferOut(fast); math.Abs(g-gap) > 1e-9 {
+			return false
+		}
+		// Slow signals outside the legal window are skipped (ok=false).
+		if g, ok := outputGap(u.FFOut, fast, gap); ok && math.Abs(g) > 1e-9 {
+			return false
+		}
+		if g, ok := outputGap(u.LatchOut, fast, gap); ok && (g < -1e-9 || g > gap+1e-9) {
+			return false
 		}
 		return true
 	}
@@ -134,7 +138,7 @@ func TestPropertyGapNeverGrows(t *testing.T) {
 
 func TestUnitKindString(t *testing.T) {
 	for k, w := range map[UnitKind]string{
-		UnitNone: "none", UnitBuffer: "buffer", UnitFF: "ff", UnitLatch: "latch", UnitKind(9): "unit?",
+		UnitNone: "none", UnitFF: "ff", UnitLatch: "latch", UnitKind(9): "unit?",
 	} {
 		if k.String() != w {
 			t.Errorf("UnitKind(%d).String() = %q, want %q", k, k.String(), w)

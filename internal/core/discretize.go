@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"virtualsync/internal/lp"
 )
 
 // quantMargin is the late-side headroom reserved for buffer-chain
@@ -52,47 +50,33 @@ func (p *Plan) realize(ctx context.Context) error {
 	for ei := range freeze {
 		freeze[ei] = math.NaN()
 	}
-	// Each round passes the previous solve's basis as a warm start, but
-	// it seldom applies: freezing an edge substitutes its delay as a
-	// constant and drops its ξ column, so the next model has fewer
-	// columns and Basis.Compatible rejects the seed. Most repair solves
-	// therefore run cold (DESIGN.md §6).
-	var warm *lp.Basis
-	solveFrozen := func() (*modelVars, bool, error) {
-		spec := &modelSpec{
-			T:         p.T,
-			opts:      p.Opts,
-			modes:     make([]EdgeMode, nE),
-			fixed:     p.Unit,
-			gateDelay: p.GateDelay,
-			freezeXi:  freeze,
-			warm:      warm,
-		}
-		for ei := range spec.modes {
-			spec.modes[ei] = ModeFixed
-		}
+	// Every repair solve starts cold, so the realization depends on its
+	// model alone, not on the previous solve's basis (DESIGN.md §6). A
+	// cold solve of an unchanged model gives the same answer, so each
+	// round starts from the XiReq of the last successful solve instead of
+	// solving its freezes again.
+	solveFrozen := func() (bool, error) {
+		spec := frozenSpec(p.T, p.Opts, p.Unit)
+		spec.gateDelay, spec.freezeXi = p.GateDelay, freeze
 		mv, sol, err := r.solveSpec(ctx, spec)
 		if err != nil || sol == nil {
-			return nil, false, err
+			return false, err
 		}
-		warm = sol.Basis
 		for ei := 0; ei < nE; ei++ {
 			if math.IsNaN(freeze[ei]) {
 				p.XiReq[ei] = sol.Value(mv.xi[ei])
 			}
 		}
-		return mv, true, nil
+		return true, nil
 	}
 
+	if ok, err := solveFrozen(); err != nil {
+		return err
+	} else if !ok {
+		return fmt.Errorf("core: repair LP infeasible after gate discretization")
+	}
 	const roundBatch = 8
 	for iter := 0; iter <= nE; iter++ {
-		_, ok, err := solveFrozen()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("core: repair LP infeasible after gate discretization (round %d)", iter)
-		}
 		// Freeze zero requests immediately; collect the rest.
 		type req struct {
 			ei int
@@ -122,7 +106,7 @@ func (p *Plan) realize(ctx context.Context) error {
 			p.Chain[rq.ei], p.ChainDelay[rq.ei] = chain, delay
 			freeze[rq.ei] = delay
 		}
-		if _, ok, err := solveFrozen(); err != nil {
+		if ok, err := solveFrozen(); err != nil {
 			return err
 		} else if ok {
 			continue
@@ -136,7 +120,7 @@ func (p *Plan) realize(ctx context.Context) error {
 			frozen := false
 			for _, cand := range p.chainCandidates(rq.xi) {
 				freeze[rq.ei] = cand.delay
-				if _, ok, err := solveFrozen(); err != nil {
+				if ok, err := solveFrozen(); err != nil {
 					return err
 				} else if ok {
 					p.Chain[rq.ei], p.ChainDelay[rq.ei] = cand.chain, cand.delay
@@ -382,11 +366,7 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 			if kind == UnitLatch && !p.Opts.UseLatches {
 				continue
 			}
-			unitArea := r.Lib.FF.Area
-			if kind == UnitLatch {
-				unitArea = r.Lib.Latch.Area
-			}
-			if unitArea >= cd.area {
+			if r.unitArea(kind) >= cd.area {
 				continue // no saving
 			}
 			for _, ph := range p.Opts.Phases {
@@ -441,17 +421,8 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac f
 			continue
 		}
 		*lpBudget--
-		spec := &modelSpec{
-			T:           q.T,
-			opts:        q.Opts,
-			modes:       make([]EdgeMode, nE),
-			fixed:       q.Unit,
-			gateDelay:   q.GateDelay,
-			quantMargin: q.quantMargin(),
-		}
-		for i := range spec.modes {
-			spec.modes[i] = ModeFixed
-		}
+		spec := frozenSpec(q.T, q.Opts, q.Unit)
+		spec.gateDelay, spec.quantMargin = q.GateDelay, q.quantMargin()
 		mv, sol, err := r.solveSpec(ctx, spec)
 		if err != nil || sol == nil {
 			continue

@@ -3,22 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/lp"
 	"virtualsync/internal/netlist"
 )
-
-// debugEnabled turns on period-search tracing via VSYNC_DEBUG=1.
-var debugEnabled = os.Getenv("VSYNC_DEBUG") != ""
-
-func debugf(format string, args ...interface{}) {
-	if debugEnabled {
-		fmt.Fprintf(os.Stderr, "vsync: "+format+"\n", args...)
-	}
-}
 
 // Result is a successful VirtualSync optimization.
 type Result struct {
@@ -241,69 +231,59 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 	// period (tcq + path + tsu) scales by ru under the same guard band.
 	T0 := r.Baseline.MinPeriod * opts.Ru
 	// best is the last feasible plan; it also seeds the next probe.
-	// atT0 is the first probe's plan, kept for Result.AtBaselinePeriod.
+	// atT0 is the baseline-period probe's plan, kept for
+	// Result.AtBaselinePeriod.
 	var best, atT0 *Plan
+	// descend probes the periods T0·(1−frac(i)) for i = from, from+1, …
+	// until stop consecutive probes fail or frac reaches 1, and returns
+	// the frac of the last feasible probe (0 if none was). Each feasible
+	// plan becomes best and seeds the next probe: its units are retargeted
+	// instead of re-running the full relaxation pipeline. Buffer
+	// replacement is pure area recovery; it runs once on the final plan,
+	// not at every probe.
+	descend := func(stage string, from, stop int, frac func(int) float64) (float64, error) {
+		last := 0.0
+		for i, fails := from, 0; fails < stop; i++ {
+			f := frac(i)
+			if f >= 1 {
+				break
+			}
+			var p *Plan
+			if T := T0 * (1 - f); T > 0 {
+				err := ctx.Err()
+				if err == nil {
+					p, err = solvePeriod(ctx, r, T, opts, best)
+				}
+				if err != nil {
+					return 0, err
+				}
+				if obs != nil {
+					obs(ProgressEvent{Stage: stage, T: T, Feasible: p != nil, Solver: r.SolverStats()})
+				}
+			}
+			if p == nil {
+				fails++
+				continue
+			}
+			fails = 0
+			best, last = p, f
+			if f == 0 {
+				atT0 = p
+			}
+		}
+		return last, nil
+	}
 	// Two-stage search: coarse steps (8x the refine step) descend quickly
 	// to the infeasibility frontier, then the paper's fine steps refine
 	// it. Isolated infeasible steps can be buffer-quantization artifacts,
 	// so each stage tolerates a few consecutive failures before stopping.
-	tryAt := func(stage string, T float64) (*Plan, error) {
-		if T <= 0 {
-			return nil, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		// Retarget the last feasible plan's units instead of re-running
-		// the full relaxation pipeline. Buffer replacement is pure area
-		// recovery; it runs once on the final plan, not at every probe.
-		p, err := solvePeriod(ctx, r, T, opts, best)
-		debugf("T=%.2f feasible=%v hint=%v in %v", T, p != nil, best != nil, time.Since(t0).Round(time.Millisecond))
-		if obs != nil && err == nil {
-			obs(ProgressEvent{Stage: stage, T: T, Feasible: p != nil, Solver: r.SolverStats()})
-		}
-		return p, err
-	}
 	coarse := stepFrac * 8
-	lastFeasibleFrac := 0.0
-	fails := 0
-	for k := 0; fails < 2; k++ {
-		frac := coarse * float64(k)
-		if frac >= 1 {
-			break
-		}
-		p, err := tryAt("probe", T0*(1-frac))
-		if err != nil {
-			return nil, nil, err
-		}
-		if p == nil {
-			fails++
-			continue
-		}
-		fails = 0
-		best = p
-		if k == 0 {
-			atT0 = p
-		}
-		lastFeasibleFrac = frac
+	lastFeasibleFrac, err := descend("probe", 0, 2, func(k int) float64 { return coarse * float64(k) })
+	if err != nil {
+		return nil, nil, err
 	}
-	fails = 0
-	for j := 1; fails < 4; j++ {
-		frac := lastFeasibleFrac + stepFrac*float64(j)
-		if frac >= 1 {
-			break
-		}
-		p, err := tryAt("refine", T0*(1-frac))
-		if err != nil {
-			return nil, nil, err
-		}
-		if p == nil {
-			fails++
-			continue
-		}
-		fails = 0
-		best = p
+	if _, err := descend("refine", 1, 4, func(j int) float64 { return lastFeasibleFrac + stepFrac*float64(j) }); err != nil {
+		return nil, nil, err
 	}
 	if best == nil {
 		return nil, nil, fmt.Errorf("core: no feasible VirtualSync solution near the baseline period %g", T0)

@@ -54,8 +54,6 @@ type ECOStats struct {
 	// Fallback reports that the incremental path gave up and the cold
 	// period search ran instead.
 	Fallback bool
-	// Runtime is the wall-clock time of the whole Reoptimize call.
-	Runtime time.Duration
 }
 
 // NewSession runs the cold VirtualSync period search on c and captures
@@ -148,11 +146,11 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 	}
 	removed := selectRemovable(work, s.Lib, newBase, s.Opts.SelectFrac)
 	if len(removed) == 0 {
-		return s.coldFallback(ctx, work, st, start)
+		return s.coldFallback(ctx, work, st)
 	}
 	region, err := buildRegion(work, s.Lib, newBase, removed)
 	if err != nil {
-		return s.coldFallback(ctx, work, st, start)
+		return s.coldFallback(ctx, work, st)
 	}
 	hint := transferPlan(region, s.region, s.Result.Plan)
 	st.PlanTransferred = hint != nil
@@ -182,7 +180,7 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 			break
 		}
 		if atCap {
-			return s.coldFallback(ctx, work, st, start)
+			return s.coldFallback(ctx, work, st)
 		}
 		st.RecoverySteps++
 		if mult == 0 {
@@ -200,13 +198,12 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 	s.Circuit = work
 	s.region = region
 	s.Result = res
-	st.Runtime = time.Since(start)
 	return res, st, nil
 }
 
 // coldFallback runs the full period search on the edited circuit and
 // advances the session state from its result.
-func (s *Session) coldFallback(ctx context.Context, work *netlist.Circuit, st *ECOStats, start time.Time) (*Result, *ECOStats, error) {
+func (s *Session) coldFallback(ctx context.Context, work *netlist.Circuit, st *ECOStats) (*Result, *ECOStats, error) {
 	st.Fallback = true
 	res, region, err := optimizeSearch(ctx, work, s.Lib, s.Opts, s.StepFrac, nil)
 	if err != nil {
@@ -215,7 +212,6 @@ func (s *Session) coldFallback(ctx context.Context, work *netlist.Circuit, st *E
 	s.Circuit = work
 	s.region = region
 	s.Result = res
-	st.Runtime = time.Since(start)
 	return res, st, nil
 }
 

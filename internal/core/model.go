@@ -523,11 +523,17 @@ func unitCostEquivalent(r *Region, kind UnitKind) float64 {
 	if ba <= 0 || bd <= 0 {
 		return 0
 	}
+	return r.unitArea(kind) / ba * bd
+}
+
+// unitArea is the cell area of one delay unit of the given kind (0 for
+// none).
+func (r *Region) unitArea(kind UnitKind) float64 {
 	switch kind {
 	case UnitFF:
-		return r.Lib.FF.Area / ba * bd
+		return r.Lib.FF.Area
 	case UnitLatch:
-		return r.Lib.Latch.Area / ba * bd
+		return r.Lib.Latch.Area
 	}
 	return 0
 }
@@ -576,11 +582,15 @@ func (mv *modelVars) edgeGap(sol *lp.Solution, ei int) float64 {
 	return sol.Value(mv.dlE[ei]) - sol.Value(mv.dl[ei])
 }
 
-// chosenCase decodes the selected unit case of an exact-mode edge.
+// chosenCase decodes the unit of an exact-mode edge, the case the solve
+// selected, or of a fixed-mode edge, its frozen unit at the window index
+// the solve settled on.
 func (mv *modelVars) chosenCase(sol *lp.Solution, ei int) (Placement, error) {
 	if mv.spec.modes[ei] == ModeFixed {
 		pl := mv.spec.fixed[ei]
-		pl.N = int(math.Round(sol.Value(mv.nv[ei])))
+		if pl.Kind != UnitNone {
+			pl.N = int(math.Round(sol.Value(mv.nv[ei])))
+		}
 		return pl, nil
 	}
 	for _, cv := range mv.cases[ei] {

@@ -149,8 +149,8 @@ func TestUnitCostEquivalent(t *testing.T) {
 	if ff <= 0 || lt <= 0 || lt >= ff {
 		t.Fatalf("unit costs: ff=%g latch=%g (latch should be cheaper)", ff, lt)
 	}
-	if unitCostEquivalent(r, UnitBuffer) != 0 {
-		t.Fatal("buffer has no unit cost")
+	if unitCostEquivalent(r, UnitNone) != 0 {
+		t.Fatal("an edge without a unit has no unit cost")
 	}
 }
 

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"virtualsync/internal/lp"
 )
@@ -75,16 +73,10 @@ func (p *Plan) NumBuffers() int {
 
 // InsertedArea returns the area of all inserted delay units and buffers.
 func (p *Plan) InsertedArea() float64 {
-	lib := p.R.Lib
-	bufCell := lib.Cell("BUF")
+	bufCell := p.R.Lib.Cell("BUF")
 	area := 0.0
 	for ei := range p.Unit {
-		switch p.Unit[ei].Kind {
-		case UnitFF:
-			area += lib.FF.Area
-		case UnitLatch:
-			area += lib.Latch.Area
-		}
+		area += p.R.unitArea(p.Unit[ei].Kind)
 		for _, drive := range p.Chain[ei] {
 			area += bufCell.Options[drive].Area
 		}
@@ -104,12 +96,9 @@ func gapTol(T float64) float64 { return 1e-6*T + 1e-9 }
 // and the full pipeline runs only if that fails.
 func optimizeRegion(ctx context.Context, r *Region, T float64, opts Options, prev *Plan) (*Plan, error) {
 	if prev != nil {
-		if p, err := retargetPlan(ctx, r, T, opts, prev); err != nil {
-			return nil, err
-		} else if p != nil {
-			return p, nil
+		if p, err := retargetPlan(ctx, r, T, opts, prev); err != nil || p != nil {
+			return p, err
 		}
-		// Fall through to the full pipeline.
 	}
 	return optimizeRegionFull(ctx, r, T, opts)
 }
@@ -119,24 +108,39 @@ func optimizeRegion(ctx context.Context, r *Region, T float64, opts Options, pre
 // warm-starting the simplex. It returns nil when the placements do not
 // transfer to the new period.
 func retargetPlan(ctx context.Context, r *Region, T float64, opts Options, prev *Plan) (*Plan, error) {
-	nE := len(r.Edges)
-	spec := &modelSpec{
-		T:      T,
-		opts:   opts,
-		modes:  make([]EdgeMode, nE),
-		fixed:  prev.Unit,
-		nSlack: 1,
-		warm:   prev.Basis,
-	}
-	for ei := range spec.modes {
-		spec.modes[ei] = ModeFixed
-	}
+	spec := frozenSpec(T, opts, prev.Unit)
+	spec.nSlack, spec.warm = 1, prev.Basis
 	mv, sol, err := r.solveSpec(ctx, spec)
 	if err != nil || sol == nil {
 		return nil, err
 	}
+	return decodePlan(r, mv, sol)
+}
+
+// frozenSpec is the model of a plan whose delay units stay where they
+// are: every edge ModeFixed on units. Callers set the spec's other
+// freezes (gate delays, buffer delays, quantization margin, window
+// slack) themselves.
+func frozenSpec(T float64, opts Options, units []Placement) *modelSpec {
+	spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, len(units)), fixed: units}
+	for ei := range spec.modes {
+		spec.modes[ei] = ModeFixed
+	}
+	return spec
+}
+
+// decodePlan reads the unrealized plan of a solved model: each gate's
+// assigned delay, each edge's buffer-delay request and delay unit. An
+// exact-model edge carries the case the solve chose; a fixed edge keeps
+// its unit, with the window index the solve settled on. Legalization
+// leaves no emulation gap above gapTol, so an emulated edge's paddings
+// are equal and act as pure combinational delay: they fold into the
+// buffer request.
+func decodePlan(r *Region, mv *modelVars, sol *lp.Solution) (*Plan, error) {
+	spec := mv.spec
+	nE := len(r.Edges)
 	p := &Plan{
-		R: r, T: T, Opts: opts,
+		R: r, T: spec.T, Opts: spec.opts,
 		Unit:         make([]Placement, nE),
 		XiReq:        make([]float64, nE),
 		Chain:        make([][]int, nE),
@@ -149,13 +153,15 @@ func retargetPlan(ctx context.Context, r *Region, T float64, opts Options, prev 
 	}
 	for ei := 0; ei < nE; ei++ {
 		p.XiReq[ei] = sol.Value(mv.xi[ei])
-		p.Unit[ei] = prev.Unit[ei]
-		if p.Unit[ei].Kind != UnitNone {
+		switch spec.modes[ei] {
+		case ModeFixed, ModeExact:
 			pl, err := mv.chosenCase(sol, ei)
 			if err != nil {
 				return nil, err
 			}
 			p.Unit[ei] = pl
+		case ModeEmulate:
+			p.XiReq[ei] += math.Min(sol.Value(mv.dl[ei]), sol.Value(mv.dlE[ei]))
 		}
 	}
 	return p, nil
@@ -165,7 +171,6 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 	nE := len(r.Edges)
 	tol := gapTol(T)
 
-	phaseStart := time.Now()
 	var mv *modelVars
 	var sol *lp.Solution
 	// warm threads the most recent optimal basis through the pipeline's
@@ -243,11 +248,7 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 				}
 				lb /= 2
 			}
-			anySd := false
-			for _, v := range inSd {
-				anySd = anySd || v
-			}
-			if !anySd {
+			if !slices.Contains(inSd, true) {
 				// The approximation never placed a unit although gaps exist;
 				// legalize every candidate location instead.
 				copy(inSd, inS)
@@ -255,8 +256,6 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 		}
 	}
 
-	debugf("  phases 1-2 done in %v", time.Since(phaseStart).Round(time.Millisecond))
-	phaseStart = time.Now()
 	// Phase 3: exact-model legalization on Sd (paper Section 5.3),
 	// batched for scalability: a few edges get the full case-selection
 	// ILP at a time while earlier choices stay frozen. Other edges stay
@@ -271,14 +270,8 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 			pending = append(pending, ei)
 		}
 	}
-	var finalMV *modelVars
-	var finalSol = sol
-	finalMV = mv
-	maxRounds := 4*nE + 4
-	if maxRounds > 40 {
-		maxRounds = 40
-	}
-	for round := 0; round < maxRounds; round++ {
+	finalMV, finalSol := mv, sol
+	for round := 0; round < min(4*nE+4, 40); round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -367,37 +360,5 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 	if len(pending) > 0 {
 		return nil, nil // legalization did not settle
 	}
-	debugf("  phase 3 done in %v", time.Since(phaseStart).Round(time.Millisecond))
-
-	// Decode the plan.
-	p := &Plan{
-		R: r, T: T, Opts: opts,
-		Unit:         make([]Placement, nE),
-		XiReq:        make([]float64, nE),
-		Chain:        make([][]int, nE),
-		ChainDelay:   make([]float64, nE),
-		GateDelayReq: make([]float64, len(r.Gates)),
-	}
-	for gi := range r.Gates {
-		p.GateDelayReq[gi] = finalMV.gateDelayOf(finalSol, gi)
-	}
-	p.Basis = finalSol.Basis
-	for ei := 0; ei < nE; ei++ {
-		p.XiReq[ei] = finalSol.Value(finalMV.xi[ei])
-		if pl, ok := chosen[ei]; ok {
-			p.Unit[ei] = pl
-		} else {
-			// Residual equal paddings act as pure combinational delay;
-			// fold them into the buffer request.
-			dl := finalSol.Value(finalMV.dl[ei])
-			dlE := finalSol.Value(finalMV.dlE[ei])
-			if math.Abs(dlE-dl) > 10*gapTol(T) {
-				return nil, fmt.Errorf("core: residual sequential gap %g on edge %d after legalization",
-					dlE-dl, ei)
-			}
-			p.XiReq[ei] += math.Min(dl, dlE)
-			p.Unit[ei] = Placement{Kind: UnitNone}
-		}
-	}
-	return p, nil
+	return decodePlan(r, finalMV, finalSol)
 }

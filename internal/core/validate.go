@@ -273,7 +273,7 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 		phi := u.PhaseFrac * T
 		n := float64(u.N)
 		switch u.Kind {
-		case UnitNone, UnitBuffer:
+		case UnitNone:
 			oL, oE = wL, wE
 		case UnitFF:
 			oL = (n+1)*T + phi + env.ff.Tcq*opts.Ru

@@ -186,47 +186,3 @@ func TestFanoutCone(t *testing.T) {
 		t.Errorf("cone(f1) = %v, want f1,g2,o", cone)
 	}
 }
-
-func TestDiffEdits(t *testing.T) {
-	base := editChain(t)
-	cur := base.Clone()
-	if _, err := cur.ApplyEdits([]Edit{
-		{Op: EditResize, Node: "g1", Drive: 3},
-		{Op: EditSwapCell, Node: "g1", Cell: "AND"},
-		{Op: EditRewire, Node: "g2", Pin: 1, Driver: "i0"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	edits, ok := DiffEdits(base, cur)
-	if !ok {
-		t.Fatal("diff should be expressible")
-	}
-	applied := base.Clone()
-	if _, err := applied.ApplyEdits(edits); err != nil {
-		t.Fatal(err)
-	}
-	again, ok := DiffEdits(applied, cur)
-	if !ok || len(again) != 0 {
-		t.Errorf("applying the diff should reproduce cur; residual = %v", again)
-	}
-}
-
-func TestDiffEditsInexpressible(t *testing.T) {
-	base := editChain(t)
-
-	// Added node.
-	cur := base.Clone()
-	if _, err := cur.ApplyEdits([]Edit{{Op: EditInsertFF, Name: "x", Node: "g2", Pin: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := DiffEdits(base, cur); ok {
-		t.Error("added node should be inexpressible")
-	}
-
-	// Kind change under the same name.
-	cur = editChain(t)
-	cur.ByName("g1").Kind = KindOr
-	if _, ok := DiffEdits(base, cur); ok {
-		t.Error("kind change should be inexpressible")
-	}
-}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -57,35 +56,20 @@ func CacheKey(c *netlist.Circuit, lib *celllib.Library, p Params) (string, error
 // treated as immutable by every reader.
 type Cache struct {
 	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used; values are *cacheEntry
-	entries map[string]*list.Element
-}
-
-type cacheEntry struct {
-	key string
-	res *JobResult
+	entries *lru[string, *JobResult]
 }
 
 // NewCache returns an LRU cache holding at most capacity results
 // (minimum 1).
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{cap: capacity, order: list.New(), entries: map[string]*list.Element{}}
+	return &Cache{entries: newLRU[string, *JobResult](capacity, nil)}
 }
 
 // Get returns the cached result for key, marking it most recently used.
 func (c *Cache) Get(key string) (*JobResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return c.entries.get(key)
 }
 
 // Put stores res under key, evicting the least recently used entry when
@@ -93,22 +77,12 @@ func (c *Cache) Get(key string) (*JobResult, bool) {
 func (c *Cache) Put(key string, res *JobResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
-	}
+	c.entries.put(key, res)
 }
 
 // Len returns the number of cached results.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.entries.len()
 }

@@ -43,6 +43,11 @@ const (
 	// incremental (ECO) re-optimization. Sessions hold the extracted
 	// region and last plan, so they are much heavier than cached results.
 	sessionEntries = 32
+	// jobEntries bounds the finished jobs the server remembers. Each keeps
+	// its parsed netlist, result and event log, so past this many the
+	// oldest terminal jobs are forgotten and answer 404. Queued and
+	// running jobs are never forgotten.
+	jobEntries = 256
 	// maxBody caps request bodies in bytes.
 	maxBody = 32 << 20
 )
@@ -69,6 +74,7 @@ func (c Config) withDefaults() Config {
 // job is one tracked submission.
 type job struct {
 	id  string
+	seq int // creation order, the number in id
 	key string
 
 	circuit *netlist.Circuit
@@ -94,6 +100,13 @@ type job struct {
 	// waiters are identical submissions attached to this in-flight
 	// primary; guarded by Server.mu, not job.mu.
 	waiters []*job
+}
+
+// done reports whether j has reached a terminal state.
+func (j *job) done() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return isTerminal(j.state)
 }
 
 func isTerminal(state string) bool {
@@ -161,7 +174,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string // job IDs in creation order
 	inflight map[string]*job
 	nextID   int
 
@@ -240,9 +252,6 @@ func New(ctx context.Context, cfg Config) *Server {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the metrics registry (for embedding extra metrics).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Shutdown stops accepting work and drains: every accepted job still
 // runs to a terminal state. If ctx ends first, in-flight pipelines are
 // cancelled (they finish as canceled) and Shutdown returns ctx.Err()
@@ -256,13 +265,29 @@ func (s *Server) inflightCount() float64 {
 	defer s.mu.Unlock()
 	n := 0
 	for _, j := range s.jobs {
-		j.mu.Lock()
-		if !isTerminal(j.state) {
+		if !j.done() {
 			n++
 		}
-		j.mu.Unlock()
 	}
 	return float64(n)
+}
+
+// forgetJobsLocked drops the oldest terminal jobs while more than
+// jobEntries are tracked. Queued and running jobs stay. Callers hold s.mu.
+func (s *Server) forgetJobsLocked() {
+	var done []*job
+	for _, j := range s.jobs {
+		if j.done() {
+			done = append(done, j)
+		}
+	}
+	if len(done) <= jobEntries {
+		return
+	}
+	sort.Slice(done, func(a, b int) bool { return done[a].seq < done[b].seq })
+	for _, j := range done[:len(done)-jobEntries] {
+		delete(s.jobs, j.id)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -282,6 +307,7 @@ func (s *Server) newJobLocked(key string, c *netlist.Circuit, lib *celllib.Libra
 	s.nextID++
 	j := &job{
 		id:      fmt.Sprintf("j%06d", s.nextID),
+		seq:     s.nextID,
 		key:     key,
 		circuit: c,
 		lib:     lib,
@@ -292,7 +318,6 @@ func (s *Server) newJobLocked(key string, c *netlist.Circuit, lib *celllib.Libra
 	}
 	j.events = []Event{{Seq: 0, State: StateQueued}}
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	return j
 }
 
@@ -386,6 +411,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.result = res
 		j.emitLocked(Event{State: StateDone, Message: "served from result cache"})
 		j.mu.Unlock()
+		s.forgetJobsLocked()
 		s.mu.Unlock()
 		s.mCacheHits.Inc()
 		s.mCompleted.With(StateDone).Inc()
@@ -441,12 +467,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		if j := s.jobs[id]; j != nil {
-			jobs = append(jobs, j)
-		}
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
 	out := make([]JobStatus, 0, len(jobs))
@@ -547,6 +570,9 @@ func (s *Server) finishJob(j *job, onlyFrom, state string, res *JobResult, errMs
 	for _, w := range waiters {
 		s.completeOne(w, "", state, res, errMsg)
 	}
+	s.mu.Lock()
+	s.forgetJobsLocked()
+	s.mu.Unlock()
 	return ok
 }
 

@@ -224,6 +224,62 @@ func TestUnknownJob404(t *testing.T) {
 	}
 }
 
+// TestJobTableForgetsOldestFinished: the server remembers at most
+// jobEntries terminal jobs. One more finished job makes the oldest one
+// answer 404, while a job still running survives however old it is.
+func TestJobTableForgetsOldestFinished(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig())
+	gate := make(chan struct{})
+	defer close(gate)
+	srv.preRun = func(_ context.Context, j *job) {
+		if j.circuit.Name == "held" {
+			<-gate
+		}
+	}
+	code := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	oldest, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench, Name: "first"})
+	if st := waitTerminal(t, ts, oldest.ID); st.State != StateDone {
+		t.Fatalf("first job ended %s: %s", st.State, st.Error)
+	}
+	held, _ := submitJob(t, ts, JobRequest{Netlist: tinyBench, Name: "held", Params: Params{StepFrac: 0.01}})
+	waitState(t, ts, held.ID, func(st JobStatus) bool { return st.State == StateRunning })
+
+	// Cache hits are born finished: jobEntries of them push the first
+	// job out and nothing else.
+	var hits []string
+	for i := 0; i < jobEntries; i++ {
+		st, c := submitJob(t, ts, JobRequest{Netlist: tinyBench})
+		if c != http.StatusOK || !st.CacheHit {
+			t.Fatalf("resubmission %d: HTTP %d, cache hit %v; want 200 from the cache", i, c, st.CacheHit)
+		}
+		hits = append(hits, st.ID)
+	}
+	if c := code(oldest.ID); c != http.StatusNotFound {
+		t.Errorf("oldest finished job: HTTP %d, want 404", c)
+	}
+	for _, id := range []string{hits[0], hits[len(hits)-1], held.ID} {
+		if c := code(id); c != http.StatusOK {
+			t.Errorf("job %s: HTTP %d, want 200", id, c)
+		}
+	}
+	if st := getJob(t, ts, held.ID); st.State != StateRunning {
+		t.Errorf("held job is %s, want running", st.State)
+	}
+	srv.mu.Lock()
+	tracked := len(srv.jobs)
+	srv.mu.Unlock()
+	if tracked != jobEntries+1 {
+		t.Errorf("tracking %d jobs, want %d", tracked, jobEntries+1)
+	}
+}
+
 // TestCacheDeterminism: an identical resubmission — even reformatted and
 // under another name — is served from the cache without running the
 // pipeline again, and returns the identical result.

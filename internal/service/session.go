@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -37,9 +36,7 @@ type sessionMeta struct {
 // returns it (possibly advanced) under new identifiers.
 type sessionStore struct {
 	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *sessionNode
-	byJob map[string]*list.Element
+	byJob *lru[string, sessionNode]
 	byKey map[string]string // base content key -> job ID
 }
 
@@ -49,15 +46,13 @@ type sessionNode struct {
 }
 
 func newSessionStore(capacity int) *sessionStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &sessionStore{
-		cap:   capacity,
-		order: list.New(),
-		byJob: map[string]*list.Element{},
-		byKey: map[string]string{},
-	}
+	st := &sessionStore{byKey: map[string]string{}}
+	st.byJob = newLRU(capacity, func(id string, n sessionNode) {
+		if st.byKey[n.meta.Key] == id {
+			delete(st.byKey, n.meta.Key)
+		}
+	})
+	return st
 }
 
 // Put stores sess under meta, evicting the least recently used session
@@ -65,25 +60,9 @@ func newSessionStore(capacity int) *sessionStore {
 func (st *sessionStore) Put(meta sessionMeta, sess *core.Session) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if el, ok := st.byJob[meta.JobID]; ok {
-		st.removeLocked(el)
-	}
-	el := st.order.PushFront(&sessionNode{meta: meta, sess: sess})
-	st.byJob[meta.JobID] = el
+	st.byJob.put(meta.JobID, sessionNode{meta, sess})
 	if meta.Key != "" {
 		st.byKey[meta.Key] = meta.JobID
-	}
-	for st.order.Len() > st.cap {
-		st.removeLocked(st.order.Back())
-	}
-}
-
-func (st *sessionStore) removeLocked(el *list.Element) {
-	n := el.Value.(*sessionNode)
-	st.order.Remove(el)
-	delete(st.byJob, n.meta.JobID)
-	if st.byKey[n.meta.Key] == n.meta.JobID {
-		delete(st.byKey, n.meta.Key)
 	}
 }
 
@@ -91,30 +70,23 @@ func (st *sessionStore) removeLocked(el *list.Element) {
 func (st *sessionStore) TakeByJob(id string) (*core.Session, sessionMeta, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	el, ok := st.byJob[id]
-	if !ok {
-		return nil, sessionMeta{}, false
-	}
-	n := el.Value.(*sessionNode)
-	st.removeLocked(el)
-	return n.sess, n.meta, true
+	n, ok := st.byJob.take(id)
+	return n.sess, n.meta, ok
 }
 
 // TakeByKey removes and returns the session whose base circuit has the
 // given content key.
 func (st *sessionStore) TakeByKey(key string) (*core.Session, sessionMeta, bool) {
 	st.mu.Lock()
-	id, ok := st.byKey[key]
-	st.mu.Unlock()
-	if !ok {
-		return nil, sessionMeta{}, false
-	}
-	return st.TakeByJob(id)
+	defer st.mu.Unlock()
+	// An unknown key reads as job ID "", under which nothing is stored.
+	n, ok := st.byJob.take(st.byKey[key])
+	return n.sess, n.meta, ok
 }
 
 // Len returns the number of stored sessions.
 func (st *sessionStore) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.order.Len()
+	return st.byJob.len()
 }

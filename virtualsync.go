@@ -173,11 +173,6 @@ func ParseEdits(s string) ([]Edit, error) { return netlist.ParseEdits(s) }
 // FormatEdits renders an edit list in the grammar ParseEdits accepts.
 func FormatEdits(edits []Edit) string { return netlist.FormatEdits(edits) }
 
-// DiffEdits expresses cur as an edit list against base, when the
-// difference is expressible in the edit grammar (same node names with
-// changed drives, cells or wiring). ok is false otherwise.
-func DiffEdits(base, cur *Circuit) ([]Edit, bool) { return netlist.DiffEdits(base, cur) }
-
 // VerifyEquivalence simulates both circuits with the same per-cycle
 // random stimulus (each at its own clock period) and compares every
 // common flip-flop and primary output from cycle warmup onward. An empty
