@@ -21,9 +21,8 @@ func (p *Plan) quantMargin() float64 {
 // the slowest library drive not exceeding the assigned delay, a repair LP
 // re-derives consistent buffer delays for the realized gates, and buffer
 // chains are assembled from library drive options. The realized plan is
-// validated and locally repaired; realize reports an error when no valid
-// realization is found (the caller treats the target period as
-// infeasible).
+// validated; realize reports an error when no valid realization is found
+// (the caller treats the target period as infeasible).
 func (p *Plan) realize(ctx context.Context) error {
 	r := p.R
 	nG, nE := len(r.Gates), len(r.Edges)
@@ -44,8 +43,7 @@ func (p *Plan) realize(ctx context.Context) error {
 	// realizable chains and frozen, and the LP re-solves so the remaining
 	// free buffers compensate the rounding exactly. Batches that make the
 	// LP infeasible fall back to freezing one edge at a time with
-	// alternative roundings. A final validation plus local chain repair
-	// guards the result.
+	// alternative roundings. A final validation guards the result.
 	freeze := make([]float64, nE)
 	for ei := range freeze {
 		freeze[ei] = math.NaN()
@@ -133,10 +131,8 @@ func (p *Plan) realize(ctx context.Context) error {
 			}
 		}
 	}
-	if st, vs := p.validate(ValidateParams{}); len(vs) > 0 {
-		if vs = p.repairChains(st, vs); len(vs) > 0 {
-			return fmt.Errorf("core: realization invalid after repair: %v", vs[0])
-		}
+	if vs := p.Validate(); len(vs) > 0 {
+		return fmt.Errorf("core: realization invalid: %v", vs[0])
 	}
 	return nil
 }
@@ -399,7 +395,11 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac f
 	nE := len(r.Edges)
 
 	// Choose N from the current early arrival at the edge (without its
-	// chain): the window index the fast signal would fall into.
+	// chain): the window index the fast signal would fall into. Window
+	// nGuess+1 fits once the repair LP pads the edge to reach it. Window
+	// nGuess-1 closes before the signal arrives; only shorter chains
+	// upstream could make it fit, and the repair LP never found such a
+	// fit on the suite, so it is not tried.
 	st, vsp := p.propagate(p.env(ValidateParams{}))
 	if st == nil || len(vsp) > 0 {
 		return nil
@@ -407,7 +407,7 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac f
 	probe := st.wEarly[ei] - p.ChainDelay[ei]*p.Opts.Rl // arrival without the chain
 	nGuess := int(math.Floor((probe - phaseFrac*p.T) / p.T))
 
-	for _, n := range []int{nGuess, nGuess - 1, nGuess + 1} {
+	for _, n := range []int{nGuess, nGuess + 1} {
 		q := p.clone()
 		q.Unit[ei] = Placement{Kind: kind, PhaseFrac: phaseFrac, N: n}
 		q.Chain[ei], q.ChainDelay[ei] = nil, 0

@@ -205,26 +205,18 @@ const DefaultStepFrac = 0.005
 // legalization rounds, returning ctx.Err() when the context ends. obs
 // (when non-nil) receives one event per probed period and one for the
 // final buffer-replacement pass, carrying cumulative solver work
-// counters.
+// counters. The extracted region is the result's Plan.R.
 func OptimizeObserved(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, opts Options, stepFrac float64, obs ProgressFunc) (*Result, error) {
-	res, _, err := optimizeSearch(ctx, c, lib, opts, stepFrac, obs)
-	return res, err
-}
-
-// optimizeSearch is the period search behind OptimizeObserved. It also
-// returns the extracted region so callers (the ECO session) can keep it
-// for later incremental re-optimization.
-func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, opts Options, stepFrac float64, obs ProgressFunc) (*Result, *Region, error) {
 	if stepFrac <= 0 {
 		stepFrac = DefaultStepFrac
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	start := time.Now()
 	r, err := Extract(c, lib, opts.SelectFrac)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The model guards every delay with ru/rl margins, so the comparable
 	// baseline is the margined minimum period: every term of the classic
@@ -280,13 +272,13 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 	coarse := stepFrac * 8
 	lastFeasibleFrac, err := descend("probe", 0, 2, func(k int) float64 { return coarse * float64(k) })
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := descend("refine", 1, 4, func(j int) float64 { return lastFeasibleFrac + stepFrac*float64(j) }); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if best == nil {
-		return nil, nil, fmt.Errorf("core: no feasible VirtualSync solution near the baseline period %g", T0)
+		return nil, fmt.Errorf("core: no feasible VirtualSync solution near the baseline period %g", T0)
 	}
 	replace := false
 	if opts.BufferReplace {
@@ -298,7 +290,7 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 		// why replacement does not start from best itself).
 		p, err := solvePeriod(ctx, r, best.T, opts, best)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if p != nil {
 			best, replace = p, true
@@ -306,9 +298,9 @@ func optimizeSearch(ctx context.Context, c *netlist.Circuit, lib *celllib.Librar
 	}
 	res, err := best.finish(ctx, replace)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res.atBaseline = atT0
 	res.Runtime = time.Since(start)
-	return res, r, nil
+	return res, nil
 }

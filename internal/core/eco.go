@@ -11,11 +11,11 @@ import (
 )
 
 // Session holds everything needed to re-optimize a circuit incrementally
-// after small (ECO-style) edits: the accepted pre-optimization netlist,
-// the extracted region and the last feasible plan. Reoptimize applies an
-// edit list, re-analyzes and re-extracts the edited circuit, and
-// re-solves starting from the previous plan instead of rerunning the
-// cold period search.
+// after small (ECO-style) edits: the accepted pre-optimization netlist
+// and the last result, whose plan carries the extracted region.
+// Reoptimize applies an edit list, re-analyzes and re-extracts the edited
+// circuit, and re-solves starting from the previous plan instead of
+// rerunning the cold period search.
 //
 // A Session is not safe for concurrent use.
 type Session struct {
@@ -27,8 +27,6 @@ type Session struct {
 	Circuit *netlist.Circuit
 	// Result is the last successful optimization of Circuit.
 	Result *Result
-
-	region *Region
 }
 
 // ECOStats reports how one Reoptimize call went: how much of the
@@ -62,23 +60,22 @@ func NewSession(ctx context.Context, c *netlist.Circuit, lib *celllib.Library, o
 	if stepFrac <= 0 {
 		stepFrac = DefaultStepFrac
 	}
-	res, region, err := optimizeSearch(ctx, c, lib, opts, stepFrac, obs)
+	res, err := OptimizeObserved(ctx, c, lib, opts, stepFrac, obs)
 	if err != nil {
 		return nil, err
 	}
-	return newSession(lib, opts, stepFrac, res, region), nil
+	return newSession(lib, opts, stepFrac, res), nil
 }
 
 // newSession keeps the extracted region's working copy of the circuit
 // as the session state, as Reoptimize does after every edit.
-func newSession(lib *celllib.Library, opts Options, stepFrac float64, res *Result, region *Region) *Session {
+func newSession(lib *celllib.Library, opts Options, stepFrac float64, res *Result) *Session {
 	return &Session{
 		Lib:      lib,
 		Opts:     opts,
 		StepFrac: stepFrac,
-		Circuit:  region.Work,
+		Circuit:  res.Plan.R.Work,
 		Result:   res,
-		region:   region,
 	}
 }
 
@@ -105,7 +102,7 @@ func NewSessionAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Li
 		return nil, err
 	}
 	res.Runtime = time.Since(start)
-	return newSession(lib, opts, DefaultStepFrac, res, region), nil
+	return newSession(lib, opts, DefaultStepFrac, res), nil
 }
 
 // Reoptimize applies the edits to the session's circuit and re-runs the
@@ -152,7 +149,7 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 	if err != nil {
 		return s.coldFallback(ctx, work, st)
 	}
-	hint := transferPlan(region, s.region, s.Result.Plan)
+	hint := transferPlan(region, s.Result.Plan)
 	st.PlanTransferred = hint != nil
 	st.BasisTransferred = hint != nil && hint.Basis != nil
 
@@ -196,7 +193,6 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 	}
 	res.Runtime = time.Since(start)
 	s.Circuit = work
-	s.region = region
 	s.Result = res
 	return res, st, nil
 }
@@ -205,17 +201,16 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 // advances the session state from its result.
 func (s *Session) coldFallback(ctx context.Context, work *netlist.Circuit, st *ECOStats) (*Result, *ECOStats, error) {
 	st.Fallback = true
-	res, region, err := optimizeSearch(ctx, work, s.Lib, s.Opts, s.StepFrac, nil)
+	res, err := OptimizeObserved(ctx, work, s.Lib, s.Opts, s.StepFrac, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	s.Circuit = work
-	s.region = region
 	s.Result = res
 	return res, st, nil
 }
 
-// transferPlan remaps a plan from the previous region onto the new one
+// transferPlan remaps a plan from its own region onto the new one
 // by physical edge identity (source node, destination node, destination
 // pin). Unit placements carry over edge by edge; edges with no
 // counterpart start without a unit. The simplex basis transfers only on
@@ -224,10 +219,11 @@ func (s *Session) coldFallback(ctx context.Context, work *netlist.Circuit, st *E
 // retargetPlan; if the transferred placements do not fit the new region,
 // the retarget solve is infeasible and the full pipeline runs, so a bad
 // transfer costs one solve, never correctness.
-func transferPlan(r, prevR *Region, prev *Plan) *Plan {
-	if prev == nil || prevR == nil {
+func transferPlan(r *Region, prev *Plan) *Plan {
+	if prev == nil {
 		return nil
 	}
+	prevR := prev.R
 	type edgeKey struct {
 		src, dst netlist.NodeID
 		pin      int

@@ -206,7 +206,7 @@ func TestTransferPlanIdentity(t *testing.T) {
 	if err != nil || plan == nil {
 		t.Fatalf("no plan at T=12: %v", err)
 	}
-	same := transferPlan(r, r, plan)
+	same := transferPlan(r, plan)
 	if !reflect.DeepEqual(same.Unit, plan.Unit) {
 		t.Error("identity transfer changed unit placements")
 	}
@@ -216,7 +216,7 @@ func TestTransferPlanIdentity(t *testing.T) {
 
 	// A region with one edge missing: partial match, no basis.
 	trunc := &Region{Edges: append([]Edge(nil), r.Edges[:len(r.Edges)-1]...)}
-	part := transferPlan(trunc, r, plan)
+	part := transferPlan(trunc, plan)
 	if part.Basis != nil {
 		t.Error("partial transfer must drop the basis")
 	}

@@ -123,10 +123,9 @@ type modelSpec struct {
 	// nSlack lets ModeFixed window indices move by +-nSlack around the
 	// frozen placement's N (used when re-targeting a nearby period).
 	nSlack int
-	// warm, when non-nil, seeds the simplex from a prior solve's basis
-	// (the previous period probe or the previous iteration of the same
-	// loop). Structurally incompatible bases are ignored by the solver,
-	// so callers thread the most recent basis unconditionally.
+	// warm, when non-nil, seeds the simplex from a prior solve's basis:
+	// a retarget solve passes the previous plan's. Structurally
+	// incompatible bases are ignored by the solver.
 	warm *lp.Basis
 }
 

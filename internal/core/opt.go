@@ -171,12 +171,11 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 	nE := len(r.Edges)
 	tol := gapTol(T)
 
+	// Every phase 1-3 solve starts cold: each phase-2 iteration and
+	// phase-3 round changes the model's columns, so a basis from the
+	// previous solve would never apply.
 	var mv *modelVars
 	var sol *lp.Solution
-	// warm threads the most recent optimal basis through the pipeline's
-	// successive solves; the solver ignores it whenever a spec change
-	// altered the model structure.
-	var warm *lp.Basis
 	inSd := make([]bool, nE)
 	{
 		// Phase 1: sequential-delay emulation (paper eq. 22-24).
@@ -189,7 +188,6 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 		if sol == nil {
 			return nil, nil // infeasible at T
 		}
-		warm = sol.Basis
 		inS := make([]bool, nE)
 		maxGap := 0.0
 		for ei := 0; ei < nE; ei++ {
@@ -206,7 +204,7 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 		if maxGap > 0 {
 			lb := T / 2
 			for iter := 0; iter < 6; iter++ {
-				spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE), gapLB: lb, warm: warm}
+				spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE), gapLB: lb}
 				for ei := range spec.modes {
 					if inS[ei] {
 						spec.modes[ei] = ModeBinary
@@ -229,7 +227,6 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 					}
 					continue
 				}
-				warm = sol.Basis
 				for ei := range r.Edges {
 					if inS[ei] && sol.Value(mv.x[ei]) > 0.5 {
 						inSd[ei] = true
@@ -275,7 +272,7 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE), fixed: make([]Placement, nE), warm: warm}
+		spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE), fixed: make([]Placement, nE)}
 		cur := pending
 		if len(cur) > batch {
 			cur = cur[:batch]
@@ -342,7 +339,6 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 		}
 		pending = pending[min(len(cur), len(pending)):]
 		finalMV, finalSol = mv, sol
-		warm = sol.Basis
 		// Residual emulation gaps become new legalization candidates.
 		for ei := 0; ei < nE; ei++ {
 			if spec.modes[ei] != ModeEmulate || inSd[ei] {

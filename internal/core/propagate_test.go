@@ -33,7 +33,7 @@ var (
 // suitePlans optimizes s5378, mem_ctrl, systemcdes and ac97_ctrl once
 // per test binary: the period search without replacement gives the
 // pre-replacement plan, and re-running its period with replacement (as
-// optimizeSearch does) gives the final plan.
+// OptimizeObserved does) gives the final plan.
 func suitePlans(tb testing.TB) []suitePlan {
 	tb.Helper()
 	suitePlansOnce.Do(func() {
@@ -53,11 +53,12 @@ func suitePlans(tb testing.TB) []suitePlan {
 			}
 			opts := DefaultOptions()
 			opts.BufferReplace = false
-			pre, r, err := optimizeSearch(ctx, base, lib, opts, 0.005, nil)
+			pre, err := OptimizeObserved(ctx, base, lib, opts, 0.005, nil)
 			if err != nil {
 				suitePlansErr = fmt.Errorf("%s: %v", name, err)
 				return
 			}
+			r := pre.Plan.R
 			opts.BufferReplace = true
 			final, err := solvePeriod(ctx, r, pre.Period, opts, pre.Plan)
 			if err == nil && final != nil {

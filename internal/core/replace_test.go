@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -114,13 +115,20 @@ func TestAtBaselinePeriodMatchesOptimizeAtPeriod(t *testing.T) {
 // TestTryUnitAtLeavesPlanUntouched tries every replacement candidate of
 // the s5378 and mem_ctrl pre-replacement plans with every unit kind and
 // phase, and requires the plan to be unchanged after each try, whether
-// the try succeeds or not.
+// the try succeeds or not. Each try gets a budget of three repair solves
+// and may spend two: one per window, nGuess and nGuess+1, where nGuess is
+// the window of the edge's fast signal with its chain removed. A copy it
+// returns places the unit in one of those two windows.
 func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 	ctx := context.Background()
-	tries, found := 0, 0
+	tries, found, solves := 0, 0, 0
 	for _, sp := range suitePlans(t)[:2] {
 		p := sp.pre
 		buf := p.R.Lib.Cell("BUF")
+		st, vs := p.propagate(p.env(ValidateParams{}))
+		if st == nil || len(vs) > 0 {
+			t.Fatalf("%s: pre-replacement plan does not propagate: %v", sp.name, vs)
+		}
 		for ei := range p.R.Edges {
 			area := 0.0
 			for _, d := range p.Chain[ei] {
@@ -129,16 +137,26 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 			if p.Unit[ei].Kind != UnitNone || area <= p.R.Lib.Latch.Area {
 				continue
 			}
+			probe := st.wEarly[ei] - p.ChainDelay[ei]*p.Opts.Rl
 			for _, kind := range []UnitKind{UnitLatch, UnitFF} {
 				for _, ph := range p.Opts.Phases {
+					nGuess := int(math.Floor((probe - ph*p.T) / p.T))
 					before := p.clone()
 					budget := 3
 					q := p.tryUnitAt(ctx, ei, kind, ph, &budget)
 					tries++
+					spent := 3 - budget
+					if spent > 2 {
+						t.Fatalf("%s edge %d kind %v phase %g: %d repair solves, want at most 2", sp.name, ei, kind, ph, spent)
+					}
+					solves += spent
 					if q != nil {
 						found++
 						if q == p {
 							t.Fatalf("%s edge %d: tryUnitAt returned its receiver", sp.name, ei)
+						}
+						if u := q.Unit[ei]; u.Kind != kind || u.PhaseFrac != ph || (u.N != nGuess && u.N != nGuess+1) {
+							t.Fatalf("%s edge %d: unit %+v, want %v at phase %g in window %d or %d", sp.name, ei, u, kind, ph, nGuess, nGuess+1)
 						}
 					}
 					if !reflect.DeepEqual(p, before) {
@@ -151,5 +169,5 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 	if found == 0 || found == tries {
 		t.Fatalf("%d of %d tries succeeded; want a mix of successes and failures", found, tries)
 	}
-	t.Logf("%d tries, %d succeeded", tries, found)
+	t.Logf("%d tries, %d succeeded, %d repair solves", tries, found, solves)
 }

@@ -276,11 +276,11 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 		case UnitNone:
 			oL, oE = wL, wE
 		case UnitFF:
-			oL = (n+1)*T + phi + env.ff.Tcq*opts.Ru
-			oE = (n+1)*T + phi + env.ff.Tcq*opts.Rl
+			oL = ffOut(n, T, phi, env.ff.Tcq*opts.Ru)
+			oE = ffOut(n, T, phi, env.ff.Tcq*opts.Rl)
 		case UnitLatch:
-			open := n*T + phi + netlist.LatchDuty*T
-			oL = math.Max(open+env.lt.Tcq*opts.Ru, wL+env.lt.Tdq*opts.Ru)
+			open := latchOpen(n, T, phi)
+			oL = latchOut(open, wL, env.lt.Tcq*opts.Ru, env.lt.Tdq*opts.Ru)
 			if env.transparent && wE > open {
 				oE = wE + env.lt.Tdq*opts.Rl
 			} else {
@@ -340,6 +340,57 @@ func (p *Plan) propagate(env valEnv) (*waveState, []Violation) {
 	}}
 }
 
+// unitWindow is the legal input window [lo, hi] of a sequential delay
+// unit in window n whose clock has phase shift phi (absolute time): hold
+// th after the n-th clock edge, setup tsu before the next (paper eq. 7-8,
+// 14). th and tsu come scaled by the caller's guard band.
+func unitWindow(n, T, phi, th, tsu float64) (lo, hi float64) {
+	return n*T + phi + th, (n+1)*T + phi - tsu
+}
+
+// latchOpen is the edge at which a latch in window n turns transparent:
+// it stays closed for the first LatchDuty of the period.
+func latchOpen(n, T, phi float64) float64 {
+	return n*T + phi + netlist.LatchDuty*T
+}
+
+// ffOut is the output time of a flip-flop unit in window n: every input
+// in the window leaves at the next clock edge plus tcq (paper Fig. 2(b)).
+func ffOut(n, T, phi, tcq float64) float64 {
+	return (n+1)*T + phi + tcq
+}
+
+// latchOut is the latest output time of a latch that opens at open for
+// an input at in: a signal that arrives while the latch is closed waits
+// for the opening edge plus tcq, one that arrives while it is transparent
+// flows through after tdq, never before the opening-edge response
+// (paper Fig. 2(c)).
+func latchOut(open, in, tcq, tdq float64) float64 {
+	return math.Max(open+tcq, in+tdq)
+}
+
+// UnitOut is a delay unit's transfer characteristic (paper Fig. 2) under
+// the validator's rules at unity guard bands, for an input arriving at
+// in. A flip-flop or latch with timing seq and clock phase shift phi
+// (absolute time) uses the window whose hold edge in follows, and n is
+// that window's index; ok is false when in falls in the setup/hold fence
+// between two windows. UnitNone passes in through, as an edge without a
+// unit does.
+func UnitOut(kind UnitKind, seq celllib.SeqTiming, T, phi, in float64) (out float64, n int, ok bool) {
+	if kind == UnitNone {
+		return in, 0, true
+	}
+	nf := math.Floor((in - phi - seq.Th) / T)
+	lo, hi := unitWindow(nf, T, phi, seq.Th, seq.Tsu)
+	if in < lo-valTol || in > hi+valTol {
+		return 0, int(nf), false
+	}
+	if kind == UnitLatch {
+		return latchOut(latchOpen(nf, T, phi), in, seq.Tcq, seq.Tdq), int(nf), true
+	}
+	return ffOut(nf, T, phi, seq.Tcq), int(nf), true
+}
+
 func sameOrBothInf(a, b float64) bool {
 	if math.IsInf(a, -1) && math.IsInf(b, -1) {
 		return true
@@ -387,8 +438,7 @@ func (p *Plan) check(st *waveState, env valEnv) []Violation {
 		n := float64(u.N)
 		switch u.Kind {
 		case UnitFF:
-			lo := n*T + phi + env.ff.Th*opts.Ru
-			hi := (n+1)*T + phi - env.ff.Tsu*opts.Ru
+			lo, hi := unitWindow(n, T, phi, env.ff.Th*opts.Ru, env.ff.Tsu*opts.Ru)
 			if wE < lo-valTol {
 				add("ff-window-lo", ei, -1, lo-wE, "early arrival %g before window start %g", wE, lo)
 			}
@@ -396,9 +446,8 @@ func (p *Plan) check(st *waveState, env valEnv) []Violation {
 				add("ff-window-hi", ei, -1, wL-hi, "late arrival %g after window end %g", wL, hi)
 			}
 		case UnitLatch:
-			lo := n*T + phi + env.lt.Th*opts.Ru
-			hi := (n+1)*T + phi - env.lt.Tsu*opts.Ru
-			open := n*T + phi + netlist.LatchDuty*T
+			lo, hi := unitWindow(n, T, phi, env.lt.Th*opts.Ru, env.lt.Tsu*opts.Ru)
+			open := latchOpen(n, T, phi)
 			if wE < lo-valTol {
 				add("latch-window-lo", ei, -1, lo-wE, "early arrival %g before window start %g", wE, lo)
 			}

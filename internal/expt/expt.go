@@ -386,9 +386,11 @@ type Fig2Point struct {
 	LatchOut  float64 // NaN outside the legal window
 }
 
-// fig2Unit is the delay unit paper Fig. 2 draws: T=10 with tcq=3,
-// tdq=1, tsu=th=1 and a buffer delay of 2.
-var fig2Unit = core.UnitTiming{T: 10, Phi: 0, Tcq: 3, Tdq: 1, Tsu: 1, Th: 1, Delay: 2}
+// fig2Seq, fig2T and fig2Buffer are the delay units paper Fig. 2 draws:
+// T=10 with tcq=3, tdq=1, tsu=th=1, and a buffer delay of 2.
+var fig2Seq = celllib.SeqTiming{Tcq: 3, Tdq: 1, Tsu: 1, Th: 1}
+
+const fig2T, fig2Buffer = 10.0, 2.0
 
 // fig2Samples is the number of evenly spaced input arrivals RunFig2
 // samples over one clock period.
@@ -397,15 +399,14 @@ const fig2Samples = 41
 // RunFig2 samples the three transfer characteristics of paper Fig. 2 over
 // one clock period.
 func RunFig2() []Fig2Point {
-	u := fig2Unit
 	out := make([]Fig2Point, 0, fig2Samples)
 	for i := 0; i < fig2Samples; i++ {
-		in := u.Phi + u.T*float64(i)/float64(fig2Samples-1)
-		p := Fig2Point{In: in, BufferOut: u.BufferOut(in), FFOut: math.NaN(), LatchOut: math.NaN()}
-		if v, _, ok := u.FFOut(in); ok {
+		in := fig2T * float64(i) / float64(fig2Samples-1)
+		p := Fig2Point{In: in, BufferOut: in + fig2Buffer, FFOut: math.NaN(), LatchOut: math.NaN()}
+		if v, _, ok := core.UnitOut(core.UnitFF, fig2Seq, fig2T, 0, in); ok {
 			p.FFOut = v
 		}
-		if v, _, ok := u.LatchOut(in); ok {
+		if v, _, ok := core.UnitOut(core.UnitLatch, fig2Seq, fig2T, 0, in); ok {
 			p.LatchOut = v
 		}
 		out = append(out, p)

@@ -43,11 +43,6 @@ type Decoded struct {
 	// TFrac is the single-period probe target: T = T0*(1-TFrac), where T0
 	// is the circuit's guard-banded baseline period.
 	TFrac float64
-	// StepFrac is a period-search step fraction. The differential
-	// checker probes one period and does not read it; it stays in the
-	// decoding and in the regression seed knobs so that decoded cases
-	// and stored seeds keep their identity.
-	StepFrac float64
 }
 
 // decoder caps, chosen so the full ILP flow on a decoded case runs in
@@ -201,7 +196,6 @@ func DecodeCase(data []byte) (*Decoded, error) {
 		Warmup:   10,
 		StimSeed: int64(cur.next())<<8 | int64(cur.next()),
 		TFrac:    float64(cur.mod(13)) / 100,
-		StepFrac: 0.01 * float64(1+cur.mod(3)),
 	}
 	return d, nil
 }

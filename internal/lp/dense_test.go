@@ -104,8 +104,6 @@ func (k *denseKernel) update(slot, e int, alpha []float64) bool {
 
 func (k *denseKernel) refactor([]int32) ([][2]int32, bool) { return nil, false }
 
-func (k *denseKernel) kstats() KernelStats { return KernelStats{} }
-
 // newDenseSolver is newSolver with the dense oracle substituted for the
 // LU kernel. The all-slack start basis is the identity in both.
 func newDenseSolver(p *problem, lb, ub []float64) *solver {

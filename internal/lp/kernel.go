@@ -26,17 +26,4 @@ type basisKernel interface {
 	// kernel has patched that slot with the unit column of the row, and
 	// the caller must install the matching slack into its basis.
 	refactor(basis []int32) (repairs [][2]int32, ok bool)
-	// kstats returns the kernel's work counters.
-	kstats() KernelStats
-}
-
-// KernelStats are basis-kernel work counters, reported through Stats so
-// benchmarks can track refactorizations and factor fill.
-type KernelStats struct {
-	Refactors int // refactorizations performed (excluding the initial one)
-	Repairs   int // singular basis slots repaired with slack columns
-	Etas      int // current eta-file length
-	EtaNnz    int // current eta-file nonzeros
-	FactorNnz int // L+U nonzeros of the last factorization (incl. diagonal)
-	Bump      int // non-triangular bump size of the last factorization
 }

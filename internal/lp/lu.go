@@ -89,8 +89,6 @@ type luKernel struct {
 	rowPtr  []int32 // refactor: CSR rows over (slot, value) of the basis
 	rowSlot []int32
 	rowValR []float64
-
-	stats KernelStats
 }
 
 func newLUKernel(p *problem) *luKernel {
@@ -106,14 +104,6 @@ func newLUKernel(p *problem) *luKernel {
 		etaPtr:    make([]int32, 1, luMaxEtas+1),
 	}
 	return k
-}
-
-func (k *luKernel) kstats() KernelStats {
-	st := k.stats
-	st.Etas = len(k.etaPiv)
-	st.EtaNnz = len(k.etaIdx)
-	st.FactorNnz = len(k.lval) + len(k.uval) + k.m
-	return st
 }
 
 // factorFtran solves L·U x = w. w is in constraint-row space and is
@@ -249,7 +239,6 @@ func (k *luKernel) update(slot, e int, alpha []float64) bool {
 // comment at the top of this file for the two-stage ordering.
 func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 	p, m := k.p, k.m
-	k.stats.Refactors++
 
 	// Reset factorization and eta storage, reusing capacity.
 	k.pstep = k.pstep[:0]
@@ -440,7 +429,6 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 
 	// Stage 2: Markowitz bump over dynamic maps. Usually empty for
 	// timing LP bases.
-	k.stats.Bump = 0
 	var activeCols []int32
 	for q := int32(0); q < int32(m); q++ {
 		if colActive[q] {
@@ -448,7 +436,6 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 		}
 	}
 	if len(activeCols) > 0 {
-		k.stats.Bump = len(activeCols)
 		k.factorBump(basis, activeCols, rowActive, colActive, &badSlots)
 	}
 
@@ -469,7 +456,6 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 		k.ud = append(k.ud, 1)
 		k.lptr = append(k.lptr, int32(len(k.lrow)))
 		repairs = append(repairs, [2]int32{q, r})
-		k.stats.Repairs++
 	}
 
 	// Finalize U: gather each pivot column's pending entries, ordered by

@@ -193,7 +193,7 @@ func TestLUEtaGrowthBoundEnforced(t *testing.T) {
 			m, _ := timingLP(rng, 300)
 			s := driveLU(t, m, func(lu *luKernel) { lu.maxEtas = tc.maxEtas })
 			lu := s.kern.(*luKernel)
-			if got := lu.kstats().Etas; got > tc.maxEtas {
+			if got := len(lu.etaPiv); got > tc.maxEtas {
 				t.Fatalf("eta file ended at %d etas, bound %d", got, tc.maxEtas)
 			}
 			pivots := s.st.Pivots()
@@ -214,11 +214,11 @@ func TestLUKernelStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, _ := timingLP(rng, 200)
 	s := driveLU(t, m, nil)
-	st := s.kern.(*luKernel).kstats()
-	if st.FactorNnz < s.p.m {
-		t.Fatalf("FactorNnz %d below m=%d (diagonal alone is m)", st.FactorNnz, s.p.m)
+	lu := s.kern.(*luKernel)
+	if nnz := len(lu.lval) + len(lu.uval) + lu.m; nnz < s.p.m {
+		t.Fatalf("factor nonzeros %d below m=%d (diagonal alone is m)", nnz, s.p.m)
 	}
-	if st.Refactors == 0 {
-		t.Fatalf("kernel counted no factorizations at all")
+	if s.st.Refactors == 0 {
+		t.Fatalf("solver counted no refactorizations at all")
 	}
 }

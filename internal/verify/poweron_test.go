@@ -14,7 +14,7 @@ import (
 // functional mismatch. The optimizer, validator and apply stages still
 // run on it.
 func TestPowerOnRingSkipped(t *testing.T) {
-	seed, err := LoadRegression("testdata/regressions/reg_e867fa1d.bench")
+	seed, err := LoadRegression("testdata/regressions/reg_bf16093d.bench")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ package verify
 //
 //	# regression seed
 //	# note: sim mismatch at f3, cycle 17
-//	# knobs: cycles=24 warmup=10 stimseed=513 tfrac=0.050000 stepfrac=0.020000
+//	# knobs: cycles=24 warmup=10 stimseed=513 tfrac=0.050000
 //	INPUT(pi0)
 //	...
 //
@@ -32,8 +32,8 @@ func FormatRegression(d *gen.Decoded, note string) string {
 	if note != "" {
 		b.WriteString("# note: " + strings.ReplaceAll(note, "\n", " ") + "\n")
 	}
-	fmt.Fprintf(&b, "# knobs: cycles=%d warmup=%d stimseed=%d tfrac=%f stepfrac=%f\n",
-		d.Cycles, d.Warmup, d.StimSeed, d.TFrac, d.StepFrac)
+	fmt.Fprintf(&b, "# knobs: cycles=%d warmup=%d stimseed=%d tfrac=%f\n",
+		d.Cycles, d.Warmup, d.StimSeed, d.TFrac)
 	b.WriteString(d.Circuit.String())
 	return b.String()
 }
@@ -45,8 +45,8 @@ func SaveRegression(dir string, d *gen.Decoded, note string) (string, error) {
 	h := fnv.New32a()
 	// Hash everything but the free-form note so renaming a note does not
 	// duplicate the seed.
-	fmt.Fprintf(h, "cycles=%d warmup=%d stimseed=%d tfrac=%f stepfrac=%f\n%s",
-		d.Cycles, d.Warmup, d.StimSeed, d.TFrac, d.StepFrac, d.Circuit.String())
+	fmt.Fprintf(h, "cycles=%d warmup=%d stimseed=%d tfrac=%f\n%s",
+		d.Cycles, d.Warmup, d.StimSeed, d.TFrac, d.Circuit.String())
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -81,7 +81,7 @@ func LoadRegression(path string) (*Seed, error) {
 
 // ParseRegression parses the regression seed format from a string.
 func ParseRegression(text, name string) (*Seed, error) {
-	d := &gen.Decoded{Cycles: 32, Warmup: 10, StimSeed: 1, TFrac: 0, StepFrac: 0.02}
+	d := &gen.Decoded{Cycles: 32, Warmup: 10, StimSeed: 1, TFrac: 0}
 	s := &Seed{Case: d}
 	sawKnobs := false
 	for _, line := range strings.Split(text, "\n") {
@@ -94,8 +94,8 @@ func ParseRegression(text, name string) (*Seed, error) {
 			continue
 		}
 		_, err := fmt.Sscanf(strings.TrimPrefix(line, "# knobs:"),
-			" cycles=%d warmup=%d stimseed=%d tfrac=%f stepfrac=%f",
-			&d.Cycles, &d.Warmup, &d.StimSeed, &d.TFrac, &d.StepFrac)
+			" cycles=%d warmup=%d stimseed=%d tfrac=%f",
+			&d.Cycles, &d.Warmup, &d.StimSeed, &d.TFrac)
 		if err != nil {
 			return nil, fmt.Errorf("verify: %s: bad knobs line: %v", name, err)
 		}

@@ -28,7 +28,7 @@ func TestRegressionRoundTrip(t *testing.T) {
 	}
 	got, want := seed.Case, d
 	if got.Cycles != want.Cycles || got.Warmup != want.Warmup ||
-		got.StimSeed != want.StimSeed || got.TFrac != want.TFrac || got.StepFrac != want.StepFrac {
+		got.StimSeed != want.StimSeed || got.TFrac != want.TFrac {
 		t.Fatalf("knobs changed across round trip: %+v vs %+v", got, want)
 	}
 	// Compare everything but the "# circuit <name>" header line — the
