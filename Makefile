@@ -86,6 +86,10 @@ cover:
 # holds the simulators' bucketed event queue to the per-event binary
 # heap it replaced on random push/drain scripts: same pop sequence,
 # including zero-delay pushes and a reset after a horizon cut.
+# FuzzRealizeVsColdReference holds realize, whose chain-rounding
+# decisions come from warm feasibility probes, to the all-cold rounding
+# loop it replaced on decoded circuits: same verdict, same freezes and
+# free requests after every round, same chains and gate drives.
 FUZZTIME ?= 20s
 
 fuzz-short:
@@ -104,6 +108,7 @@ fuzz-short:
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzSubmitJob -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRealizeVsColdReference -fuzztime $(FUZZTIME)
 
 # Proc-count identity and checked results. Table 1 on all ten circuits
 # and the vsync report on mem_ctrl must be byte-identical at GOMAXPROCS=1

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+
+	"virtualsync/internal/lp"
 )
 
 // quantMargin is the late-side headroom reserved for buffer-chain
@@ -22,119 +25,195 @@ func (p *Plan) quantMargin() float64 {
 // re-derives consistent buffer delays for the realized gates, and buffer
 // chains are assembled from library drive options. The realized plan is
 // validated; realize reports an error when no valid realization is found
-// (the caller treats the target period as infeasible).
+// (the caller treats the target period as infeasible). Plan.XiReq says
+// which of its entries realize leaves stale.
 func (p *Plan) realize(ctx context.Context) error {
-	r := p.R
-	nG, nE := len(r.Gates), len(r.Edges)
-
-	// 1. Discretize gate delays downward (never slower than assigned, so
-	// late-arrival constraints stay safe).
-	p.GateDrive = make([]int, nG)
-	p.GateDelay = make([]float64, nG)
-	for gi, gid := range r.Gates {
-		n := r.Work.Node(gid)
-		drive, delay, _ := r.Lib.SlowestAtMost(n, p.GateDelayReq[gi]+1e-9)
-		p.GateDrive[gi] = drive
-		p.GateDelay[gi] = delay
-	}
-
-	// 2. Iterative chain rounding: a repair LP (gates and units frozen)
-	// derives the free buffer delays; the largest requests are rounded to
-	// realizable chains and frozen, and the LP re-solves so the remaining
-	// free buffers compensate the rounding exactly. Batches that make the
-	// LP infeasible fall back to freezing one edge at a time with
-	// alternative roundings. A final validation guards the result.
-	freeze := make([]float64, nE)
-	for ei := range freeze {
-		freeze[ei] = math.NaN()
-	}
-	// Every repair solve starts cold, so the realization depends on its
-	// model alone, not on the previous solve's basis (DESIGN.md §6). A
-	// cold solve of an unchanged model gives the same answer, so each
-	// round starts from the XiReq of the last successful solve instead of
-	// solving its freezes again.
-	solveFrozen := func() (bool, error) {
-		spec := frozenSpec(p.T, p.Opts, p.Unit)
-		spec.gateDelay, spec.freezeXi = p.GateDelay, freeze
-		mv, sol, err := r.solveSpec(ctx, spec)
-		if err != nil || sol == nil {
-			return false, err
-		}
-		for ei := 0; ei < nE; ei++ {
-			if math.IsNaN(freeze[ei]) {
-				p.XiReq[ei] = sol.Value(mv.xi[ei])
-			}
-		}
-		return true, nil
-	}
-
-	if ok, err := solveFrozen(); err != nil {
+	rd, err := p.startRounding(ctx)
+	if err != nil {
 		return err
-	} else if !ok {
-		return fmt.Errorf("core: repair LP infeasible after gate discretization")
 	}
-	const roundBatch = 8
-	for iter := 0; iter <= nE; iter++ {
-		// Freeze zero requests immediately; collect the rest.
-		type req struct {
-			ei int
-			xi float64
-		}
-		var open []req
-		for ei := 0; ei < nE; ei++ {
-			if !math.IsNaN(freeze[ei]) {
-				continue
-			}
-			if p.XiReq[ei] <= valTol {
-				freeze[ei] = 0
-				p.Chain[ei], p.ChainDelay[ei] = nil, 0
-				continue
-			}
-			open = append(open, req{ei, p.XiReq[ei]})
-		}
-		if len(open) == 0 {
-			break
-		}
-		sort.Slice(open, func(i, j int) bool { return open[i].xi > open[j].xi })
-		if len(open) > roundBatch {
-			open = open[:roundBatch]
-		}
-		for _, rq := range open {
-			chain, delay := p.buildChainNearest(rq.xi)
-			p.Chain[rq.ei], p.ChainDelay[rq.ei] = chain, delay
-			freeze[rq.ei] = delay
-		}
-		if ok, err := solveFrozen(); err != nil {
+	for iter := 0; iter <= len(p.R.Edges); iter++ {
+		if done, err := rd.round(ctx); err != nil {
 			return err
-		} else if ok {
-			continue
-		}
-		// Batch failed: revert and freeze one edge at a time, trying the
-		// nearest rounding first and the round-up chain second.
-		for _, rq := range open {
-			freeze[rq.ei] = math.NaN()
-		}
-		for _, rq := range open {
-			frozen := false
-			for _, cand := range p.chainCandidates(rq.xi) {
-				freeze[rq.ei] = cand.delay
-				if ok, err := solveFrozen(); err != nil {
-					return err
-				} else if ok {
-					p.Chain[rq.ei], p.ChainDelay[rq.ei] = cand.chain, cand.delay
-					frozen = true
-					break
-				}
-			}
-			if !frozen {
-				return fmt.Errorf("core: buffer chain on edge %d not realizable (request %.2f)", rq.ei, rq.xi)
-			}
+		} else if done {
+			break
 		}
 	}
 	if vs := p.Validate(); len(vs) > 0 {
 		return fmt.Errorf("core: realization invalid: %v", vs[0])
 	}
 	return nil
+}
+
+// errProbeDisagrees reports a round whose rounding decisions all passed
+// their feasibility probes but whose cold value solve is infeasible.
+var errProbeDisagrees = errors.New("core: repair LP infeasible where its feasibility probes passed")
+
+// roundBatch is how many of the largest open requests a chain-rounding
+// round tries to freeze at once.
+const roundBatch = 8
+
+// chainRounder is realize's iterative chain rounding: a repair LP (gates
+// and units frozen) derives the free buffer delays; each round rounds
+// the largest requests to realizable chains and freezes them, and the
+// LP re-solves so the remaining free buffers compensate the rounding
+// exactly. A batch the LP rejects falls back to freezing one edge at a
+// time with alternative roundings.
+//
+// Its repair solves are of two kinds. Rounding decisions need only a
+// feasibility verdict, so they come from probes: warm solves of the
+// repair model with frozen ξ kept as fixed columns (modelSpec.pinXi),
+// whose shape never changes, so one basis chain runs through every probe
+// of a realize. Values come only from cold solves of the model with the
+// frozen columns dropped: one after the gates are discretized and one per
+// round once its decisions are fixed, so the requests depend on the
+// model alone (DESIGN.md §6).
+type chainRounder struct {
+	p *Plan
+	// freeze holds each edge's frozen chain delay, NaN while it is free.
+	freeze []float64
+	// warm is the basis of the last feasible probe, or of the initial
+	// value solve, which has nothing frozen and so is the probe model.
+	warm *lp.Basis
+}
+
+// startRounding discretizes the gate delays downward (never slower than
+// assigned, so late-arrival constraints stay safe) and runs the initial
+// value solve, which gives every edge its request.
+func (p *Plan) startRounding(ctx context.Context) (*chainRounder, error) {
+	r := p.R
+	p.GateDrive = make([]int, len(r.Gates))
+	p.GateDelay = make([]float64, len(r.Gates))
+	for gi, gid := range r.Gates {
+		n := r.Work.Node(gid)
+		drive, delay, _ := r.Lib.SlowestAtMost(n, p.GateDelayReq[gi]+1e-9)
+		p.GateDrive[gi] = drive
+		p.GateDelay[gi] = delay
+	}
+	rd := &chainRounder{p: p, freeze: make([]float64, len(r.Edges))}
+	for ei := range rd.freeze {
+		rd.freeze[ei] = math.NaN()
+	}
+	if ok, err := rd.solveValues(ctx); err != nil {
+		return nil, err
+	} else if !ok {
+		return nil, fmt.Errorf("core: repair LP infeasible after gate discretization")
+	}
+	return rd, nil
+}
+
+// spec is the repair model under the current freezes.
+func (rd *chainRounder) spec() *modelSpec {
+	p := rd.p
+	spec := frozenSpec(p.T, p.Opts, p.Unit)
+	spec.gateDelay, spec.freezeXi = p.GateDelay, rd.freeze
+	return spec
+}
+
+// probe reports whether the repair model is feasible under the current
+// freezes, solving it warm from the last feasible probe's basis.
+func (rd *chainRounder) probe(ctx context.Context) (bool, error) {
+	spec := rd.spec()
+	spec.pinXi, spec.warm = true, rd.warm
+	_, sol, err := rd.p.R.solveSpec(ctx, spec)
+	if err != nil || sol == nil {
+		return false, err
+	}
+	rd.warm = sol.Basis
+	return true, nil
+}
+
+// solveValues solves the repair model cold under the current freezes and
+// stores the free edges' requests in XiReq; it reports false, leaving
+// XiReq alone, when the model is infeasible. The first call, with nothing
+// frozen, also starts the probes' basis chain.
+func (rd *chainRounder) solveValues(ctx context.Context) (bool, error) {
+	p := rd.p
+	mv, sol, err := p.R.solveSpec(ctx, rd.spec())
+	if err != nil || sol == nil {
+		return false, err
+	}
+	if rd.warm == nil {
+		rd.warm = sol.Basis
+	}
+	for ei, f := range rd.freeze {
+		if math.IsNaN(f) {
+			p.XiReq[ei] = sol.Value(mv.xi[ei])
+		}
+	}
+	return true, nil
+}
+
+// round freezes every zero request and rounds the largest open ones
+// (at most roundBatch): as a batch when a probe accepts it and the value
+// solve agrees, else one edge at a time. It ends with the value solve of
+// the round's decisions and reports done when no request was open.
+func (rd *chainRounder) round(ctx context.Context) (done bool, err error) {
+	p := rd.p
+	type req struct {
+		ei int
+		xi float64
+	}
+	var open []req
+	for ei, f := range rd.freeze {
+		if !math.IsNaN(f) {
+			continue
+		}
+		if p.XiReq[ei] <= valTol {
+			rd.freeze[ei] = 0
+			p.Chain[ei], p.ChainDelay[ei] = nil, 0
+			continue
+		}
+		open = append(open, req{ei, p.XiReq[ei]})
+	}
+	if len(open) == 0 {
+		return true, nil
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i].xi > open[j].xi })
+	if len(open) > roundBatch {
+		open = open[:roundBatch]
+	}
+	for _, rq := range open {
+		chain, delay := p.buildChainNearest(rq.xi)
+		p.Chain[rq.ei], p.ChainDelay[rq.ei] = chain, delay
+		rd.freeze[rq.ei] = delay
+	}
+	if ok, err := rd.probe(ctx); err != nil {
+		return false, err
+	} else if ok {
+		// A value solve that contradicts its probe counts as a failed
+		// batch.
+		if ok, err := rd.solveValues(ctx); err != nil || ok {
+			return false, err
+		}
+	}
+	// Batch failed: revert and freeze one edge at a time, trying the
+	// nearest rounding first and the round-up chain second.
+	for _, rq := range open {
+		rd.freeze[rq.ei] = math.NaN()
+	}
+	for _, rq := range open {
+		frozen := false
+		for _, cand := range p.chainCandidates(rq.xi) {
+			rd.freeze[rq.ei] = cand.delay
+			if ok, err := rd.probe(ctx); err != nil {
+				return false, err
+			} else if ok {
+				p.Chain[rq.ei], p.ChainDelay[rq.ei] = cand.chain, cand.delay
+				frozen = true
+				break
+			}
+		}
+		if !frozen {
+			return false, fmt.Errorf("core: buffer chain on edge %d not realizable (request %.2f)", rq.ei, rq.xi)
+		}
+	}
+	if ok, err := rd.solveValues(ctx); err != nil {
+		return false, err
+	} else if !ok {
+		return false, errProbeDisagrees
+	}
+	return false, nil
 }
 
 // buildChain assembles a buffer chain whose delay approximates the target
@@ -355,6 +434,16 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 
 	for _, cd := range cands {
 		edgeBudget := min(8, lpBudget)
+		if edgeBudget <= 0 {
+			break // no try runs without budget
+		}
+		// Every try on this edge starts from the same plan, so its fast
+		// signal's arrival without the chain is computed once.
+		st, vs := p.propagate(p.env(ValidateParams{}))
+		if st == nil || len(vs) > 0 {
+			continue
+		}
+		early := st.wEarly[cd.ei] - p.ChainDelay[cd.ei]*p.Opts.Rl
 		lpBudget -= edgeBudget
 		var q *Plan
 	kinds:
@@ -369,7 +458,7 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 				if edgeBudget <= 0 {
 					break
 				}
-				if q = p.tryUnitAt(ctx, cd.ei, kind, ph, &edgeBudget); q != nil {
+				if q = p.tryUnitAt(ctx, cd.ei, early, kind, ph, &edgeBudget); q != nil {
 					break kinds
 				}
 			}
@@ -387,25 +476,20 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 
 // tryUnitAt attempts to realize a unit of the given kind and phase on edge
 // ei in place of its buffer chain, re-deriving buffer delays with a repair
-// LP and validating. Each window index is tried on a fresh copy of p; the
-// first copy that validates is returned, nil if none does. p itself is
-// never modified.
-func (p *Plan) tryUnitAt(ctx context.Context, ei int, kind UnitKind, phaseFrac float64, lpBudget *int) *Plan {
+// LP and validating. early is the arrival of the edge's fast signal
+// without its chain under p. Each window index is tried on a fresh copy
+// of p; the first copy that validates is returned, nil if none does. p
+// itself is never modified.
+func (p *Plan) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKind, phaseFrac float64, lpBudget *int) *Plan {
 	r := p.R
 	nE := len(r.Edges)
 
-	// Choose N from the current early arrival at the edge (without its
-	// chain): the window index the fast signal would fall into. Window
-	// nGuess+1 fits once the repair LP pads the edge to reach it. Window
-	// nGuess-1 closes before the signal arrives; only shorter chains
-	// upstream could make it fit, and the repair LP never found such a
-	// fit on the suite, so it is not tried.
-	st, vsp := p.propagate(p.env(ValidateParams{}))
-	if st == nil || len(vsp) > 0 {
-		return nil
-	}
-	probe := st.wEarly[ei] - p.ChainDelay[ei]*p.Opts.Rl // arrival without the chain
-	nGuess := int(math.Floor((probe - phaseFrac*p.T) / p.T))
+	// Choose N from the fast signal's early arrival: the window index it
+	// would fall into. Window nGuess+1 fits once the repair LP pads the
+	// edge to reach it. Window nGuess-1 closes before the signal arrives;
+	// only shorter chains upstream could make it fit, and the repair LP
+	// never found such a fit on the suite, so it is not tried.
+	nGuess := int(math.Floor((early - phaseFrac*p.T) / p.T))
 
 	for _, n := range []int{nGuess, nGuess + 1} {
 		q := p.clone()

@@ -113,8 +113,13 @@ type modelSpec struct {
 	// gateDelay, when non-nil, freezes each gate's delay (discretized).
 	gateDelay []float64
 	// freezeXi, when non-nil, freezes each edge's buffer delay; NaN
-	// entries stay variable (used by iterative chain rounding).
+	// entries stay variable (used by iterative chain rounding). A frozen
+	// delay is substituted as a constant and its column dropped.
 	freezeXi []float64
+	// pinXi keeps each frozen ξ as a column with lb = ub instead, so the
+	// model's rows and columns do not depend on which edges are frozen
+	// and one basis can warm-start every chain-rounding probe.
+	pinXi bool
 	// quantMargin tightens every late-side constraint (setup, window
 	// upper bounds, non-interference) to reserve headroom for buffer-
 	// chain quantization, which can only add delay. Used by the
@@ -310,12 +315,17 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 		shift := -float64(e.Lambda) * T
 
 		var xiLate, xiEarly affine
-		if spec.freezeXi != nil && !math.IsNaN(spec.freezeXi[ei]) {
+		frozen := spec.freezeXi != nil && !math.IsNaN(spec.freezeXi[ei])
+		if frozen && !spec.pinXi {
 			mv.xi[ei] = -1
 			xiLate = constAff(spec.freezeXi[ei] * opts.Ru)
 			xiEarly = constAff(spec.freezeXi[ei] * opts.Rl)
 		} else {
-			mv.xi[ei] = m.AddVar(fmt.Sprintf("xi_%d", ei), 0, inf, beta)
+			lb, ub := 0.0, inf
+			if frozen {
+				lb, ub = spec.freezeXi[ei], spec.freezeXi[ei]
+			}
+			mv.xi[ei] = m.AddVar(fmt.Sprintf("xi_%d", ei), lb, ub, beta)
 			xiLate = varAff(mv.xi[ei], opts.Ru)
 			xiEarly = varAff(mv.xi[ei], opts.Rl)
 		}

@@ -16,10 +16,17 @@ type Plan struct {
 	T    float64
 	Opts Options
 
-	Unit       []Placement // per edge
-	XiReq      []float64   // per edge: continuous buffer-delay request
-	Chain      [][]int     // per edge: realized chain as buffer drive indices
-	ChainDelay []float64   // per edge: realized chain delay
+	Unit []Placement // per edge
+	// XiReq is each edge's continuous buffer-delay request. realize
+	// writes it only from its value solves, one per rounding round, so
+	// after realize a frozen edge keeps the request it was rounded from.
+	// For an edge the single-edge fallback froze after others in the
+	// same round that entry is stale: the round's earlier decisions would
+	// move it. Nothing reads it; replacement's repair solve rewrites
+	// every entry.
+	XiReq      []float64
+	Chain      [][]int   // per edge: realized chain as buffer drive indices
+	ChainDelay []float64 // per edge: realized chain delay
 
 	GateDelayReq []float64 // per gate: continuous delay from the solver
 	GateDrive    []int     // per gate: discretized drive

@@ -143,7 +143,7 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 					nGuess := int(math.Floor((probe - ph*p.T) / p.T))
 					before := p.clone()
 					budget := 3
-					q := p.tryUnitAt(ctx, ei, kind, ph, &budget)
+					q := p.tryUnitAt(ctx, ei, probe, kind, ph, &budget)
 					tries++
 					spent := 3 - budget
 					if spent > 2 {

@@ -46,6 +46,10 @@ func FormatTable1(rows []*CircuitResult) string {
 	return b.String()
 }
 
+// fig6BarPerUnit is how many '#' Fig. 6 draws per delay unit. The scale
+// is fixed, so one circuit's count never redraws the other bars.
+const fig6BarPerUnit = 10
+
 // FormatFig6 renders the sequential-delay-unit counts before and after
 // buffer replacement (paper Fig. 6).
 func FormatFig6(rows []*CircuitResult) string {
@@ -54,19 +58,9 @@ func FormatFig6(rows []*CircuitResult) string {
 	fmt.Fprintf(&b, "%-12s %8s %8s\n", "Circuit", "before", "after")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12s %8d %8d %s\n", r.Name, r.UnitsBeforeReplace, r.UnitsAfterReplace,
-			bar(float64(r.UnitsAfterReplace), 40, maxUnits(rows)))
+			strings.Repeat("#", fig6BarPerUnit*max(r.UnitsAfterReplace, 0)))
 	}
 	return b.String()
-}
-
-func maxUnits(rows []*CircuitResult) float64 {
-	m := 1.0
-	for _, r := range rows {
-		if v := float64(r.UnitsAfterReplace); v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // FormatFig7 renders the inserted-area ratio after buffer replacement
