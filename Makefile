@@ -5,7 +5,7 @@ GO ?= go
 # The full pre-commit gate: formatting, vet, build, the whole test
 # suite, the race detector over every package, coverage floors, a short
 # fuzzing pass, the proc-count identity check (which also holds Table 1
-# and Figs. 1-3 to the committed results/), and the
+# and Figs. 1-3 and 6-8 to the committed results/), and the
 # simulation and incremental-ECO benchmarks (throughput, allocs/op and
 # cold-vs-incremental speedup evidence in BENCH_sim.json and
 # BENCH_eco.json). It ends by printing the loc size metric, which every
@@ -89,7 +89,8 @@ cover:
 # FuzzRealizeVsColdReference holds realize, whose chain-rounding
 # decisions come from warm feasibility probes, to the all-cold rounding
 # loop it replaced on decoded circuits: same verdict, same freezes and
-# free requests after every round, same chains and gate drives.
+# free requests after every round, then same chains and gate drives
+# when both succeed and the same error when both fail.
 FUZZTIME ?= 20s
 
 fuzz-short:
@@ -110,15 +111,18 @@ fuzz-short:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRealizeVsColdReference -fuzztime $(FUZZTIME)
 
-# Proc-count identity and checked results. Table 1 on all ten circuits
-# and the vsync report on mem_ctrl must be byte-identical at GOMAXPROCS=1
-# and GOMAXPROCS=2 except for the wall-clock fields (t(s) in the table,
-# runtime_s and wall_s in the CSV, the runtime: line of the report),
-# which are masked before the diff. The masked GOMAXPROCS=1 Table 1 must
-# also match the committed results/table1.{txt,csv}, and vexp -exp
-# fig1, fig2 and fig3 must reproduce results/ byte for byte. A change
-# that moves QoR therefore regenerates results/ (make bench) in the
-# same commit. Everything is built and written in a temporary directory.
+# Proc-count identity and checked results. vexp -exp all (Table 1 on
+# all ten circuits, then Figs. 6, 7, 8 and 1 from the same suite run)
+# and the vsync report on mem_ctrl must be byte-identical at
+# GOMAXPROCS=1 and GOMAXPROCS=2 except for the wall-clock fields (t(s)
+# in the table, runtime_s and wall_s in the CSV, the runtime: line of
+# the report), which are masked before the diff. The masked GOMAXPROCS=1
+# output and CSV must also match the committed results/ (table1, fig6,
+# fig7, fig8 and fig1, joined with the blank lines -exp all prints, and
+# table1.csv), and vexp -exp fig2 and fig3 must reproduce results/ byte
+# for byte. A change that moves QoR therefore regenerates results/
+# (make bench) in the same commit. Everything is built and written in a
+# temporary directory.
 check-procs:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	mask_txt() { sed -E 's/\| +[0-9.]+( +[^ ]+)$$/| t(s)\1/' "$$1"; }; \
@@ -126,7 +130,7 @@ check-procs:
 	$(GO) build -o "$$dir/vexp" ./cmd/vexp || exit 1; \
 	$(GO) build -o "$$dir/vsync" ./cmd/vsync || exit 1; \
 	for p in 1 2; do \
-		GOMAXPROCS=$$p "$$dir/vexp" -exp table1 \
+		GOMAXPROCS=$$p "$$dir/vexp" -exp all \
 			-csv "$$dir/p$$p.csv" > "$$dir/p$$p.txt" 2>/dev/null || exit 1; \
 		mask_txt "$$dir/p$$p.txt" > "$$dir/p$$p.masked"; \
 		mask_csv "$$dir/p$$p.csv" >> "$$dir/p$$p.masked"; \
@@ -134,12 +138,14 @@ check-procs:
 		sed -E 's/^( *runtime:).*/\1 -/' "$$dir/v$$p.txt" >> "$$dir/p$$p.masked"; \
 	done; \
 	diff "$$dir/p1.masked" "$$dir/p2.masked" || exit 1; \
-	{ mask_txt results/table1.txt; mask_csv results/table1.csv; } > "$$dir/results.masked"; \
+	for f in table1 fig6 fig7 fig8; do cat results/$$f.txt; echo; done > "$$dir/results.txt"; \
+	cat results/fig1.txt >> "$$dir/results.txt"; \
+	{ mask_txt "$$dir/results.txt"; mask_csv results/table1.csv; } > "$$dir/results.masked"; \
 	{ mask_txt "$$dir/p1.txt"; mask_csv "$$dir/p1.csv"; } | diff "$$dir/results.masked" - || exit 1; \
-	for f in fig1 fig2 fig3; do \
+	for f in fig2 fig3; do \
 		"$$dir/vexp" -exp $$f | diff results/$$f.txt - || exit 1; \
 	done; \
-	echo "check-procs: Table 1 and the mem_ctrl report identical at GOMAXPROCS=1 and 2 (wall-clock fields masked); Table 1 and Figs. 1-3 match results/"
+	echo "check-procs: vexp -exp all and the mem_ctrl report identical at GOMAXPROCS=1 and 2 (wall-clock fields masked); Table 1 and Figs. 1-3 and 6-8 match results/"
 
 # Regenerate every paper table/figure (writes results/).
 bench:

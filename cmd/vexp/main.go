@@ -63,11 +63,13 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if err := expt.WriteCSV(f, rows); err != nil {
-				f.Close()
+			err = expt.WriteCSV(f, rows)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				fatal(err)
 			}
-			f.Close()
 		}
 	}
 

@@ -50,30 +50,32 @@ func (p *Plan) realize(ctx context.Context) error {
 var errProbeDisagrees = errors.New("core: repair LP infeasible where its feasibility probes passed")
 
 // roundBatch is how many of the largest open requests a chain-rounding
-// round tries to freeze at once.
+// round freezes before its value solve.
 const roundBatch = 8
 
 // chainRounder is realize's iterative chain rounding: a repair LP (gates
-// and units frozen) derives the free buffer delays; each round rounds
-// the largest requests to realizable chains and freezes them, and the
-// LP re-solves so the remaining free buffers compensate the rounding
-// exactly. A batch the LP rejects falls back to freezing one edge at a
-// time with alternative roundings.
+// and units frozen) derives the free buffer delays; each round freezes
+// the largest requests, one edge at a time, at the first candidate
+// chain (nearest first) the LP accepts, and the LP re-solves so the
+// remaining free buffers compensate the rounding exactly.
 //
 // Its repair solves are of two kinds. Rounding decisions need only a
-// feasibility verdict, so they come from probes: warm solves of the
-// repair model with frozen ξ kept as fixed columns (modelSpec.pinXi),
-// whose shape never changes, so one basis chain runs through every probe
-// of a realize. Values come only from cold solves of the model with the
-// frozen columns dropped: one after the gates are discretized and one per
-// round once its decisions are fixed, so the requests depend on the
-// model alone (DESIGN.md §6).
+// feasibility verdict, so they come from probes: warm solves of one
+// model per realize, the model of the initial value solve, in which
+// every ξ is a column. A probe only changes the bounds of those columns,
+// so one basis chain runs through every probe. Values come only from
+// cold solves of the model with the frozen columns dropped: one after
+// the gates are discretized and one per round once its decisions are
+// fixed, so the requests depend on the model alone (DESIGN.md §6).
 type chainRounder struct {
 	p *Plan
 	// freeze holds each edge's frozen chain delay, NaN while it is free.
 	freeze []float64
+	// model is the probes' model: that of the initial value solve, which
+	// has nothing frozen, so every ξ is a column a probe can pin.
+	model *modelVars
 	// warm is the basis of the last feasible probe, or of the initial
-	// value solve, which has nothing frozen and so is the probe model.
+	// value solve.
 	warm *lp.Basis
 }
 
@@ -102,20 +104,20 @@ func (p *Plan) startRounding(ctx context.Context) (*chainRounder, error) {
 	return rd, nil
 }
 
-// spec is the repair model under the current freezes.
-func (rd *chainRounder) spec() *modelSpec {
-	p := rd.p
-	spec := frozenSpec(p.T, p.Opts, p.Unit)
-	spec.gateDelay, spec.freezeXi = p.GateDelay, rd.freeze
-	return spec
-}
-
 // probe reports whether the repair model is feasible under the current
-// freezes, solving it warm from the last feasible probe's basis.
+// freezes: it bounds each ξ column of the probe model to its frozen
+// delay, or to [0, ∞) while the edge is free, and solves warm from the
+// last feasible probe's basis.
 func (rd *chainRounder) probe(ctx context.Context) (bool, error) {
-	spec := rd.spec()
-	spec.pinXi, spec.warm = true, rd.warm
-	_, sol, err := rd.p.R.solveSpec(ctx, spec)
+	mv := rd.model
+	for ei, f := range rd.freeze {
+		if math.IsNaN(f) {
+			mv.m.SetBounds(mv.xi[ei], 0, lp.Inf)
+		} else {
+			mv.m.SetBounds(mv.xi[ei], f, f)
+		}
+	}
+	sol, err := rd.p.R.solve(ctx, mv, rd.warm)
 	if err != nil || sol == nil {
 		return false, err
 	}
@@ -126,15 +128,17 @@ func (rd *chainRounder) probe(ctx context.Context) (bool, error) {
 // solveValues solves the repair model cold under the current freezes and
 // stores the free edges' requests in XiReq; it reports false, leaving
 // XiReq alone, when the model is infeasible. The first call, with nothing
-// frozen, also starts the probes' basis chain.
+// frozen, also sets up the probes' model and basis chain.
 func (rd *chainRounder) solveValues(ctx context.Context) (bool, error) {
 	p := rd.p
-	mv, sol, err := p.R.solveSpec(ctx, rd.spec())
+	spec := frozenSpec(p.T, p.Opts, p.Unit)
+	spec.gateDelay, spec.freezeXi = p.GateDelay, rd.freeze
+	mv, sol, err := p.R.solveSpec(ctx, spec)
 	if err != nil || sol == nil {
 		return false, err
 	}
-	if rd.warm == nil {
-		rd.warm = sol.Basis
+	if rd.model == nil {
+		rd.model, rd.warm = mv, sol.Basis
 	}
 	for ei, f := range rd.freeze {
 		if math.IsNaN(f) {
@@ -144,10 +148,10 @@ func (rd *chainRounder) solveValues(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// round freezes every zero request and rounds the largest open ones
-// (at most roundBatch): as a batch when a probe accepts it and the value
-// solve agrees, else one edge at a time. It ends with the value solve of
-// the round's decisions and reports done when no request was open.
+// round freezes every zero request and rounds the largest open ones (at
+// most roundBatch) one edge at a time, trying the nearest rounding first
+// and the other chainCandidates after it. It ends with the value solve
+// of the round's decisions and reports done when no request was open.
 func (rd *chainRounder) round(ctx context.Context) (done bool, err error) {
 	p := rd.p
 	type req struct {
@@ -172,25 +176,6 @@ func (rd *chainRounder) round(ctx context.Context) (done bool, err error) {
 	sort.Slice(open, func(i, j int) bool { return open[i].xi > open[j].xi })
 	if len(open) > roundBatch {
 		open = open[:roundBatch]
-	}
-	for _, rq := range open {
-		chain, delay := p.buildChainNearest(rq.xi)
-		p.Chain[rq.ei], p.ChainDelay[rq.ei] = chain, delay
-		rd.freeze[rq.ei] = delay
-	}
-	if ok, err := rd.probe(ctx); err != nil {
-		return false, err
-	} else if ok {
-		// A value solve that contradicts its probe counts as a failed
-		// batch.
-		if ok, err := rd.solveValues(ctx); err != nil || ok {
-			return false, err
-		}
-	}
-	// Batch failed: revert and freeze one edge at a time, trying the
-	// nearest rounding first and the round-up chain second.
-	for _, rq := range open {
-		rd.freeze[rq.ei] = math.NaN()
 	}
 	for _, rq := range open {
 		frozen := false

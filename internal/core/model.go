@@ -116,10 +116,6 @@ type modelSpec struct {
 	// entries stay variable (used by iterative chain rounding). A frozen
 	// delay is substituted as a constant and its column dropped.
 	freezeXi []float64
-	// pinXi keeps each frozen ξ as a column with lb = ub instead, so the
-	// model's rows and columns do not depend on which edges are frozen
-	// and one basis can warm-start every chain-rounding probe.
-	pinXi bool
 	// quantMargin tightens every late-side constraint (setup, window
 	// upper bounds, non-interference) to reserve headroom for buffer-
 	// chain quantization, which can only add delay. Used by the
@@ -128,10 +124,6 @@ type modelSpec struct {
 	// nSlack lets ModeFixed window indices move by +-nSlack around the
 	// frozen placement's N (used when re-targeting a nearby period).
 	nSlack int
-	// warm, when non-nil, seeds the simplex from a prior solve's basis:
-	// a retarget solve passes the previous plan's. Structurally
-	// incompatible bases are ignored by the solver.
-	warm *lp.Basis
 }
 
 // modelVars exposes the variables of a built model for solution decoding.
@@ -315,17 +307,12 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 		shift := -float64(e.Lambda) * T
 
 		var xiLate, xiEarly affine
-		frozen := spec.freezeXi != nil && !math.IsNaN(spec.freezeXi[ei])
-		if frozen && !spec.pinXi {
+		if spec.freezeXi != nil && !math.IsNaN(spec.freezeXi[ei]) {
 			mv.xi[ei] = -1
 			xiLate = constAff(spec.freezeXi[ei] * opts.Ru)
 			xiEarly = constAff(spec.freezeXi[ei] * opts.Rl)
 		} else {
-			lb, ub := 0.0, inf
-			if frozen {
-				lb, ub = spec.freezeXi[ei], spec.freezeXi[ei]
-			}
-			mv.xi[ei] = m.AddVar(fmt.Sprintf("xi_%d", ei), lb, ub, beta)
+			mv.xi[ei] = m.AddVar(fmt.Sprintf("xi_%d", ei), 0, inf, beta)
 			xiLate = varAff(mv.xi[ei], opts.Ru)
 			xiEarly = varAff(mv.xi[ei], opts.Rl)
 		}
@@ -547,31 +534,40 @@ func (r *Region) unitArea(kind UnitKind) float64 {
 	return 0
 }
 
-// solveSpec builds and solves the model, returning the decoded variables
-// and solution (nil solution when infeasible). Cancelling ctx interrupts
-// branch-and-bound between waves and the simplex between iterations.
+// solveSpec builds the model of spec and solves it cold (see solve),
+// returning the decoded variables with the solution.
 func (r *Region) solveSpec(ctx context.Context, spec *modelSpec) (*modelVars, *lp.Solution, error) {
 	mv, err := r.buildModel(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: spec.warm})
+	sol, err := r.solve(ctx, mv, nil)
+	return mv, sol, err
+}
+
+// solve solves a built model, seeding the simplex from warm when it is
+// non-nil (a structurally incompatible basis is ignored), and returns
+// the solution, nil when the model is infeasible. Cancelling ctx
+// interrupts branch-and-bound between nodes and the simplex between
+// iterations.
+func (r *Region) solve(ctx context.Context, mv *modelVars, warm *lp.Basis) (*lp.Solution, error) {
+	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: warm})
 	r.addSolverStats(sol)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 		// Iteration/node limits without any incumbent: treat the target
 		// as infeasible rather than aborting the whole flow.
 		if sol != nil && sol.Status == lp.IterLimit {
-			return mv, nil, nil
+			return nil, nil
 		}
-		return nil, nil, fmt.Errorf("core: solver: %v", err)
+		return nil, fmt.Errorf("core: solver: %v", err)
 	}
 	if sol.Status != lp.Optimal {
-		return mv, nil, nil
+		return nil, nil
 	}
-	return mv, sol, nil
+	return sol, nil
 }
 
 // gateDelayOf returns the assigned delay of gate gi in a solution,

@@ -116,8 +116,12 @@ func optimizeRegion(ctx context.Context, r *Region, T float64, opts Options, pre
 // transfer to the new period.
 func retargetPlan(ctx context.Context, r *Region, T float64, opts Options, prev *Plan) (*Plan, error) {
 	spec := frozenSpec(T, opts, prev.Unit)
-	spec.nSlack, spec.warm = 1, prev.Basis
-	mv, sol, err := r.solveSpec(ctx, spec)
+	spec.nSlack = 1
+	mv, err := r.buildModel(spec)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := r.solve(ctx, mv, prev.Basis)
 	if err != nil || sol == nil {
 		return nil, err
 	}

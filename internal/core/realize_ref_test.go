@@ -152,9 +152,13 @@ func sameBits(a, b []float64) bool {
 // requireSameRealization realizes copies of the unrealized plan pre with
 // realize and with realizeColdReference. Both must succeed or both fail;
 // each round must end with the same freezes and the same requests on the
-// edges still free; and the results must have identical units, chains,
-// chain delays, gate drives and gate delays. It returns realize's plan,
-// nil when realization failed.
+// edges still free. When both succeed the results must have identical
+// units, chains, chain delays, gate drives and gate delays; when both
+// fail, the same error text. A failed plan is discarded (solvePeriod),
+// and its chains differ: the reference's first tries every round's
+// nearest roundings as one batch and leaves those chains on the edges
+// its single-edge fallback never reached. It returns realize's plan, nil
+// when realization failed.
 func requireSameRealization(t testing.TB, label string, pre *Plan) *Plan {
 	t.Helper()
 	ctx := context.Background()
@@ -204,7 +208,15 @@ func requireSameRealization(t testing.TB, label string, pre *Plan) *Plan {
 			t.Fatalf("%s round %d: free edges' XiReq differ\n got %v\nwant %v", label, k, g.free, w.free)
 		}
 	}
-	if errWant == nil && len(gotRounds) != len(wantRounds) {
+	if errWant != nil {
+		for _, err := range []error{errGot, errStepped} {
+			if err.Error() != errWant.Error() {
+				t.Fatalf("%s: error %q, cold reference %q", label, err, errWant)
+			}
+		}
+		return nil
+	}
+	if len(gotRounds) != len(wantRounds) {
 		t.Fatalf("%s: %d rounds, cold reference %d", label, len(gotRounds), len(wantRounds))
 	}
 	for _, q := range []*Plan{got, stepped} {
@@ -222,9 +234,6 @@ func requireSameRealization(t testing.TB, label string, pre *Plan) *Plan {
 				t.Fatalf("%s: %s differs from the cold reference\n got %v\nwant %v", label, f.name, f.got, f.want)
 			}
 		}
-	}
-	if errGot != nil {
-		return nil
 	}
 	return got
 }

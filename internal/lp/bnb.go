@@ -20,7 +20,8 @@ type SolveOptions struct {
 	Warm *Basis
 }
 
-// Solve solves the model. Pure LPs go straight to the simplex; models
+// Solve solves the model. Pure LPs, and models whose integer variables
+// are all pinned at integers, go straight to the simplex; other models
 // with integer variables are solved exactly by warm-started LP-based
 // branch-and-bound with best-objective pruning.
 func (m *Model) Solve() (*Solution, error) {

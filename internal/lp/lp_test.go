@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -301,6 +302,115 @@ func TestBoundsRestoredAfterBnB(t *testing.T) {
 	lb, ub := m.Bounds(x)
 	if lb != 0 || ub != 5 {
 		t.Fatalf("bounds after solve = [%g,%g], want [0,5]", lb, ub)
+	}
+}
+
+// TestPinnedIntegersSolveAsLP: integer columns pinned (lb = ub) at an
+// integer are fixed, so a model whose integer columns are all pinned
+// solves as a plain LP with no branch-and-bound node, while a free
+// integer column, or one pinned off the integers, still branches.
+func TestPinnedIntegersSolveAsLP(t *testing.T) {
+	// min x + k s.t. x >= 3n - 1.5, 2k >= 3 - 3f, k and f integer.
+	build := func(nPin, kLB, kUB float64) (*Model, VarID, VarID, VarID) {
+		m := NewModel("pinned")
+		x := m.AddVar("x", 0, Inf, 1)
+		n := m.AddIntVar("n", nPin, nPin, 0)
+		k := m.AddIntVar("k", kLB, kUB, 1)
+		f := m.AddIntVar("f", 0, 0, 0)
+		m.MustConstrain("win", []Term{{x, 1}, {n, -3}}, GE, -1.5)
+		m.MustConstrain("half", []Term{{k, 2}, {f, 3}}, GE, 3)
+		return m, x, n, k
+	}
+	for _, c := range []struct {
+		name           string
+		nPin, kLB, kUB float64
+		status         Status
+		x, n, k        float64
+		nodes          int
+	}{
+		{name: "all pinned", nPin: 2, kLB: 2, kUB: 2, status: Optimal, x: 4.5, n: 2, k: 2, nodes: 0},
+		{name: "one free", nPin: 2, kLB: 0, kUB: 5, status: Optimal, x: 4.5, n: 2, k: 2, nodes: 3},
+		{name: "pinned off the integers", nPin: 2.5, kLB: 2, kUB: 2, status: Infeasible, nodes: 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, x, n, k := build(c.nPin, c.kLB, c.kUB)
+			s, err := m.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Status != c.status || s.Stats.Nodes != c.nodes {
+				t.Fatalf("got %v with %d nodes, want %v with %d", s.Status, s.Stats.Nodes, c.status, c.nodes)
+			}
+			if c.status == Optimal && (s.Value(x) != c.x || s.Value(n) != c.n || s.Value(k) != c.k) {
+				t.Fatalf("(x, n, k) = (%g, %g, %g), want (%g, %g, %g)", s.Value(x), s.Value(n), s.Value(k), c.x, c.n, c.k)
+			}
+		})
+	}
+}
+
+// TestSetBoundsResolvesLikeFreshModel: after SetBounds tightens, pins
+// or releases columns, a re-solve of the same model, cold or warm from
+// the basis of an earlier solve, gives exactly what a freshly built
+// model with those bounds gives.
+func TestSetBoundsResolvesLikeFreshModel(t *testing.T) {
+	type bounds struct{ x, y, z [2]float64 }
+	// max 3x + 2y + z s.t. x + y + z <= 10: a unique optimum under every
+	// bounds below.
+	build := func(b bounds) (*Model, [3]VarID) {
+		m := NewModel("rebound")
+		m.SetSense(Maximize)
+		v := [3]VarID{
+			m.AddVar("x", b.x[0], b.x[1], 3),
+			m.AddVar("y", b.y[0], b.y[1], 2),
+			m.AddVar("z", b.z[0], b.z[1], 1),
+		}
+		m.MustConstrain("cap", []Term{{v[0], 1}, {v[1], 1}, {v[2], 1}}, LE, 10)
+		return m, v
+	}
+	same := func(label string, got, want *Solution) {
+		t.Helper()
+		if got.Status != want.Status || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("%s: %v obj %g, fresh model %v obj %g", label, got.Status, got.Objective, want.Status, want.Objective)
+		}
+		for j := range want.Values {
+			if math.Float64bits(got.Values[j]) != math.Float64bits(want.Values[j]) {
+				t.Fatalf("%s: values %v, fresh model %v", label, got.Values, want.Values)
+			}
+		}
+	}
+	b := bounds{x: [2]float64{0, 4}, y: [2]float64{0, 5}, z: [2]float64{0, 1}}
+	m, v := build(b)
+	first, err := m.Solve()
+	if err != nil || first.Status != Optimal {
+		t.Fatalf("first solve: %v, %v", first.Status, err)
+	}
+	for _, step := range []struct {
+		name string
+		set  func(*bounds)
+	}{
+		{"tighten x", func(b *bounds) { b.x[1] = 2 }},
+		{"pin y", func(b *bounds) { b.y = [2]float64{3, 3} }},
+		{"release z", func(b *bounds) { b.z[1] = Inf }},
+	} {
+		step.set(&b)
+		for i, lu := range [][2]float64{b.x, b.y, b.z} {
+			m.SetBounds(v[i], lu[0], lu[1])
+		}
+		fresh, _ := build(b)
+		want, err := fresh.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(step.name+", cold", cold, want)
+		warm, err := m.SolveOpts(context.Background(), SolveOptions{Warm: first.Basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(step.name+", warm", warm, want)
 	}
 }
 

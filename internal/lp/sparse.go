@@ -33,7 +33,11 @@ type problem struct {
 	lb, ub []float64   // default bounds, length n
 	flip   bool        // model sense was Maximize
 
-	intVars []VarID // integer-restricted structural columns
+	// intVars are the integer-restricted structural columns whose bounds
+	// leave more than one value: a column pinned (lb = ub) at an integer
+	// is fixed, so a model whose integer columns are all pinned solves as
+	// a plain LP, with no branch-and-bound node.
+	intVars []VarID
 
 	// infeasible is set when singleton-row presolve proves the model has
 	// an empty feasible region (tightened bounds crossed). Unlike a
@@ -57,7 +61,7 @@ func (m *Model) compile() (*problem, error) {
 			return nil, fmt.Errorf("lp: variable %q has empty bound range [%g,%g]", v.name, v.lb, v.ub)
 		}
 		lb[j], ub[j] = v.lb, v.ub
-		if v.integer {
+		if v.integer && (v.lb != v.ub || v.lb != math.Round(v.lb)) {
 			p.intVars = append(p.intVars, VarID(j))
 		}
 	}
