@@ -91,6 +91,10 @@ cover:
 # loop it replaced on decoded circuits: same verdict, same freezes and
 # free requests after every round, then same chains and gate drives
 # when both succeed and the same error when both fail.
+# FuzzReplacementVsColdReference holds buffer replacement, whose repair
+# LPs are first asked of the pass's warm repair twin, to the all-cold
+# replacement loop it replaced on decoded circuits: the same verdict on
+# every try, then the same plan.
 FUZZTIME ?= 20s
 
 fuzz-short:
@@ -110,6 +114,7 @@ fuzz-short:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPropagateVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzRealizeVsColdReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReplacementVsColdReference -fuzztime $(FUZZTIME)
 
 # Proc-count identity and checked results. vexp -exp all (Table 1 on
 # all ten circuits, then Figs. 6, 7, 8 and 1 from the same suite run)

@@ -396,26 +396,13 @@ func (p *Plan) spreadRepairEdge(st *waveState, gi int) (edge int, lateSide bool)
 // replaced by sequential delay units when the exact model still validates,
 // reducing area. Chains are visited largest-area first; each try runs on
 // a copy of the plan (tryUnitAt), and the plan adopts the copy only when
-// the re-derived buffer chains leave a net area saving.
+// the re-derived buffer chains leave a net area saving. Every try's
+// repair LP is first asked of the pass's repair twin.
 func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 	r := p.R
 	lpBudget := 64 // repair-LP invocations across all candidates
-	buf := r.Lib.Cell("BUF")
-	type cand struct {
-		ei   int
-		area float64
-	}
-	var cands []cand
-	for ei := range r.Edges {
-		a := 0.0
-		for _, d := range p.Chain[ei] {
-			a += buf.Options[d].Area
-		}
-		if p.Unit[ei].Kind == UnitNone && a > r.Lib.Latch.Area {
-			cands = append(cands, cand{ei, a})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].area > cands[j].area })
+	cands := p.replaceCandidates()
+	tw := newRepairTwin(p, cands)
 
 	for _, cd := range cands {
 		edgeBudget := min(8, lpBudget)
@@ -443,7 +430,7 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 				if edgeBudget <= 0 {
 					break
 				}
-				if q = p.tryUnitAt(ctx, cd.ei, early, kind, ph, &edgeBudget); q != nil {
+				if q = p.tryUnitAt(ctx, cd.ei, early, kind, ph, tw, &edgeBudget); q != nil {
 					break kinds
 				}
 			}
@@ -459,13 +446,129 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 	return replaced
 }
 
+// replaceCand is an edge replacement tries, with its chain's area.
+type replaceCand struct {
+	ei   int
+	area float64
+}
+
+// replaceCandidates lists the edges without a unit whose buffer chain
+// outweighs a latch, largest chain area first.
+func (p *Plan) replaceCandidates() []replaceCand {
+	buf := p.R.Lib.Cell("BUF")
+	var cands []replaceCand
+	for ei := range p.R.Edges {
+		a := 0.0
+		for _, d := range p.Chain[ei] {
+			a += buf.Options[d].Area
+		}
+		if p.Unit[ei].Kind == UnitNone && a > p.R.Lib.Latch.Area {
+			cands = append(cands, replaceCand{ei, a})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].area > cands[j].area })
+	return cands
+}
+
+// repairTwin answers replacement's yes/no questions (DESIGN.md §6). It
+// is one model per replaceBuffers pass: the try's repair model, except
+// that every candidate edge carries the exact model's case binaries and
+// window index N as columns, and the objective is zero, since a verdict
+// needs only phase 1. A probe pins each candidate's case and N by their
+// bounds to the unit the tried plan has there (c_none at a rest window
+// when it has none), so every probe of the pass solves one model warm
+// along one basis chain. Pinned cases leave the other cases' rows
+// relaxed by big-M, so the twin is feasible exactly when the try's
+// repair LP is; replace_ref_test.go holds it to that.
+type repairTwin struct {
+	p     *Plan // the pass's plan; adoptions update it in place
+	cands []int // candidate edges
+	// rest is, per candidate, the window index N is pinned at while the
+	// edge holds no unit: the window of its fast signal under p when the
+	// twin is built, so the relaxed case rows sit far from binding.
+	rest []int
+	mv   *modelVars // built at the first probe
+	warm *lp.Basis  // the basis the last probe ended on
+}
+
+// newRepairTwin returns the repair twin of a replacement pass over p's
+// candidates cands; its model is built at the first probe.
+func newRepairTwin(p *Plan, cands []replaceCand) *repairTwin {
+	tw := &repairTwin{p: p, cands: make([]int, len(cands))}
+	for i, cd := range cands {
+		tw.cands[i] = cd.ei
+	}
+	return tw
+}
+
+// build builds the twin's model from the pass's plan as it stands.
+func (tw *repairTwin) build() error {
+	p := tw.p
+	st, vs := p.propagate(p.env(ValidateParams{}))
+	if st == nil || len(vs) > 0 {
+		return fmt.Errorf("core: replacement plan does not propagate")
+	}
+	spec := frozenSpec(p.T, p.Opts, p.Unit)
+	spec.gateDelay, spec.quantMargin = p.GateDelay, p.quantMargin()
+	tw.rest = make([]int, len(tw.cands))
+	for i, ei := range tw.cands {
+		spec.modes[ei] = ModeExact
+		tw.rest[i] = int(math.Floor(st.wEarly[ei] / p.T))
+	}
+	mv, err := p.R.buildModel(spec)
+	if err != nil {
+		return err
+	}
+	for v := 0; v < mv.m.NumVars(); v++ {
+		mv.m.SetObj(lp.VarID(v), 0)
+	}
+	tw.mv = mv
+	return nil
+}
+
+// probe reports whether the repair LP of the tried plan q is feasible:
+// it pins every candidate of the twin to q's unit there and solves warm
+// from the basis the last probe ended on, feasible or not. A failed
+// solve (cancelled, or out of iterations) counts as infeasible, as it
+// does for the repair LP.
+func (tw *repairTwin) probe(ctx context.Context, q *Plan) bool {
+	if tw.mv == nil && tw.build() != nil {
+		return false
+	}
+	mv := tw.mv
+	for i, ei := range tw.cands {
+		pl, n := q.Unit[ei], tw.rest[i]
+		if pl.Kind != UnitNone {
+			n = pl.N
+		}
+		mv.m.SetBounds(mv.nv[ei], float64(n), float64(n))
+		for _, cv := range mv.cases[ei] {
+			on := 0.0
+			if cv.kind == pl.Kind && (pl.Kind == UnitNone || cv.phase == pl.PhaseFrac) {
+				on = 1
+			}
+			mv.m.SetBounds(cv.v, on, on)
+		}
+	}
+	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: tw.warm})
+	q.R.addSolverStats(sol)
+	if err != nil || sol == nil {
+		return false
+	}
+	if sol.Basis != nil {
+		tw.warm = sol.Basis
+	}
+	return sol.Status == lp.Optimal
+}
+
 // tryUnitAt attempts to realize a unit of the given kind and phase on edge
 // ei in place of its buffer chain, re-deriving buffer delays with a repair
 // LP and validating. early is the arrival of the edge's fast signal
 // without its chain under p. Each window index is tried on a fresh copy
 // of p; the first copy that validates is returned, nil if none does. p
-// itself is never modified.
-func (p *Plan) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKind, phaseFrac float64, lpBudget *int) *Plan {
+// itself is never modified. A window whose repair LP the twin tw finds
+// infeasible ends without the LP's cold solve; it still spends budget.
+func (p *Plan) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKind, phaseFrac float64, tw *repairTwin, lpBudget *int) *Plan {
 	r := p.R
 	nE := len(r.Edges)
 
@@ -490,6 +593,9 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKi
 			continue
 		}
 		*lpBudget--
+		if !tw.probe(ctx, q) {
+			continue
+		}
 		spec := frozenSpec(q.T, q.Opts, q.Unit)
 		spec.gateDelay, spec.quantMargin = q.GateDelay, q.quantMargin()
 		mv, sol, err := r.solveSpec(ctx, spec)

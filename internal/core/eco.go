@@ -119,35 +119,57 @@ func NewSessionAtPeriod(ctx context.Context, c *netlist.Circuit, lib *celllib.Li
 // On success the session state advances to the edited circuit; on error
 // it is unchanged.
 func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result, *ECOStats, error) {
-	if s.Result == nil || s.Circuit == nil {
-		return nil, nil, fmt.Errorf("core: session has no prior result")
-	}
 	start := time.Now()
+	work, plan, st, err := s.resolve(ctx, edits)
+	if err != nil {
+		return nil, nil, err
+	}
+	if plan == nil {
+		return s.coldFallback(ctx, work, st)
+	}
+	res, err := plan.finish(ctx, s.Opts.BufferReplace)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Runtime = time.Since(start)
+	s.Circuit = work
+	s.Result = res
+	return res, st, nil
+}
+
+// resolve is Reoptimize up to buffer replacement: it applies the edits
+// to a copy of the session's circuit and returns that copy with the
+// realized plan of the incremental path, or with a nil plan when the
+// cold period search must run instead. The session is left alone.
+func (s *Session) resolve(ctx context.Context, edits []netlist.Edit) (*netlist.Circuit, *Plan, *ECOStats, error) {
+	if s.Result == nil || s.Circuit == nil {
+		return nil, nil, nil, fmt.Errorf("core: session has no prior result")
+	}
 	st := &ECOStats{}
 	work := s.Circuit.Clone()
 	er, err := work.ApplyEdits(edits)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := work.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("core: edited circuit invalid: %v", err)
+		return nil, nil, nil, fmt.Errorf("core: edited circuit invalid: %v", err)
 	}
 	if _, err := work.TopoOrder(); err != nil {
-		return nil, nil, fmt.Errorf("core: edits create a combinational loop")
+		return nil, nil, nil, fmt.Errorf("core: edits create a combinational loop")
 	}
 	st.ConeNodes = len(netlist.FanoutCone(work, er.Touched))
 
 	newBase, err := sta.Analyze(work, s.Lib)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	removed := selectRemovable(work, s.Lib, newBase, s.Opts.SelectFrac)
 	if len(removed) == 0 {
-		return s.coldFallback(ctx, work, st)
+		return work, nil, st, nil
 	}
 	region, err := buildRegion(work, s.Lib, newBase, removed)
 	if err != nil {
-		return s.coldFallback(ctx, work, st)
+		return work, nil, st, nil
 	}
 	hint := transferPlan(region, s.Result.Plan)
 	st.PlanTransferred = hint != nil
@@ -160,7 +182,6 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 	T0 := newBase.MinPeriod * s.Opts.Ru
 	capT := T0 * (1 + s.StepFrac)
 	held := s.Result.Period
-	var plan *Plan
 	mult := 0.0
 	for {
 		T := held * (1 + s.StepFrac*mult)
@@ -168,16 +189,16 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 		if atCap {
 			T = capT
 		}
-		plan, err = solvePeriod(ctx, region, T, s.Opts, hint)
+		plan, err := solvePeriod(ctx, region, T, s.Opts, hint)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		st.Probes++
 		if plan != nil {
-			break
+			return work, plan, st, nil
 		}
 		if atCap {
-			return s.coldFallback(ctx, work, st)
+			return work, nil, st, nil
 		}
 		st.RecoverySteps++
 		if mult == 0 {
@@ -186,15 +207,6 @@ func (s *Session) Reoptimize(ctx context.Context, edits []netlist.Edit) (*Result
 			mult *= 2
 		}
 	}
-
-	res, err := plan.finish(ctx, s.Opts.BufferReplace)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Runtime = time.Since(start)
-	s.Circuit = work
-	s.Result = res
-	return res, st, nil
 }
 
 // coldFallback runs the full period search on the edited circuit and

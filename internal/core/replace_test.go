@@ -124,26 +124,19 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 	tries, found, solves := 0, 0, 0
 	for _, sp := range suitePlans(t)[:2] {
 		p := sp.pre
-		buf := p.R.Lib.Cell("BUF")
 		st, vs := p.propagate(p.env(ValidateParams{}))
 		if st == nil || len(vs) > 0 {
 			t.Fatalf("%s: pre-replacement plan does not propagate: %v", sp.name, vs)
 		}
-		for ei := range p.R.Edges {
-			area := 0.0
-			for _, d := range p.Chain[ei] {
-				area += buf.Options[d].Area
-			}
-			if p.Unit[ei].Kind != UnitNone || area <= p.R.Lib.Latch.Area {
-				continue
-			}
+		tw := newRepairTwin(p, p.replaceCandidates())
+		for _, ei := range tw.cands {
 			probe := st.wEarly[ei] - p.ChainDelay[ei]*p.Opts.Rl
 			for _, kind := range []UnitKind{UnitLatch, UnitFF} {
 				for _, ph := range p.Opts.Phases {
 					nGuess := int(math.Floor((probe - ph*p.T) / p.T))
 					before := p.clone()
 					budget := 3
-					q := p.tryUnitAt(ctx, ei, probe, kind, ph, &budget)
+					q := p.tryUnitAt(ctx, ei, probe, kind, ph, tw, &budget)
 					tries++
 					spent := 3 - budget
 					if spent > 2 {

@@ -116,7 +116,7 @@ func newDenseSolver(p *problem, lb, ub []float64) *solver {
 // given bounds. It never takes a seed: the dense kernel cannot factorize
 // a seeded basis.
 func solveDense(p *problem, lb, ub []float64) (*lpResult, error) {
-	if p.infeasible {
+	if p.infeasible() {
 		return &lpResult{status: Infeasible}, nil
 	}
 	return newDenseSolver(p, lb, ub).solve(nil)

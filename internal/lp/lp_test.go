@@ -351,20 +351,25 @@ func TestPinnedIntegersSolveAsLP(t *testing.T) {
 // TestSetBoundsResolvesLikeFreshModel: after SetBounds tightens, pins
 // or releases columns, a re-solve of the same model, cold or warm from
 // the basis of an earlier solve, gives exactly what a freshly built
-// model with those bounds gives.
+// model with those bounds gives. y also carries a singleton row that
+// presolve folds into its bounds (pinning y above it crosses them), and
+// the integer column k is branched on until it is pinned. SetBounds
+// updates the compiled form in place: the model never recompiles.
 func TestSetBoundsResolvesLikeFreshModel(t *testing.T) {
-	type bounds struct{ x, y, z [2]float64 }
-	// max 3x + 2y + z s.t. x + y + z <= 10: a unique optimum under every
-	// bounds below.
-	build := func(b bounds) (*Model, [3]VarID) {
+	type bounds struct{ x, y, z, k [2]float64 }
+	// max 3x + 2y + z + k/2 s.t. x + y + z + k <= 10, y <= 4: a unique
+	// optimum under every bounds below.
+	build := func(b bounds) (*Model, [4]VarID) {
 		m := NewModel("rebound")
 		m.SetSense(Maximize)
-		v := [3]VarID{
+		v := [4]VarID{
 			m.AddVar("x", b.x[0], b.x[1], 3),
 			m.AddVar("y", b.y[0], b.y[1], 2),
 			m.AddVar("z", b.z[0], b.z[1], 1),
+			m.AddIntVar("k", b.k[0], b.k[1], 0.5),
 		}
-		m.MustConstrain("cap", []Term{{v[0], 1}, {v[1], 1}, {v[2], 1}}, LE, 10)
+		m.MustConstrain("cap", []Term{{v[0], 1}, {v[1], 1}, {v[2], 1}, {v[3], 1}}, LE, 10)
+		m.MustConstrain("ycap", []Term{{v[1], 2}}, LE, 8)
 		return m, v
 	}
 	same := func(label string, got, want *Solution) {
@@ -378,22 +383,27 @@ func TestSetBoundsResolvesLikeFreshModel(t *testing.T) {
 			}
 		}
 	}
-	b := bounds{x: [2]float64{0, 4}, y: [2]float64{0, 5}, z: [2]float64{0, 1}}
+	b := bounds{x: [2]float64{0, 4}, y: [2]float64{0, 5}, z: [2]float64{0, 1}, k: [2]float64{0, 3}}
 	m, v := build(b)
 	first, err := m.Solve()
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("first solve: %v, %v", first.Status, err)
 	}
+	compiled := m.prob
 	for _, step := range []struct {
-		name string
-		set  func(*bounds)
+		name     string
+		set      func(*bounds)
+		branched bool // k is an intVar
 	}{
-		{"tighten x", func(b *bounds) { b.x[1] = 2 }},
-		{"pin y", func(b *bounds) { b.y = [2]float64{3, 3} }},
-		{"release z", func(b *bounds) { b.z[1] = Inf }},
+		{"tighten x", func(b *bounds) { b.x[1] = 2 }, true},
+		{"pin y", func(b *bounds) { b.y = [2]float64{3, 3} }, true},
+		{"release z", func(b *bounds) { b.z[1] = Inf }, true},
+		{"pin k", func(b *bounds) { b.k = [2]float64{2, 2} }, false},
+		{"pin y above its row", func(b *bounds) { b.y = [2]float64{5, 5} }, false},
+		{"release y and k", func(b *bounds) { b.y, b.k = [2]float64{0, 5}, [2]float64{0, 3} }, true},
 	} {
 		step.set(&b)
-		for i, lu := range [][2]float64{b.x, b.y, b.z} {
+		for i, lu := range [][2]float64{b.x, b.y, b.z, b.k} {
 			m.SetBounds(v[i], lu[0], lu[1])
 		}
 		fresh, _ := build(b)
@@ -411,6 +421,24 @@ func TestSetBoundsResolvesLikeFreshModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(step.name+", warm", warm, want)
+		if m.prob != compiled {
+			t.Fatalf("%s: SetBounds recompiled the model", step.name)
+		}
+		if got := len(m.prob.intVars) == 1; got != step.branched {
+			t.Fatalf("%s: k listed for branching %v, want %v", step.name, got, step.branched)
+		}
+		ref, err := fresh.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range ref.lb {
+			if math.Float64bits(m.prob.lb[j]) != math.Float64bits(ref.lb[j]) || math.Float64bits(m.prob.ub[j]) != math.Float64bits(ref.ub[j]) {
+				t.Fatalf("%s: column %d bounds [%g, %g], fresh compile [%g, %g]", step.name, j, m.prob.lb[j], m.prob.ub[j], ref.lb[j], ref.ub[j])
+			}
+		}
+		if m.prob.infeasible() != ref.infeasible() {
+			t.Fatalf("%s: presolve infeasible %v, fresh compile %v", step.name, m.prob.infeasible(), ref.infeasible())
+		}
 	}
 }
 

@@ -89,6 +89,10 @@ type luKernel struct {
 	rowPtr  []int32 // refactor: CSR rows over (slot, value) of the basis
 	rowSlot []int32
 	rowValR []float64
+	// refactor: per-row entry count (then active-entry count), row fill
+	// cursor, per-slot active-entry count and the active row/slot flags.
+	rowCnt, fill, colCnt []int32
+	rowActive, colActive []bool
 }
 
 func newLUKernel(p *problem) *luKernel {
@@ -102,6 +106,11 @@ func newLUKernel(p *problem) *luKernel {
 		workz:     make([]float64, m),
 		upend:     make([][]upair, m),
 		etaPtr:    make([]int32, 1, luMaxEtas+1),
+		rowCnt:    make([]int32, m),
+		fill:      make([]int32, m),
+		colCnt:    make([]int32, m),
+		rowActive: make([]bool, m),
+		colActive: make([]bool, m),
 	}
 	return k
 }
@@ -262,7 +271,8 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 
 	// Build the row-wise view of B: entries (slot, value) per constraint
 	// row, and per-row/per-column active-entry counts.
-	cnt := make([]int32, m)
+	cnt := k.rowCnt
+	clear(cnt)
 	nnz := 0
 	for q := 0; q < m; q++ {
 		idx := p.colIdx[basis[q]]
@@ -286,10 +296,10 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 	for i := 0; i < m; i++ {
 		pos[i+1] = pos[i] + cnt[i]
 	}
-	fill := make([]int32, m)
+	fill := k.fill
 	copy(fill, pos[:m])
 	rowCnt := cnt // reuse: becomes the active-entry count per row
-	colCnt := make([]int32, m)
+	colCnt := k.colCnt
 	for q := 0; q < m; q++ {
 		idx, val := p.colIdx[basis[q]], p.colVal[basis[q]]
 		colCnt[q] = int32(len(idx))
@@ -300,8 +310,7 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 		}
 	}
 
-	rowActive := make([]bool, m)
-	colActive := make([]bool, m)
+	rowActive, colActive := k.rowActive, k.colActive
 	for i := range rowActive {
 		rowActive[i] = true
 		colActive[i] = true
@@ -458,8 +467,9 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 		repairs = append(repairs, [2]int32{q, r})
 	}
 
-	// Finalize U: gather each pivot column's pending entries, ordered by
-	// recording step for deterministic summation.
+	// Finalize U: gather each pivot column's pending entries. Each was
+	// appended at its step, so they are in recording step order already,
+	// which keeps the summation deterministic.
 	if cap(k.uptr) < m+1 {
 		k.uptr = make([]int32, 0, m+1)
 	}
@@ -467,9 +477,7 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 	k.urow = k.urow[:0]
 	k.uval = k.uval[:0]
 	for step := 0; step < m; step++ {
-		pend := k.upend[k.qstep[step]]
-		sort.Slice(pend, func(a, b int) bool { return pend[a].step < pend[b].step })
-		for _, e := range pend {
+		for _, e := range k.upend[k.qstep[step]] {
 			k.urow = append(k.urow, e.step)
 			k.uval = append(k.uval, e.val)
 		}

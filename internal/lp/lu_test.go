@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -220,5 +221,60 @@ func TestLUKernelStatsPopulated(t *testing.T) {
 	}
 	if s.st.Refactors == 0 {
 		t.Fatalf("solver counted no refactorizations at all")
+	}
+}
+
+// TestLURefactorUStepsAscend refactors random bases of random and timing
+// LPs, all on one kernel per problem, and checks that each U column
+// lists its entries in strictly ascending elimination step, each before
+// the column's own step (refactor gathers them without sorting), and
+// that the reused kernel factors exactly as a fresh one does.
+func TestLURefactorUStepsAscend(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		var m *Model
+		if trial%3 == 0 {
+			m, _ = timingLP(rng, 20+rng.Intn(60))
+		} else {
+			m = randomLP(rng)
+		}
+		p, err := m.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := newLUKernel(p)
+		for round := 0; round < 5; round++ {
+			basis := make([]int32, p.m)
+			for i, j := range rng.Perm(p.n)[:p.m] {
+				basis[i] = int32(j)
+			}
+			if _, ok := k.refactor(basis); !ok {
+				t.Fatal("refactor declined")
+			}
+			for step := 0; step < p.m; step++ {
+				prev := int32(-1)
+				for idx := k.uptr[step]; idx < k.uptr[step+1]; idx++ {
+					if s := k.urow[idx]; s <= prev || s >= int32(step) {
+						t.Fatalf("trial %d round %d: U column of step %d lists step %d after %d", trial, round, step, s, prev)
+					}
+					prev = k.urow[idx]
+				}
+			}
+			fresh := newLUKernel(p)
+			fresh.refactor(append([]int32(nil), basis...))
+			ints := [][2][]int32{{k.pstep, fresh.pstep}, {k.qstep, fresh.qstep}, {k.lptr, fresh.lptr},
+				{k.lrow, fresh.lrow}, {k.uptr, fresh.uptr}, {k.urow, fresh.urow}}
+			floats := [][2][]float64{{k.ud, fresh.ud}, {k.lval, fresh.lval}, {k.uval, fresh.uval}}
+			same := true
+			for _, f := range ints {
+				same = same && slices.Equal(f[0], f[1])
+			}
+			for _, f := range floats {
+				same = same && slices.Equal(f[0], f[1])
+			}
+			if !same {
+				t.Fatalf("trial %d round %d: the reused kernel factors differently from a fresh one", trial, round)
+			}
+		}
 	}
 }

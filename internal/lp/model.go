@@ -125,10 +125,16 @@ func (m *Model) AddBinVar(name string, obj float64) VarID {
 // SetObj overwrites the objective coefficient of v.
 func (m *Model) SetObj(v VarID, obj float64) { m.vars[v].obj = obj; m.dirty = true }
 
-// SetBounds overwrites the bounds of v.
+// SetBounds overwrites the bounds of v. It updates the compiled form in
+// place, so re-solving the model under new bounds costs no recompile; an
+// empty range leaves compile to report it.
 func (m *Model) SetBounds(v VarID, lb, ub float64) {
 	m.vars[v].lb, m.vars[v].ub = lb, ub
-	m.dirty = true
+	if m.prob == nil || m.dirty || lb > ub+eps {
+		m.dirty = true
+		return
+	}
+	m.prob.rebound(int(v), m.vars[v])
 }
 
 // Bounds returns the bounds of v.
@@ -234,8 +240,9 @@ type Solution struct {
 	// (for a MIP: summed across all branch-and-bound nodes).
 	Stats Stats
 	// Basis is the optimal simplex basis, usable to warm-start a later
-	// solve of a structurally identical model. Nil when no optimal basis
-	// was reached.
+	// solve of a structurally identical model. An infeasible LP carries
+	// the basis phase 1 ended on instead. Nil otherwise, and for an
+	// infeasible model presolve or branch-and-bound decided.
 	Basis *Basis
 }
 

@@ -661,7 +661,7 @@ type lpResult struct {
 // solveLP solves one LP relaxation over the given working bounds,
 // optionally seeded from a prior basis. A nil ctx disables cancellation.
 func solveLP(ctx context.Context, p *problem, lb, ub []float64, seed *Basis) (*lpResult, error) {
-	if p.infeasible {
+	if p.infeasible() {
 		// Singleton-row presolve found crossed bounds at compile time.
 		return &lpResult{status: Infeasible}, nil
 	}
@@ -688,7 +688,9 @@ func (s *solver) solve(seed *Basis) (*lpResult, error) {
 		}
 		switch st {
 		case Infeasible:
-			return &lpResult{status: Infeasible, stats: s.st}, nil
+			// The basis phase 1 ended on still seeds a later solve of a
+			// re-bounded model well.
+			return &lpResult{status: Infeasible, stats: s.st, basis: s.snapshotBasis()}, nil
 		case IterLimit:
 			return &lpResult{status: IterLimit, stats: s.st},
 				fmt.Errorf("lp: phase-1 iteration limit (%d)", s.maxIter)

@@ -97,13 +97,23 @@ func TestCompileCachedUntilMutation(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("compile not cached across calls")
 	}
+	// SetBounds updates the cached form in place.
 	m.SetBounds(x, 0, 2)
 	p3, _ := m.compile()
-	if p3 == p1 {
-		t.Fatal("compile cache not invalidated by SetBounds")
+	if p3 != p1 {
+		t.Fatal("SetBounds recompiled the model")
 	}
 	if p3.ub[x] != 2 {
-		t.Fatalf("recompiled ub = %g", p3.ub[x])
+		t.Fatalf("re-bounded ub = %g", p3.ub[x])
+	}
+	// A structural edit invalidates it.
+	m.SetObj(x, 2)
+	p4, _ := m.compile()
+	if p4 == p1 {
+		t.Fatal("compile cache not invalidated by SetObj")
+	}
+	if p4.ub[x] != 2 || p4.cost[x] != 2 {
+		t.Fatalf("recompiled ub = %g, cost = %g", p4.ub[x], p4.cost[x])
 	}
 }
 

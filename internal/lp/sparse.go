@@ -3,6 +3,8 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 )
 
 // problem is a Model compiled to the solver's internal shape: every
@@ -20,7 +22,9 @@ import (
 // The compiled form depends only on the model structure, objective and
 // sense; variable bounds are read into per-solve working arrays so
 // branch-and-bound nodes can tighten them without recompiling (and
-// without mutating the shared Model).
+// without mutating the shared Model). Model.SetBounds re-bounds one
+// column of the compiled form in place (rebound), so a caller that
+// re-solves one model under changing bounds compiles it once.
 type problem struct {
 	m  int // constraint rows
 	nv int // structural columns (model variables)
@@ -34,16 +38,66 @@ type problem struct {
 	flip   bool        // model sense was Maximize
 
 	// intVars are the integer-restricted structural columns whose bounds
-	// leave more than one value: a column pinned (lb = ub) at an integer
-	// is fixed, so a model whose integer columns are all pinned solves as
-	// a plain LP, with no branch-and-bound node.
+	// leave more than one value, in ascending order: a column pinned
+	// (lb = ub) at an integer is fixed, so a model whose integer columns
+	// are all pinned solves as a plain LP, with no branch-and-bound node.
 	intVars []VarID
 
-	// infeasible is set when singleton-row presolve proves the model has
-	// an empty feasible region (tightened bounds crossed). Unlike a
+	// folds holds, per structural column, the singleton rows presolve
+	// folded into its bounds, in model order.
+	folds [][]fold
+	// emptyRowFalse is set when an empty row is a contradiction, and
+	// crossed counts the structural columns whose folded bounds cross.
+	// Either proves the model has an empty feasible region: unlike a
 	// user-declared empty bound range this is a solve outcome, not a
 	// modelling error.
-	infeasible bool
+	emptyRowFalse bool
+	crossed       int
+}
+
+// fold is a singleton row a·x REL rhs as the bound "x rel bound", its
+// relation already flipped for a negative coefficient.
+type fold struct {
+	rel   Rel
+	bound float64
+}
+
+// infeasible reports whether presolve proved the feasible region empty.
+func (p *problem) infeasible() bool { return p.emptyRowFalse || p.crossed > 0 }
+
+// rebound recomputes structural column j's compiled bounds from the
+// variable's model bounds and its folded singleton rows, and updates
+// its intVars membership and the crossed count. The variable's own
+// bounds must not cross (compile reports that as a modelling error).
+func (p *problem) rebound(j int, v variable) {
+	if p.lb[j] > p.ub[j]+eps {
+		p.crossed--
+	}
+	lb, ub := v.lb, v.ub
+	for _, f := range p.folds[j] {
+		if (f.rel == LE || f.rel == EQ) && f.bound < ub {
+			ub = f.bound
+		}
+		if (f.rel == GE || f.rel == EQ) && f.bound > lb {
+			lb = f.bound
+		}
+	}
+	p.lb[j], p.ub[j] = lb, ub
+	if lb > ub+eps {
+		p.crossed++
+	}
+	if !v.integer {
+		return
+	}
+	k := sort.Search(len(p.intVars), func(i int) bool { return p.intVars[i] >= VarID(j) })
+	listed := k < len(p.intVars) && p.intVars[k] == VarID(j)
+	pinned := v.lb == v.ub && v.lb == math.Round(v.lb)
+	switch {
+	case !pinned && !listed:
+		p.intVars = slices.Insert(p.intVars, k, VarID(j))
+	case pinned && listed:
+		p.intVars = slices.Delete(p.intVars, k, k+1)
+	}
 }
 
 // compile returns the cached compiled form, rebuilding it when the model
@@ -53,16 +107,10 @@ func (m *Model) compile() (*problem, error) {
 		return m.prob, nil
 	}
 	nv := len(m.vars)
-	lb := make([]float64, nv)
-	ub := make([]float64, nv)
-	p := &problem{nv: nv, flip: m.sense == Maximize}
-	for j, v := range m.vars {
+	p := &problem{nv: nv, flip: m.sense == Maximize, folds: make([][]fold, nv)}
+	for _, v := range m.vars {
 		if v.lb > v.ub+eps {
 			return nil, fmt.Errorf("lp: variable %q has empty bound range [%g,%g]", v.name, v.lb, v.ub)
-		}
-		lb[j], ub[j] = v.lb, v.ub
-		if v.integer && (v.lb != v.ub || v.lb != math.Round(v.lb)) {
-			p.intVars = append(p.intVars, VarID(j))
 		}
 	}
 
@@ -77,21 +125,14 @@ func (m *Model) compile() (*problem, error) {
 		case 0:
 			switch con.rel {
 			case LE:
-				if con.rhs < -feasTol {
-					p.infeasible = true
-				}
+				p.emptyRowFalse = p.emptyRowFalse || con.rhs < -feasTol
 			case GE:
-				if con.rhs > feasTol {
-					p.infeasible = true
-				}
+				p.emptyRowFalse = p.emptyRowFalse || con.rhs > feasTol
 			case EQ:
-				if math.Abs(con.rhs) > feasTol {
-					p.infeasible = true
-				}
+				p.emptyRowFalse = p.emptyRowFalse || math.Abs(con.rhs) > feasTol
 			}
 		case 1:
 			t := con.terms[0]
-			bound := con.rhs / t.Coeff
 			rel := con.rel
 			if t.Coeff < 0 && rel != EQ {
 				if rel == LE {
@@ -100,20 +141,7 @@ func (m *Model) compile() (*problem, error) {
 					rel = LE
 				}
 			}
-			j := t.Var
-			if rel == LE || rel == EQ {
-				if bound < ub[j] {
-					ub[j] = bound
-				}
-			}
-			if rel == GE || rel == EQ {
-				if bound > lb[j] {
-					lb[j] = bound
-				}
-			}
-			if lb[j] > ub[j]+eps {
-				p.infeasible = true
-			}
+			p.folds[t.Var] = append(p.folds[t.Var], fold{rel, con.rhs / t.Coeff})
 		default:
 			keep = append(keep, ci)
 		}
@@ -128,8 +156,9 @@ func (m *Model) compile() (*problem, error) {
 	p.cost = make([]float64, p.n)
 	p.lb = make([]float64, p.n)
 	p.ub = make([]float64, p.n)
-	copy(p.lb, lb)
-	copy(p.ub, ub)
+	for j, v := range m.vars {
+		p.rebound(j, v)
+	}
 	for j, v := range m.vars {
 		obj := v.obj
 		if p.flip {

@@ -23,7 +23,8 @@ import (
 	"virtualsync/internal/sta"
 )
 
-// Graph is a retiming graph. Vertex 0 is the host.
+// Graph is a retiming graph. Vertex 0 is the host. A Graph is not safe
+// for concurrent use: its feasibility checks share scratch buffers.
 type Graph struct {
 	// delay[v] is the combinational delay of vertex v (0 for the host).
 	delay []float64
@@ -33,6 +34,13 @@ type Graph struct {
 	vertexOf map[netlist.NodeID]int
 	// gateOf maps a vertex index (>=1) back to the gate node.
 	gateOf []netlist.NodeID
+
+	// cp's scratch, reused across the FEAS iterations of every probe.
+	adj      [][]int
+	indeg    []int
+	queue    []int
+	delta    []float64
+	intoHost []int
 }
 
 type edge struct {
@@ -132,12 +140,23 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // distinct timing paths), but Delta(host) still reports the worst
 // register-to-output path so the interface budget is checked. It reports
 // ok=false when the zero-weight subgraph of real gates has a cycle, which
-// makes the candidate period infeasible.
+// makes the candidate period infeasible. delta is valid until the next
+// call.
 func (g *Graph) cp(r []int) (delta []float64, ok bool) {
 	n := len(g.delay)
-	adj := make([][]int, n) // zero-weight successor vertices by edge index
-	indeg := make([]int, n)
-	var intoHost []int // zero-weight edges terminating at the host
+	if len(g.adj) != n {
+		g.adj = make([][]int, n)
+		g.indeg = make([]int, n)
+		g.queue = make([]int, 0, n)
+		g.delta = make([]float64, n)
+	}
+	adj := g.adj // zero-weight successor vertices by edge index
+	for v := range adj {
+		adj[v] = adj[v][:0]
+	}
+	indeg := g.indeg
+	clear(indeg)
+	intoHost := g.intoHost[:0] // zero-weight edges terminating at the host
 	for i, e := range g.edges {
 		wr := e.w + r[e.v] - r[e.u]
 		if wr != 0 {
@@ -156,8 +175,9 @@ func (g *Graph) cp(r []int) (delta []float64, ok bool) {
 			indeg[e.v]++
 		}
 	}
-	delta = make([]float64, n)
-	queue := make([]int, 0, n)
+	g.intoHost = intoHost
+	delta = g.delta
+	queue := g.queue[:0] // each vertex enters once, so it never grows
 	for v := 0; v < n; v++ {
 		delta[v] = g.delay[v]
 		if v != host && indeg[v] == 0 {
@@ -165,9 +185,8 @@ func (g *Graph) cp(r []int) (delta []float64, ok bool) {
 		}
 	}
 	processed := 1 // host never enters the queue
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		processed++
 		for _, ei := range adj[u] {
 			e := g.edges[ei]
