@@ -94,7 +94,9 @@ cover:
 # FuzzReplacementVsColdReference holds buffer replacement, whose repair
 # LPs are first asked of the pass's warm repair twin, to the all-cold
 # replacement loop it replaced on decoded circuits: the same verdict on
-# every try, then the same plan.
+# every try, then the same plan. FuzzBtranMatchesGather holds the LU
+# kernel's sparse BTRAN (bitmap-gathered etas, Uᵀ scatter) to the dense
+# gather it replaced, bit for bit, on fuzzed bases and eta files.
 FUZZTIME ?= 20s
 
 fuzz-short:
@@ -107,6 +109,7 @@ fuzz-short:
 	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzIncrementalECO -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzBtranMatchesGather -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseNetlist -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netlist -run '^$$' -fuzz FuzzParseEdits -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/celllib -run '^$$' -fuzz FuzzParseLibrary -fuzztime $(FUZZTIME)
@@ -163,7 +166,7 @@ bench:
 # sparse LU kernel. Benchmark names carry the -N GOMAXPROCS suffix.
 bench-lp:
 	$(GO) test -json -run '^$$' -bench 'LPSolve|SuiteParallel' -benchmem . > BENCH_lp.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_lp.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
+	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' BENCH_lp.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_lp.json 2>/dev/null || \
 		echo "note: BENCH_lp.json changed — review the numbers and commit the update"
 

@@ -291,6 +291,7 @@ func BenchmarkLPSolve(b *testing.B) {
 		b.Fatal("LP solved with zero pivots: benchmark degenerated into a presolve no-op")
 	}
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
 // BenchmarkLPSolveBoxed measures the bounded-variable simplex and
@@ -328,6 +329,7 @@ func BenchmarkLPSolveBoxed(b *testing.B) {
 	}
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	b.ReportMetric(warmPct/float64(b.N), "warmstart-hit-%")
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
 // BenchmarkLPSolveLarge measures the sparse LU basis kernel on a
@@ -372,6 +374,7 @@ func BenchmarkLPSolveLarge(b *testing.B) {
 	}
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
+	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
 // BenchmarkSuiteParallel measures RunSuite wall clock over four

@@ -55,8 +55,8 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 		return nil, err
 	}
 	if len(p.intVars) == 0 {
-		lb, ub := p.defaultBounds()
-		res, lerr := solveLP(ctx, p, lb, ub, o.Warm)
+		// The solver never writes its bounds, so it reads the compiled ones.
+		res, lerr := solveLP(ctx, p, p.lb, p.ub, o.Warm)
 		if lerr == errCanceled {
 			return nil, ctx.Err()
 		}
@@ -72,6 +72,9 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 
 	var inc *lpResult
 	var total Stats
+	// One bounds pair serves every node: the search is sequential and a
+	// solve keeps no reference to its bounds.
+	lb, ub := make([]float64, p.n), make([]float64, p.n)
 	frontier := []*bnode{{seq: 0, seed: o.Warm}}
 	seq := 1
 
@@ -103,7 +106,7 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 		if inc != nil && !better(nd.bound, inc.obj) {
 			continue // the parent's bound cannot beat the incumbent
 		}
-		r, err := solveNode(ctx, p, nd)
+		r, err := solveNode(ctx, p, nd, lb, ub)
 		if r != nil {
 			total.Add(r.stats)
 		}
@@ -179,11 +182,12 @@ func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error
 	return &Solution{Status: Infeasible, Stats: total}, nil
 }
 
-// solveNode solves one node's relaxation under its bound overrides. It
-// returns a nil result and no error when the overrides leave a variable
-// an empty domain.
-func solveNode(ctx context.Context, p *problem, nd *bnode) (*lpResult, error) {
-	lb, ub := p.defaultBounds()
+// solveNode solves one node's relaxation under its bound overrides,
+// written into lb and ub. It returns a nil result and no error when the
+// overrides leave a variable an empty domain.
+func solveNode(ctx context.Context, p *problem, nd *bnode, lb, ub []float64) (*lpResult, error) {
+	copy(lb, p.lb)
+	copy(ub, p.ub)
 	for _, ov := range nd.overrides {
 		if ov.lb > lb[ov.v] {
 			lb[ov.v] = ov.lb

@@ -137,3 +137,10 @@ func solveModelDense(t *testing.T, m *Model) *lpResult {
 	}
 	return res
 }
+
+// defaultBounds returns fresh working copies of the compiled bounds.
+func (p *problem) defaultBounds() (lb, ub []float64) {
+	lb = append([]float64(nil), p.lb...)
+	ub = append([]float64(nil), p.ub...)
+	return lb, ub
+}

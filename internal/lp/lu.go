@@ -1,6 +1,10 @@
 package lp
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 // Sparse LU basis kernel.
 //
@@ -27,6 +31,23 @@ import "sort"
 // newest to oldest before it. update asks for a refactorization when the
 // eta file grows past its bounds or a pivot element is dangerously
 // small; the solver additionally refactorizes on residual drift.
+//
+// BTRAN (the pricing solve) is sparse but keeps the dense gather's
+// operation order term for term. Each eta carries a bitmap of its slots,
+// and the eta pass gathers only over the AND of that bitmap and a bitmap
+// of the slots where c is nonzero, in ascending slot order. The Uᵀ solve
+// scatters each finished step along a transposed copy of U, built by
+// refactor; every target still receives its subtractions in ascending
+// step order, because U columns list their steps in ascending order. The
+// Lᵀ pass visits only the steps that carry multipliers. Every term this
+// skips has an exact ±0 factor, so the only difference from the gather
+// is the sign of a zero, which never reaches a nonzero: the kernel
+// divides only by pivots, and y feeds only reduced-cost sums that start
+// at +0, where adding either zero is exact.
+//
+// A kernel lives in a pooled solver (simplex.go): reset resizes it to
+// each problem and keeps the capacity of every buffer, the factors and
+// the eta file included, so repeated solves stop regrowing them.
 //
 // Singular or near-singular bases never fail: unpivotable columns are
 // patched with unit columns of the unpivoted rows (a legal repair — an
@@ -68,13 +89,26 @@ type luKernel struct {
 	urow  []int32
 	uval  []float64
 
+	// U transposed for BTRAN: CSR over the step each entry belongs to,
+	// utcol holding the later step whose column carries it, ascending.
+	// lsteps lists the steps that carry L multipliers, ascending.
+	utptr  []int32
+	utcol  []int32
+	utval  []float64
+	lsteps []int32
+
 	// Product-form eta file, one eta per simplex pivot since the last
 	// refactorization. Non-pivot entries are CSR; indices are slots.
+	// etaBits holds each eta's slot bitmap, words uint64s per eta, and
+	// etaRank the number of the eta's entries before each of its words.
 	etaPiv    []int32
 	etaPivVal []float64
 	etaPtr    []int32
 	etaIdx    []int32
 	etaVal    []float64
+	etaBits   []uint64
+	etaRank   []int32
+	words     int
 
 	// Refactorization policy. Tests lower these to force the bounds.
 	maxEtas   int
@@ -84,6 +118,7 @@ type luKernel struct {
 	work  []float64 // row-space FTRAN scratch
 	work2 []float64 // slot-space BTRAN scratch
 	workz []float64 // step-space BTRAN scratch
+	cbits []uint64  // BTRAN: bitmap of the slots where c may be nonzero
 	upend [][]upair // pending U entries per slot
 
 	rowPtr  []int32 // refactor: CSR rows over (slot, value) of the basis
@@ -93,26 +128,46 @@ type luKernel struct {
 	// cursor, per-slot active-entry count and the active row/slot flags.
 	rowCnt, fill, colCnt []int32
 	rowActive, colActive []bool
+	// refactor: singleton queues, singular slots and unpivoted rows, the
+	// bump's columns, and the repairs it reports.
+	colQ, rowQ, badSlots, badRows, activeCols []int32
+	repairs                                   [][2]int32
 }
 
 func newLUKernel(p *problem) *luKernel {
-	m := p.m
-	k := &luKernel{
-		p: p, m: m,
-		maxEtas:   luMaxEtas,
-		etaNnzCap: luEtaNnzPad, // widened from factor fill at each refactor
-		work:      make([]float64, m),
-		work2:     make([]float64, m),
-		workz:     make([]float64, m),
-		upend:     make([][]upair, m),
-		etaPtr:    make([]int32, 1, luMaxEtas+1),
-		rowCnt:    make([]int32, m),
-		fill:      make([]int32, m),
-		colCnt:    make([]int32, m),
-		rowActive: make([]bool, m),
-		colActive: make([]bool, m),
-	}
+	k := &luKernel{}
+	k.reset(p)
 	return k
+}
+
+// reset sizes the kernel's scratch for p, keeping the capacity of every
+// buffer, so one kernel serves problem after problem. refactor must run
+// before any solve.
+func (k *luKernel) reset(p *problem) {
+	m := p.m
+	k.p, k.m = p, m
+	k.maxEtas = luMaxEtas
+	k.etaNnzCap = luEtaNnzPad // widened from factor fill at each refactor
+	k.words = (m + 63) / 64
+	k.work = resize(k.work, m)
+	k.work2 = resize(k.work2, m)
+	k.workz = resize(k.workz, m)
+	k.cbits = resize(k.cbits, k.words)
+	k.upend = resize(k.upend, m)
+	k.rowCnt = resize(k.rowCnt, m)
+	k.fill = resize(k.fill, m)
+	k.colCnt = resize(k.colCnt, m)
+	k.rowActive = resize(k.rowActive, m)
+	k.colActive = resize(k.colActive, m)
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // factorFtran solves L·U x = w. w is in constraint-row space and is
@@ -140,27 +195,32 @@ func (k *luKernel) factorFtran(w, x []float64) {
 }
 
 // factorBtran solves (L·U)ᵀ y = c. c is in slot space and is not
-// modified; y is in constraint-row space.
+// modified; y is in constraint-row space. The Uᵀ solve scatters each
+// finished step down its row of U, skipping zeros; see the package
+// comment for why this matches a gather over U's columns bit for bit.
 func (k *luKernel) factorBtran(c, y []float64) {
 	m := k.m
 	z := k.workz
 	for kk := 0; kk < m; kk++ {
-		t := c[k.qstep[kk]]
-		for idx := k.uptr[kk]; idx < k.uptr[kk+1]; idx++ {
-			t -= k.uval[idx] * z[k.urow[idx]]
+		z[kk] = c[k.qstep[kk]]
+	}
+	for kk := 0; kk < m; kk++ {
+		t := z[kk] / k.ud[kk]
+		z[kk] = t
+		if t == 0 {
+			continue
 		}
-		z[kk] = t / k.ud[kk]
+		for idx := k.utptr[kk]; idx < k.utptr[kk+1]; idx++ {
+			z[k.utcol[idx]] -= k.utval[idx] * t
+		}
 	}
 	for kk := 0; kk < m; kk++ {
 		y[k.pstep[kk]] = z[kk]
 	}
-	for kk := m - 1; kk >= 0; kk-- {
-		lo, hi := k.lptr[kk], k.lptr[kk+1]
-		if lo == hi {
-			continue
-		}
+	for i := len(k.lsteps) - 1; i >= 0; i-- {
+		kk := k.lsteps[i]
 		acc := 0.0
-		for idx := lo; idx < hi; idx++ {
+		for idx := k.lptr[kk]; idx < k.lptr[kk+1]; idx++ {
 			acc += k.lval[idx] * y[k.lrow[idx]]
 		}
 		y[k.pstep[kk]] -= acc
@@ -184,15 +244,39 @@ func (k *luKernel) applyEtasFtran(x []float64) {
 }
 
 // applyEtasBtran starts a BTRAN by applying the eta transposes newest to
-// oldest, in slot space (in place).
+// oldest, in slot space (in place). Each eta gathers only over the slots
+// set in both its bitmap and cbits, which covers every nonzero of c, in
+// ascending slot order.
 func (k *luKernel) applyEtasBtran(c []float64) {
+	cb := k.cbits
+	clear(cb)
+	for i, v := range c {
+		if v != 0 {
+			cb[i>>6] |= 1 << (i & 63)
+		}
+	}
+	nw := k.words
 	for g := len(k.etaPiv) - 1; g >= 0; g-- {
 		r := k.etaPiv[g]
 		t := c[r]
-		for idx := k.etaPtr[g]; idx < k.etaPtr[g+1]; idx++ {
-			t -= k.etaVal[idx] * c[k.etaIdx[idx]]
+		eb, rank := k.etaBits[g*nw:(g+1)*nw], k.etaRank[g*nw:(g+1)*nw]
+		base := k.etaPtr[g]
+		for w, b := range eb {
+			x := b & cb[w]
+			for x != 0 {
+				low := x & -x
+				x ^= low
+				idx := base + rank[w] + int32(bits.OnesCount64(b&(low-1)))
+				t -= k.etaVal[idx] * c[k.etaIdx[idx]]
+			}
 		}
-		c[r] = t / k.etaPivVal[g]
+		t /= k.etaPivVal[g]
+		c[r] = t
+		if t != 0 {
+			cb[r>>6] |= 1 << (r & 63)
+		} else {
+			cb[r>>6] &^= 1 << (r & 63)
+		}
 	}
 }
 
@@ -225,6 +309,11 @@ func (k *luKernel) update(slot, e int, alpha []float64) bool {
 	piv := alpha[slot]
 	k.etaPiv = append(k.etaPiv, int32(slot))
 	k.etaPivVal = append(k.etaPivVal, piv)
+	nw := len(k.etaBits)
+	k.etaBits = slices.Grow(k.etaBits, k.words)[:nw+k.words]
+	k.etaRank = slices.Grow(k.etaRank, k.words)[:nw+k.words]
+	eb, rank := k.etaBits[nw:], k.etaRank[nw:]
+	clear(eb)
 	for i := 0; i < k.m; i++ {
 		if i == slot {
 			continue
@@ -235,8 +324,14 @@ func (k *luKernel) update(slot, e int, alpha []float64) bool {
 		}
 		k.etaIdx = append(k.etaIdx, int32(i))
 		k.etaVal = append(k.etaVal, a)
+		eb[i>>6] |= 1 << (i & 63)
 	}
 	k.etaPtr = append(k.etaPtr, int32(len(k.etaIdx)))
+	n := int32(0)
+	for w, b := range eb {
+		rank[w] = n
+		n += int32(bits.OnesCount64(b))
+	}
 	if len(k.etaPiv) >= k.maxEtas || len(k.etaIdx) >= k.etaNnzCap {
 		return true
 	}
@@ -245,7 +340,8 @@ func (k *luKernel) update(slot, e int, alpha []float64) bool {
 
 // refactor rebuilds L·U from the basis columns, resets the eta file, and
 // repairs (near-)singular slots with unit columns. See the package
-// comment at the top of this file for the two-stage ordering.
+// comment at the top of this file for the two-stage ordering. The
+// repairs slice is kernel scratch, valid until the next refactor.
 func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 	p, m := k.p, k.m
 
@@ -261,11 +357,15 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 	k.etaPtr = append(k.etaPtr[:0], 0)
 	k.etaIdx = k.etaIdx[:0]
 	k.etaVal = k.etaVal[:0]
+	k.etaBits = k.etaBits[:0]
+	k.etaRank = k.etaRank[:0]
+	k.lsteps = k.lsteps[:0]
 	for q := range k.upend {
 		k.upend[q] = k.upend[q][:0]
 	}
 	if m == 0 {
 		k.uptr = append(k.uptr[:0], 0)
+		k.utptr = append(k.utptr[:0], 0)
 		return nil, true
 	}
 
@@ -316,8 +416,7 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 		colActive[i] = true
 	}
 
-	var badSlots []int32
-	var colQ, rowQ []int32
+	badSlots, colQ, rowQ := k.badSlots[:0], k.colQ[:0], k.rowQ[:0]
 	for q := int32(0); q < int32(m); q++ {
 		if colCnt[q] <= 1 {
 			colQ = append(colQ, q)
@@ -438,7 +537,7 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 
 	// Stage 2: Markowitz bump over dynamic maps. Usually empty for
 	// timing LP bases.
-	var activeCols []int32
+	activeCols := k.activeCols[:0]
 	for q := int32(0); q < int32(m); q++ {
 		if colActive[q] {
 			activeCols = append(activeCols, q)
@@ -450,13 +549,14 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 
 	// Pair leftover rows with singular slots: patch each slot with the
 	// unpivoted row's unit column and report the swap.
-	var badRows []int32
+	badRows := k.badRows[:0]
 	for i := int32(0); i < int32(m); i++ {
 		if rowActive[i] {
 			badRows = append(badRows, i)
 		}
 	}
-	sort.Slice(badSlots, func(a, b int) bool { return badSlots[a] < badSlots[b] })
+	slices.Sort(badSlots)
+	repairs = k.repairs[:0]
 	for idx, q := range badSlots {
 		r := badRows[idx]
 		k.upend[q] = k.upend[q][:0] // the original column's U entries die with it
@@ -483,6 +583,34 @@ func (k *luKernel) refactor(basis []int32) (repairs [][2]int32, ok bool) {
 		}
 		k.uptr = append(k.uptr, int32(len(k.urow)))
 	}
+
+	// Transpose U for BTRAN. Columns are visited in step order, so each
+	// row lists its later steps ascending.
+	k.utptr = resize(k.utptr, m+1)
+	clear(k.utptr)
+	for _, s := range k.urow {
+		k.utptr[s+1]++
+	}
+	for s := 0; s < m; s++ {
+		k.utptr[s+1] += k.utptr[s]
+	}
+	k.utcol = resize(k.utcol, len(k.urow))
+	k.utval = resize(k.utval, len(k.urow))
+	copy(fill, k.utptr[:m])
+	for step := 0; step < m; step++ {
+		for idx := k.uptr[step]; idx < k.uptr[step+1]; idx++ {
+			s := k.urow[idx]
+			k.utcol[fill[s]] = int32(step)
+			k.utval[fill[s]] = k.uval[idx]
+			fill[s]++
+		}
+	}
+	for kk := 0; kk < m; kk++ {
+		if k.lptr[kk] < k.lptr[kk+1] {
+			k.lsteps = append(k.lsteps, int32(kk))
+		}
+	}
+	k.badSlots, k.colQ, k.rowQ, k.activeCols, k.badRows, k.repairs = badSlots, colQ, rowQ, activeCols, badRows, repairs
 
 	// Widen the eta nonzero bound with the realized fill so dense-ish
 	// factorizations are not forced into thrashing refactorizations.

@@ -120,7 +120,7 @@ func driveLU(t *testing.T, m *Model, tune func(*luKernel)) *solver {
 		t.Fatal(err)
 	}
 	lb, ub := p.defaultBounds()
-	s := newSolver(nil, p, lb, ub)
+	s := newSlackSolver(p, lb, ub)
 	if tune != nil {
 		tune(s.kern.(*luKernel))
 	}
@@ -277,4 +277,187 @@ func TestLURefactorUStepsAscend(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gatherBtran is the dense BTRAN the kernel's sparse one replaced, kept
+// as its oracle: the eta transposes newest to oldest, each a gather over
+// all of the eta's slots, then Uᵀ as a gather over U's columns and Lᵀ
+// over every step. It reads the kernel's factors and eta file only.
+func gatherBtran(k *luKernel, cB, y []float64) {
+	m := k.m
+	c := append([]float64(nil), cB...)
+	for g := len(k.etaPiv) - 1; g >= 0; g-- {
+		r := k.etaPiv[g]
+		t := c[r]
+		for idx := k.etaPtr[g]; idx < k.etaPtr[g+1]; idx++ {
+			t -= k.etaVal[idx] * c[k.etaIdx[idx]]
+		}
+		c[r] = t / k.etaPivVal[g]
+	}
+	z := make([]float64, m)
+	for kk := 0; kk < m; kk++ {
+		t := c[k.qstep[kk]]
+		for idx := k.uptr[kk]; idx < k.uptr[kk+1]; idx++ {
+			t -= k.uval[idx] * z[k.urow[idx]]
+		}
+		z[kk] = t / k.ud[kk]
+	}
+	for kk := 0; kk < m; kk++ {
+		y[k.pstep[kk]] = z[kk]
+	}
+	for kk := m - 1; kk >= 0; kk-- {
+		lo, hi := k.lptr[kk], k.lptr[kk+1]
+		if lo == hi {
+			continue
+		}
+		acc := 0.0
+		for idx := lo; idx < hi; idx++ {
+			acc += k.lval[idx] * y[k.lrow[idx]]
+		}
+		y[k.pstep[kk]] -= acc
+	}
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit,
+// with +0 and −0 counted as equal.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+// btranAgainstGather factorizes basis on a fresh kernel, then grows its
+// eta file one pivot at a time up to etas long (at most the kernel's
+// bound), and after every step requires btran to equal gatherBtran bit
+// for bit on pricing vectors of every density: sigma-like ±1 vectors,
+// random costs, all-zero and dense. Entering columns and pivot slots
+// are drawn from rng; a slot qualifies when |alpha| ≥ 1e-3.
+func btranAgainstGather(t testing.TB, p *problem, rng *rand.Rand, basis []int32, etas int) {
+	t.Helper()
+	k := newLUKernel(p)
+	k.refactor(basis)
+	m := p.m
+	alpha := make([]float64, m)
+	cB := make([]float64, m)
+	got, want := make([]float64, m), make([]float64, m)
+	check := func() {
+		for _, density := range []float64{0, 0.05, 0.2, 0.6, 1} {
+			sigma := rng.Intn(2) == 0
+			for i := range cB {
+				cB[i] = 0
+				if rng.Float64() >= density {
+					continue
+				}
+				if sigma {
+					cB[i] = float64(2*rng.Intn(2) - 1)
+				} else {
+					cB[i] = rng.NormFloat64()
+				}
+			}
+			k.btran(cB, got)
+			gatherBtran(k, cB, want)
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("m=%d, %d etas, density %g: y[%d] = %x, gather gives %x",
+						m, len(k.etaPiv), density, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+	check()
+	for len(k.etaPiv) < min(etas, k.maxEtas) {
+		e := rng.Intn(p.n)
+		k.ftranCol(e, alpha)
+		slot := -1
+		for tries := 0; tries < 8 && slot < 0; tries++ {
+			if i := rng.Intn(m); math.Abs(alpha[i]) >= 1e-3 {
+				slot = i
+			}
+		}
+		if slot < 0 {
+			for i, a := range alpha {
+				if math.Abs(a) >= 1e-3 {
+					slot = i
+					break
+				}
+			}
+		}
+		if slot < 0 {
+			continue // e is (numerically) in the span of nothing: draw again
+		}
+		k.update(slot, e, alpha)
+		check()
+	}
+}
+
+// btranBasis draws a basis for p: a random set of columns, or, with
+// timing set, the optimal basis of a solve, the kind of basis pricing
+// meets on the production LPs.
+func btranBasis(t testing.TB, p *problem, rng *rand.Rand, timing bool) []int32 {
+	t.Helper()
+	basis := make([]int32, 0, p.m)
+	if timing {
+		res, err := solveLP(nil, p, p.lb, p.ub, nil)
+		if err == nil && res.basis != nil {
+			for j, st := range res.basis.stat {
+				if st == inBasis {
+					basis = append(basis, int32(j))
+				}
+			}
+			return basis
+		}
+	}
+	for _, j := range rng.Perm(p.n)[:p.m] {
+		basis = append(basis, int32(j))
+	}
+	return basis
+}
+
+// TestBtranMatchesGatherReference holds the kernel's sparse BTRAN to the
+// dense gather it replaced, bit for bit, over random and timing-LP
+// bases with eta files from empty to the kernel's bound.
+func TestBtranMatchesGatherReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 48; trial++ {
+		var m *Model
+		timing := trial%2 == 0
+		if timing {
+			m, _ = timingLP(rng, 20+rng.Intn(180))
+		} else {
+			m = randomLP(rng)
+		}
+		p, err := m.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.m == 0 {
+			continue
+		}
+		btranAgainstGather(t, p, rng, btranBasis(t, p, rng, timing && trial%4 == 0), luMaxEtas)
+	}
+}
+
+// FuzzBtranMatchesGather is TestBtranMatchesGatherReference on fuzzed
+// shapes: the seed draws the model (a timing LP of up to 300 stages or
+// a random LP), the basis and the pricing vectors, and etas sets the
+// eta file's final length.
+func FuzzBtranMatchesGather(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(0), uint8(64))
+	f.Add(int64(2), uint16(130), uint8(1), uint8(17))
+	f.Add(int64(3), uint16(0), uint8(2), uint8(3))
+	f.Add(int64(4), uint16(300), uint8(3), uint8(64))
+	f.Fuzz(func(t *testing.T, seed int64, stages uint16, kind, etas uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var m *Model
+		timing := kind%2 == 0
+		if timing {
+			m, _ = timingLP(rng, 2+int(stages%300))
+		} else {
+			m = randomLP(rng)
+		}
+		p, err := m.compile()
+		if err != nil || p.m == 0 {
+			t.Skip()
+		}
+		basis := btranBasis(t, p, rng, timing && kind%4 == 0)
+		btranAgainstGather(t, p, rng, basis, int(etas)%(luMaxEtas+1))
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Bounded-variable revised simplex.
@@ -119,18 +120,24 @@ const statusRestart Status = -1
 // solver carries the working state of one relaxation solve.
 type solver struct {
 	p      *problem
-	lb, ub []float64 // per-solve bounds (node overrides applied)
+	lb, ub []float64 // per-solve bounds (node overrides applied), read only
 
 	kern  basisKernel // basis-inverse representation (sparse LU)
+	lu    *luKernel   // the pooled LU kernel kern normally points at
 	basis []int32     // column occupying each basic slot
 	stat  []byte      // status per column
 	xB    []float64   // values of basic columns, length m
 
-	y   []float64 // pricing scratch, length m
-	cB  []float64 // basic-cost scratch for btran, length m
-	rhs []float64 // nonbasic-adjusted right-hand side b̃, length m
+	y     []float64 // pricing scratch, length m
+	cB    []float64 // basic-cost scratch for btran, length m
+	rhs   []float64 // nonbasic-adjusted right-hand side b̃, length m
+	sigma []int8    // phase-1 violation direction per basic row, length m
 
 	alpha []float64 // FTRAN scratch, length m
+
+	// movable lists, ascending, the columns whose bounds leave room to
+	// move; chooseEntering prices only these.
+	movable []int32
 
 	iters   int // iterations consumed across both phases
 	maxIter int
@@ -139,19 +146,38 @@ type solver struct {
 	ctx context.Context // nil disables cancellation checks
 }
 
+// solverPool recycles solvers, each with its LU kernel, across solves:
+// newSolver resizes a pooled solver's scratch to the problem, so the
+// many solves of one model reuse their buffers instead of regrowing
+// them. The pool starts no goroutine; every solve runs on its caller's.
+var solverPool = sync.Pool{New: func() any { return &solver{lu: &luKernel{}} }}
+
+// newSolver returns a solver over p and the given bounds, with the
+// all-slack basis installed but not yet factorized: solve factorizes it
+// unless a seed replaces it. release hands the solver back to the pool.
 func newSolver(ctx context.Context, p *problem, lb, ub []float64) *solver {
-	s := &solver{
-		p: p, lb: lb, ub: ub,
-		basis: make([]int32, p.m),
-		stat:  make([]byte, p.n),
-		xB:    make([]float64, p.m),
-		y:     make([]float64, p.m),
-		cB:    make([]float64, p.m),
-		rhs:   make([]float64, p.m),
-		alpha: make([]float64, p.m),
-		// Generous but finite; the timing LPs need far fewer.
-		maxIter: 20000 + 60*(p.m+p.n),
-		ctx:     ctx,
+	s := solverPool.Get().(*solver)
+	m, n := p.m, p.n
+	s.p, s.lb, s.ub, s.ctx = p, lb, ub, ctx
+	s.basis = resize(s.basis, m)
+	s.stat = resize(s.stat, n)
+	s.xB = resize(s.xB, m)
+	s.y = resize(s.y, m)
+	s.cB = resize(s.cB, m)
+	s.rhs = resize(s.rhs, m)
+	s.sigma = resize(s.sigma, m)
+	s.alpha = resize(s.alpha, m)
+	s.iters, s.st = 0, Stats{}
+	// Generous but finite; the timing LPs need far fewer.
+	s.maxIter = 20000 + 60*(m+n)
+	s.lu.reset(p)
+	s.kern = s.lu
+	s.movable = s.movable[:0]
+	for j := 0; j < n; j++ {
+		// A fixed column (finite lb, ub − lb ≤ eps) can never move.
+		if math.IsInf(lb[j], -1) || !(ub[j]-lb[j] <= eps) {
+			s.movable = append(s.movable, int32(j))
+		}
 	}
 	for i := range s.basis {
 		s.basis[i] = int32(p.nv + i)
@@ -160,10 +186,15 @@ func newSolver(ctx context.Context, p *problem, lb, ub []float64) *solver {
 	for j := 0; j < p.nv; j++ {
 		s.stat[j] = s.defaultStat(j)
 	}
-	lu := newLUKernel(p)
-	lu.refactor(s.basis) // all-slack basis: trivial identity factorization
-	s.kern = lu
 	return s
+}
+
+// release drops the solver's references to its problem and returns it
+// to the pool. Nothing a solve returns aliases the solver's buffers.
+func (s *solver) release() {
+	s.p, s.lb, s.ub, s.ctx = nil, nil, nil, nil
+	s.kern, s.lu.p = nil, nil
+	solverPool.Put(s)
 }
 
 // defaultStat picks the resting status of a nonbasic column from its
@@ -386,18 +417,17 @@ func (s *solver) eligible(j int, d float64) (int, bool) {
 	return 0, false
 }
 
-// chooseEntering scans the nonbasic columns: Dantzig rule (largest
-// reduced-cost magnitude) normally, Bland's rule (first eligible index)
-// once bland is set, which guarantees termination on degenerate cycles.
+// chooseEntering scans the movable nonbasic columns in ascending order:
+// Dantzig rule (largest reduced-cost magnitude) normally, Bland's rule
+// (first eligible index) once bland is set, which guarantees termination
+// on degenerate cycles.
 func (s *solver) chooseEntering(phase1, bland bool) (e, dir int) {
 	e = -1
 	best := 0.0
-	for j := 0; j < s.p.n; j++ {
+	for _, j32 := range s.movable {
+		j := int(j32)
 		if s.stat[j] == inBasis {
 			continue
-		}
-		if !math.IsInf(s.lb[j], -1) && s.ub[j]-s.lb[j] <= eps {
-			continue // fixed column can never move
 		}
 		d := s.reducedCost(phase1, j)
 		t, ok := s.eligible(j, d)
@@ -526,7 +556,7 @@ func (s *solver) applyStep(e, dir int, theta float64) float64 {
 // statusRestart (phase 2 only: a basis repair broke feasibility), or
 // IterLimit. Context cancellation is reported via errCanceled.
 func (s *solver) iterate(phase1 bool) (Status, error) {
-	sigma := make([]int8, s.p.m)
+	sigma := s.sigma
 	sincePivot := 0
 	for {
 		if s.iters >= s.maxIter {
@@ -614,8 +644,9 @@ func (s *solver) iterate(phase1 bool) (Status, error) {
 // applySeedFactor seeds the LU kernel from a prior basis by installing
 // the seed's basic set directly and factorizing it — no crash pivots at
 // all. Slots whose columns prove singular are repaired with slacks, and
-// phase 1 fixes any feasibility the repairs cost. Returns false when the
-// seed does not match the problem shape or is not a full basis.
+// phase 1 fixes any feasibility the repairs cost. Returns false, with
+// the solver untouched, when the seed does not match the problem shape
+// or is not a full basis.
 func (s *solver) applySeedFactor(seed *Basis) bool {
 	p := s.p
 	if !seed.Compatible(p.m, p.n) {
@@ -665,7 +696,10 @@ func solveLP(ctx context.Context, p *problem, lb, ub []float64, seed *Basis) (*l
 		// Singleton-row presolve found crossed bounds at compile time.
 		return &lpResult{status: Infeasible}, nil
 	}
-	return newSolver(ctx, p, lb, ub).solve(seed)
+	s := newSolver(ctx, p, lb, ub)
+	res, err := s.solve(seed)
+	s.release()
+	return res, err
 }
 
 // solve runs both simplex phases from the solver's fresh state, seeded
@@ -675,6 +709,9 @@ func (s *solver) solve(seed *Basis) (*lpResult, error) {
 	if seed != nil && s.applySeedFactor(seed) {
 		s.st.WarmStarts++
 	} else {
+		// The all-slack basis is the identity; its factorization is
+		// not counted in Stats.Refactors.
+		s.kern.refactor(s.basis)
 		s.st.ColdStarts++
 	}
 	s.recomputeXB()

@@ -142,6 +142,14 @@ func TestMaximizeNegatesCompiledCost(t *testing.T) {
 // solverCtor builds a fresh all-slack solver over the given bounds.
 type solverCtor func(p *problem, lb, ub []float64) *solver
 
+// newSlackSolver is newSolver with the all-slack basis factorized, as
+// solve does for a cold start, so a test can drive the phases by hand.
+func newSlackSolver(p *problem, lb, ub []float64) *solver {
+	s := newSolver(nil, p, lb, ub)
+	s.kern.refactor(s.basis)
+	return s
+}
+
 // bothKernels runs a subtest per basis kernel, the dense oracle and the
 // production sparse LU kernel, so every kernel invariant below is enforced
 // on both (the point of the kernel abstraction: one suite, two backends).
@@ -152,7 +160,7 @@ func bothKernels(t *testing.T, f func(t *testing.T, newS solverCtor)) {
 		newS solverCtor
 	}{
 		{"dense", newDenseSolver},
-		{"lu", func(p *problem, lb, ub []float64) *solver { return newSolver(nil, p, lb, ub) }},
+		{"lu", newSlackSolver},
 	}
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) { f(t, k.newS) })

@@ -20,9 +20,10 @@ import (
 // no artificial columns).
 //
 // The compiled form depends only on the model structure, objective and
-// sense; variable bounds are read into per-solve working arrays so
-// branch-and-bound nodes can tighten them without recompiling (and
-// without mutating the shared Model). Model.SetBounds re-bounds one
+// sense. A pure LP solves over its compiled bounds, which the solver
+// only reads; branch-and-bound copies them into one working pair per
+// tree so nodes can tighten them without recompiling (and without
+// mutating the shared Model). Model.SetBounds re-bounds one
 // column of the compiled form in place (rebound), so a caller that
 // re-solves one model under changing bounds compiles it once.
 type problem struct {
@@ -188,11 +189,4 @@ func (m *Model) compile() (*problem, error) {
 	m.prob = p
 	m.dirty = false
 	return p, nil
-}
-
-// defaultBounds returns fresh working copies of the compiled bounds.
-func (p *problem) defaultBounds() (lb, ub []float64) {
-	lb = append([]float64(nil), p.lb...)
-	ub = append([]float64(nil), p.ub...)
-	return lb, ub
 }
