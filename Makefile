@@ -177,7 +177,7 @@ bench-lp:
 # cpus metric records the host's CPU count.
 bench-core:
 	$(GO) test -json -run '^$$' -bench '^BenchmarkPlanValidate$$' -benchmem ./internal/core > BENCH_core.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_core.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
+	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' BENCH_core.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_core.json 2>/dev/null || \
 		echo "note: BENCH_core.json changed — review the numbers and commit the update"
 
@@ -204,7 +204,7 @@ bench-sim:
 # host's CPU count next to the -N GOMAXPROCS suffix.
 bench-eco:
 	$(GO) test -json -run '^$$' -bench '^BenchmarkECO$$' -benchmem . > BENCH_eco.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_eco.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
+	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' BENCH_eco.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_eco.json 2>/dev/null || \
 		echo "note: BENCH_eco.json changed — review the numbers and commit the update"
 

@@ -60,28 +60,23 @@ const roundBatch = 8
 // remaining free buffers compensate the rounding exactly.
 //
 // Its repair solves are of two kinds. Rounding decisions need only a
-// feasibility verdict, so they come from probes: warm solves of one
-// model per realize, the model of the initial value solve, in which
-// every ξ is a column. A probe only changes the bounds of those columns,
-// so one basis chain runs through every probe. Values come only from
-// cold solves of the model with the frozen columns dropped: one after
-// the gates are discretized and one per round once its decisions are
-// fixed, so the requests depend on the model alone (DESIGN.md §6).
+// feasibility verdict, so they come from its probe, on the model of the
+// initial value solve, in which every ξ is a column; fits pins them by
+// their bounds. Values come only from cold solves of the model with the
+// frozen columns dropped: one after the gates are discretized and one
+// per round once its decisions are fixed, so the requests depend on the
+// model alone (DESIGN.md §6).
 type chainRounder struct {
 	p *Plan
 	// freeze holds each edge's frozen chain delay, NaN while it is free.
 	freeze []float64
-	// model is the probes' model: that of the initial value solve, which
-	// has nothing frozen, so every ξ is a column a probe can pin.
-	model *modelVars
-	// warm is the basis of the last feasible probe, or of the initial
-	// value solve.
-	warm *lp.Basis
+	probe  *probe
 }
 
 // startRounding discretizes the gate delays downward (never slower than
 // assigned, so late-arrival constraints stay safe) and runs the initial
-// value solve, which gives every edge its request.
+// value solve, which gives every edge its request and the probe its
+// model and first basis.
 func (p *Plan) startRounding(ctx context.Context) (*chainRounder, error) {
 	r := p.R
 	p.GateDrive = make([]int, len(r.Gates))
@@ -96,20 +91,21 @@ func (p *Plan) startRounding(ctx context.Context) (*chainRounder, error) {
 	for ei := range rd.freeze {
 		rd.freeze[ei] = math.NaN()
 	}
-	if ok, err := rd.solveValues(ctx); err != nil {
+	mv, sol, err := rd.solveValues(ctx)
+	if err != nil {
 		return nil, err
-	} else if !ok {
+	} else if sol == nil {
 		return nil, fmt.Errorf("core: repair LP infeasible after gate discretization")
 	}
+	rd.probe = &probe{mv: mv, warm: sol.Basis}
 	return rd, nil
 }
 
-// probe reports whether the repair model is feasible under the current
-// freezes: it bounds each ξ column of the probe model to its frozen
-// delay, or to [0, ∞) while the edge is free, and solves warm from the
-// last feasible probe's basis.
-func (rd *chainRounder) probe(ctx context.Context) (bool, error) {
-	mv := rd.model
+// fits reports whether the repair model is feasible under the current
+// freezes: it bounds each ξ column of the probe's model to its frozen
+// delay, or to [0, ∞) while the edge is free, and asks the probe.
+func (rd *chainRounder) fits(ctx context.Context) (bool, error) {
+	mv := rd.probe.mv
 	for ei, f := range rd.freeze {
 		if math.IsNaN(f) {
 			mv.m.SetBounds(mv.xi[ei], 0, lp.Inf)
@@ -117,35 +113,26 @@ func (rd *chainRounder) probe(ctx context.Context) (bool, error) {
 			mv.m.SetBounds(mv.xi[ei], f, f)
 		}
 	}
-	sol, err := rd.p.R.solve(ctx, mv, rd.warm)
-	if err != nil || sol == nil {
-		return false, err
-	}
-	rd.warm = sol.Basis
-	return true, nil
+	return rd.probe.feasible(ctx, rd.p.R)
 }
 
 // solveValues solves the repair model cold under the current freezes and
-// stores the free edges' requests in XiReq; it reports false, leaving
-// XiReq alone, when the model is infeasible. The first call, with nothing
-// frozen, also sets up the probes' model and basis chain.
-func (rd *chainRounder) solveValues(ctx context.Context) (bool, error) {
+// stores the free edges' requests in XiReq. It returns the model and its
+// solution, nil when the model is infeasible, leaving XiReq alone.
+func (rd *chainRounder) solveValues(ctx context.Context) (*modelVars, *lp.Solution, error) {
 	p := rd.p
 	spec := frozenSpec(p.T, p.Opts, p.Unit)
 	spec.gateDelay, spec.freezeXi = p.GateDelay, rd.freeze
 	mv, sol, err := p.R.solveSpec(ctx, spec)
 	if err != nil || sol == nil {
-		return false, err
-	}
-	if rd.model == nil {
-		rd.model, rd.warm = mv, sol.Basis
+		return nil, nil, err
 	}
 	for ei, f := range rd.freeze {
 		if math.IsNaN(f) {
 			p.XiReq[ei] = sol.Value(mv.xi[ei])
 		}
 	}
-	return true, nil
+	return mv, sol, nil
 }
 
 // round freezes every zero request and rounds the largest open ones (at
@@ -181,7 +168,7 @@ func (rd *chainRounder) round(ctx context.Context) (done bool, err error) {
 		frozen := false
 		for _, cand := range p.chainCandidates(rq.xi) {
 			rd.freeze[rq.ei] = cand.delay
-			if ok, err := rd.probe(ctx); err != nil {
+			if ok, err := rd.fits(ctx); err != nil {
 				return false, err
 			} else if ok {
 				p.Chain[rq.ei], p.ChainDelay[rq.ei] = cand.chain, cand.delay
@@ -193,9 +180,9 @@ func (rd *chainRounder) round(ctx context.Context) (done bool, err error) {
 			return false, fmt.Errorf("core: buffer chain on edge %d not realizable (request %.2f)", rq.ei, rq.xi)
 		}
 	}
-	if ok, err := rd.solveValues(ctx); err != nil {
+	if _, sol, err := rd.solveValues(ctx); err != nil {
 		return false, err
-	} else if !ok {
+	} else if sol == nil {
 		return false, errProbeDisagrees
 	}
 	return false, nil
@@ -396,17 +383,14 @@ func (p *Plan) spreadRepairEdge(st *waveState, gi int) (edge int, lateSide bool)
 // replaced by sequential delay units when the exact model still validates,
 // reducing area. Chains are visited largest-area first; each try runs on
 // a copy of the plan (tryUnitAt), and the plan adopts the copy only when
-// the re-derived buffer chains leave a net area saving. Every try's
-// repair LP is first asked of the pass's repair twin.
-func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
+// the re-derived buffer chains leave a net area saving. A solver error,
+// cancellation included, ends the pass and the plan must be discarded.
+func (p *Plan) replaceBuffers(ctx context.Context) (replaced int, err error) {
 	r := p.R
-	lpBudget := 64 // repair-LP invocations across all candidates
-	cands := p.replaceCandidates()
-	tw := newRepairTwin(p, cands)
-
-	for _, cd := range cands {
-		edgeBudget := min(8, lpBudget)
-		if edgeBudget <= 0 {
+	rp := &replacePass{p: p, cands: p.replaceCandidates(), budget: 64}
+	for _, cd := range rp.cands {
+		rp.edgeBudget = min(8, rp.budget)
+		if rp.edgeBudget <= 0 {
 			break // no try runs without budget
 		}
 		// Every try on this edge starts from the same plan, so its fast
@@ -416,7 +400,6 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 			continue
 		}
 		early := st.wEarly[cd.ei] - p.ChainDelay[cd.ei]*p.Opts.Rl
-		lpBudget -= edgeBudget
 		var q *Plan
 	kinds:
 		for _, kind := range []UnitKind{UnitLatch, UnitFF} {
@@ -427,15 +410,16 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 				continue // no saving
 			}
 			for _, ph := range p.Opts.Phases {
-				if edgeBudget <= 0 {
+				if rp.edgeBudget <= 0 {
 					break
 				}
-				if q = p.tryUnitAt(ctx, cd.ei, early, kind, ph, tw, &edgeBudget); q != nil {
+				if q, err = rp.tryUnitAt(ctx, cd.ei, early, kind, ph); err != nil {
+					return 0, err
+				} else if q != nil {
 					break kinds
 				}
 			}
 		}
-		lpBudget += edgeBudget // what this edge left unspent
 		// The unit may fit while the re-derived buffer chains grew
 		// elsewhere: adopt the copy only on a net saving.
 		if q != nil && q.InsertedArea() < p.InsertedArea() {
@@ -443,7 +427,7 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int) {
 			replaced++
 		}
 	}
-	return replaced
+	return replaced, nil
 }
 
 // replaceCand is an edge replacement tries, with its chain's area.
@@ -470,79 +454,61 @@ func (p *Plan) replaceCandidates() []replaceCand {
 	return cands
 }
 
-// repairTwin answers replacement's yes/no questions (DESIGN.md §6). It
-// is one model per replaceBuffers pass: the try's repair model, except
-// that every candidate edge carries the exact model's case binaries and
-// window index N as columns, and the objective is zero, since a verdict
-// needs only phase 1. A probe pins each candidate's case and N by their
-// bounds to the unit the tried plan has there (c_none at a rest window
-// when it has none), so every probe of the pass solves one model warm
-// along one basis chain. Pinned cases leave the other cases' rows
-// relaxed by big-M, so the twin is feasible exactly when the try's
-// repair LP is; replace_ref_test.go holds it to that.
-type repairTwin struct {
-	p     *Plan // the pass's plan; adoptions update it in place
-	cands []int // candidate edges
+// replacePass is one replaceBuffers pass: its plan, its candidates, its
+// repair-LP budgets (per pass and per candidate edge; a repair LP spends
+// one of each) and its repair twin, which answers the tries' yes/no
+// questions (DESIGN.md §6). The twin is a probe on the try's repair
+// model, except that every candidate edge carries the exact model's case
+// binaries and window index N as columns and the objective is zero,
+// since a verdict needs only phase 1. Pinned cases leave the other
+// cases' rows relaxed by big-M, so the twin is feasible exactly when the
+// try's repair LP is; replace_ref_test.go holds it to that.
+type replacePass struct {
+	p                  *Plan // adoptions update it in place
+	cands              []replaceCand
+	budget, edgeBudget int
+	twin               *probe // built at the pass's first repair LP
 	// rest is, per candidate, the window index N is pinned at while the
 	// edge holds no unit: the window of its fast signal under p when the
 	// twin is built, so the relaxed case rows sit far from binding.
 	rest []int
-	mv   *modelVars // built at the first probe
-	warm *lp.Basis  // the basis the last probe ended on
 }
 
-// newRepairTwin returns the repair twin of a replacement pass over p's
-// candidates cands; its model is built at the first probe.
-func newRepairTwin(p *Plan, cands []replaceCand) *repairTwin {
-	tw := &repairTwin{p: p, cands: make([]int, len(cands))}
-	for i, cd := range cands {
-		tw.cands[i] = cd.ei
+// fits reports whether the repair LP of the tried plan q is feasible: it
+// pins every candidate's case and N in the twin to q's unit there (c_none
+// at its rest window when it has none) and asks the twin. The first call
+// builds the twin from the pass's plan as it stands.
+func (rp *replacePass) fits(ctx context.Context, q *Plan) (bool, error) {
+	if rp.twin == nil {
+		p := rp.p
+		st, vs := p.propagate(p.env(ValidateParams{}))
+		if st == nil || len(vs) > 0 {
+			return false, fmt.Errorf("core: replacement plan does not propagate")
+		}
+		spec := frozenSpec(p.T, p.Opts, p.Unit)
+		spec.gateDelay, spec.quantMargin = p.GateDelay, p.quantMargin()
+		rp.rest = make([]int, len(rp.cands))
+		for i, cd := range rp.cands {
+			spec.modes[cd.ei] = ModeExact
+			rp.rest[i] = int(math.Floor(st.wEarly[cd.ei] / p.T))
+		}
+		mv, err := p.R.buildModel(spec)
+		if err != nil {
+			return false, err
+		}
+		for v := 0; v < mv.m.NumVars(); v++ {
+			mv.m.SetObj(lp.VarID(v), 0)
+		}
+		rp.twin = &probe{mv: mv}
 	}
-	return tw
-}
-
-// build builds the twin's model from the pass's plan as it stands.
-func (tw *repairTwin) build() error {
-	p := tw.p
-	st, vs := p.propagate(p.env(ValidateParams{}))
-	if st == nil || len(vs) > 0 {
-		return fmt.Errorf("core: replacement plan does not propagate")
-	}
-	spec := frozenSpec(p.T, p.Opts, p.Unit)
-	spec.gateDelay, spec.quantMargin = p.GateDelay, p.quantMargin()
-	tw.rest = make([]int, len(tw.cands))
-	for i, ei := range tw.cands {
-		spec.modes[ei] = ModeExact
-		tw.rest[i] = int(math.Floor(st.wEarly[ei] / p.T))
-	}
-	mv, err := p.R.buildModel(spec)
-	if err != nil {
-		return err
-	}
-	for v := 0; v < mv.m.NumVars(); v++ {
-		mv.m.SetObj(lp.VarID(v), 0)
-	}
-	tw.mv = mv
-	return nil
-}
-
-// probe reports whether the repair LP of the tried plan q is feasible:
-// it pins every candidate of the twin to q's unit there and solves warm
-// from the basis the last probe ended on, feasible or not. A failed
-// solve (cancelled, or out of iterations) counts as infeasible, as it
-// does for the repair LP.
-func (tw *repairTwin) probe(ctx context.Context, q *Plan) bool {
-	if tw.mv == nil && tw.build() != nil {
-		return false
-	}
-	mv := tw.mv
-	for i, ei := range tw.cands {
-		pl, n := q.Unit[ei], tw.rest[i]
+	mv := rp.twin.mv
+	for i, cd := range rp.cands {
+		pl, n := q.Unit[cd.ei], rp.rest[i]
 		if pl.Kind != UnitNone {
 			n = pl.N
 		}
-		mv.m.SetBounds(mv.nv[ei], float64(n), float64(n))
-		for _, cv := range mv.cases[ei] {
+		mv.m.SetBounds(mv.nv[cd.ei], float64(n), float64(n))
+		for _, cv := range mv.cases[cd.ei] {
 			on := 0.0
 			if cv.kind == pl.Kind && (pl.Kind == UnitNone || cv.phase == pl.PhaseFrac) {
 				on = 1
@@ -550,25 +516,18 @@ func (tw *repairTwin) probe(ctx context.Context, q *Plan) bool {
 			mv.m.SetBounds(cv.v, on, on)
 		}
 	}
-	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: tw.warm})
-	q.R.addSolverStats(sol)
-	if err != nil || sol == nil {
-		return false
-	}
-	if sol.Basis != nil {
-		tw.warm = sol.Basis
-	}
-	return sol.Status == lp.Optimal
+	return rp.twin.feasible(ctx, q.R)
 }
 
 // tryUnitAt attempts to realize a unit of the given kind and phase on edge
-// ei in place of its buffer chain, re-deriving buffer delays with a repair
-// LP and validating. early is the arrival of the edge's fast signal
-// without its chain under p. Each window index is tried on a fresh copy
-// of p; the first copy that validates is returned, nil if none does. p
-// itself is never modified. A window whose repair LP the twin tw finds
-// infeasible ends without the LP's cold solve; it still spends budget.
-func (p *Plan) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKind, phaseFrac float64, tw *repairTwin, lpBudget *int) *Plan {
+// ei of the pass's plan p in place of its buffer chain, re-deriving buffer
+// delays with a repair LP and validating. early is the arrival of the
+// edge's fast signal without its chain under p. Each window index is
+// tried on a fresh copy of p; the first copy that validates is returned,
+// nil if none does. p itself is never modified. Each repair LP spends
+// budget; one the twin finds infeasible ends without its cold solve.
+func (rp *replacePass) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKind, phaseFrac float64) (*Plan, error) {
+	p := rp.p
 	r := p.R
 	nE := len(r.Edges)
 
@@ -587,19 +546,24 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKi
 		// Cheap probe first: if the direct swap already validates, no
 		// repair LP is needed.
 		if vs := q.Validate(); len(vs) == 0 {
-			return q
+			return q, nil
 		}
-		if *lpBudget <= 0 {
+		if rp.edgeBudget <= 0 {
 			continue
 		}
-		*lpBudget--
-		if !tw.probe(ctx, q) {
+		rp.budget--
+		rp.edgeBudget--
+		if ok, err := rp.fits(ctx, q); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		spec := frozenSpec(q.T, q.Opts, q.Unit)
 		spec.gateDelay, spec.quantMargin = q.GateDelay, q.quantMargin()
 		mv, sol, err := r.solveSpec(ctx, spec)
-		if err != nil || sol == nil {
+		if err != nil {
+			return nil, err
+		} else if sol == nil {
 			continue
 		}
 		for i := 0; i < nE; i++ {
@@ -607,8 +571,8 @@ func (p *Plan) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKi
 			q.Chain[i], q.ChainDelay[i] = q.buildChain(q.XiReq[i])
 		}
 		if st, vs := q.validate(ValidateParams{}); len(q.repairChains(st, vs)) == 0 {
-			return q
+			return q, nil
 		}
 	}
-	return nil
+	return nil, nil
 }

@@ -134,7 +134,10 @@ func (p *Plan) finish(ctx context.Context, replace bool) (*Result, error) {
 	preArea := p.InsertedArea()
 	replaced := 0
 	if replace {
-		replaced = p.replaceBuffers(ctx)
+		var err error
+		if replaced, err = p.replaceBuffers(ctx); err != nil {
+			return nil, err
+		}
 	}
 	if vs := p.Validate(); len(vs) > 0 {
 		return nil, fmt.Errorf("core: final plan invalid: %v", vs[0])

@@ -144,7 +144,6 @@ type modelVars struct {
 	cases   [][]caseVar // per edge: unit case binaries (exact)
 
 	spec *modelSpec
-	reg  *Region
 }
 
 type caseVar struct {
@@ -239,7 +238,7 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 	tstable := tStableFrac * T
 
 	m := lp.NewModel("virtualsync")
-	mv := &modelVars{m: m, spec: spec, reg: r}
+	mv := &modelVars{m: m, spec: spec}
 
 	nG, nE := len(r.Gates), len(r.Edges)
 	mv.s = make([]lp.VarID, nG)
@@ -541,33 +540,50 @@ func (r *Region) solveSpec(ctx context.Context, spec *modelSpec) (*modelVars, *l
 	if err != nil {
 		return nil, nil, err
 	}
-	sol, err := r.solve(ctx, mv, nil)
+	sol, _, err := r.solve(ctx, mv, nil)
 	return mv, sol, err
 }
 
-// solve solves a built model, seeding the simplex from warm when it is
-// non-nil (a structurally incompatible basis is ignored), and returns
-// the solution, nil when the model is infeasible. Cancelling ctx
-// interrupts branch-and-bound between nodes and the simplex between
-// iterations.
-func (r *Region) solve(ctx context.Context, mv *modelVars, warm *lp.Basis) (*lp.Solution, error) {
+// solve is the one place a region's models are solved. It seeds the
+// simplex from warm when it is non-nil (a structurally incompatible
+// basis is ignored) and returns the solution, nil when the model is
+// infeasible or the solver hit an iteration or node limit, with the
+// basis the solve ended on, feasible or not (nil if it ended on none).
+// Cancelling ctx interrupts branch-and-bound between nodes and the
+// simplex between iterations, and returns ctx.Err(); any other solver
+// failure is an error.
+func (r *Region) solve(ctx context.Context, mv *modelVars, warm *lp.Basis) (*lp.Solution, *lp.Basis, error) {
 	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: warm})
 	r.addSolverStats(sol)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		// Iteration/node limits without any incumbent: treat the target
-		// as infeasible rather than aborting the whole flow.
-		if sol != nil && sol.Status == lp.IterLimit {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("core: solver: %v", err)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return nil, nil, ctx.Err()
+	case err != nil && (sol == nil || sol.Status != lp.IterLimit):
+		return nil, nil, fmt.Errorf("core: solver: %v", err)
+	case sol.Status != lp.Optimal:
+		return nil, sol.Basis, nil
 	}
-	if sol.Status != lp.Optimal {
-		return nil, nil
+	return sol, sol.Basis, nil
+}
+
+// probe asks yes/no questions of one model that its owner changes only
+// by lp.Model.SetBounds between questions: a rounding decision of
+// realize, or a try of buffer replacement (DESIGN.md §6). Each question
+// starts warm from the basis the previous one ended on, feasible or
+// not, so one basis chain runs through every question.
+type probe struct {
+	mv   *modelVars
+	warm *lp.Basis
+}
+
+// feasible reports whether the probe's model is feasible under its
+// current bounds.
+func (pr *probe) feasible(ctx context.Context, r *Region) (bool, error) {
+	sol, basis, err := r.solve(ctx, pr.mv, pr.warm)
+	if basis != nil {
+		pr.warm = basis
 	}
-	return sol, nil
+	return sol != nil, err
 }
 
 // gateDelayOf returns the assigned delay of gate gi in a solution,

@@ -121,7 +121,7 @@ func retargetPlan(ctx context.Context, r *Region, T float64, opts Options, prev 
 	if err != nil {
 		return nil, err
 	}
-	sol, err := r.solve(ctx, mv, prev.Basis)
+	sol, _, err := r.solve(ctx, mv, prev.Basis)
 	if err != nil || sol == nil {
 		return nil, err
 	}

@@ -95,9 +95,9 @@ type Region struct {
 	// comparisons with model targets).
 	ExternalPeriod float64
 
-	// solver accumulates LP/MIP work counters over every solveSpec call
-	// on this region (all pipeline phases, retargets and discretization
-	// repair solves). statsMu keeps the accounting safe if callers ever
+	// solver accumulates LP/MIP work counters over every solve on this
+	// region (all pipeline phases, retargets, probes and repair
+	// solves). statsMu keeps the accounting safe if callers ever
 	// drive region solves from more than one goroutine.
 	statsMu sync.Mutex
 	solver  lp.Stats

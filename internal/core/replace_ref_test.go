@@ -147,11 +147,14 @@ func requireSameReplacement(t testing.TB, label string, pre *Plan) replaceTally 
 	var tl replaceTally
 
 	want := pre.clone()
-	tw := newRepairTwin(want, want.replaceCandidates())
+	rp := &replacePass{p: want, cands: want.replaceCandidates()}
 	nWant := want.replaceBuffersColdReference(ctx, func(q *Plan, feasible bool, work lp.Stats) {
 		tl.tries++
 		before := q.R.SolverStats()
-		ok := tw.probe(ctx, q)
+		ok, err := rp.fits(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: try %+v on T=%.4f: twin: %v", label, q.Unit, q.T, err)
+		}
 		twin := statsSince(q.R, before).Pivots()
 		tl.twinProbes++
 		if feasible {
@@ -169,7 +172,10 @@ func requireSameReplacement(t testing.TB, label string, pre *Plan) replaceTally 
 
 	got := pre.clone()
 	before := got.R.SolverStats()
-	nGot := got.replaceBuffers(ctx)
+	nGot, err := got.replaceBuffers(ctx)
+	if err != nil {
+		t.Fatalf("%s: replaceBuffers: %v", label, err)
+	}
 	work := statsSince(got.R, before)
 	// The pass's first probe starts the twin's basis chain cold; every
 	// other cold start is a repair LP's value solve.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -128,17 +129,21 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 		if st == nil || len(vs) > 0 {
 			t.Fatalf("%s: pre-replacement plan does not propagate: %v", sp.name, vs)
 		}
-		tw := newRepairTwin(p, p.replaceCandidates())
-		for _, ei := range tw.cands {
+		rp := &replacePass{p: p, cands: p.replaceCandidates()}
+		for _, cd := range rp.cands {
+			ei := cd.ei
 			probe := st.wEarly[ei] - p.ChainDelay[ei]*p.Opts.Rl
 			for _, kind := range []UnitKind{UnitLatch, UnitFF} {
 				for _, ph := range p.Opts.Phases {
 					nGuess := int(math.Floor((probe - ph*p.T) / p.T))
 					before := p.clone()
-					budget := 3
-					q := p.tryUnitAt(ctx, ei, probe, kind, ph, tw, &budget)
+					rp.edgeBudget = 3
+					q, err := rp.tryUnitAt(ctx, ei, probe, kind, ph)
+					if err != nil {
+						t.Fatalf("%s edge %d kind %v phase %g: %v", sp.name, ei, kind, ph, err)
+					}
 					tries++
-					spent := 3 - budget
+					spent := 3 - rp.edgeBudget
 					if spent > 2 {
 						t.Fatalf("%s edge %d kind %v phase %g: %d repair solves, want at most 2", sp.name, ei, kind, ph, spent)
 					}
@@ -163,4 +168,39 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 		t.Fatalf("%d of %d tries succeeded; want a mix of successes and failures", found, tries)
 	}
 	t.Logf("%d tries, %d succeeded, %d repair solves", tries, found, solves)
+}
+
+// TestCancelledReplacementReturnsError finishes with replacement under
+// an already-cancelled context: the s5378 pre-replacement plan, Fig. 8's
+// finish of a search result and an ECO re-optimization of its session.
+// Each must return context.Canceled and no Result, never a plan whose
+// replacement pass read the cancelled solves as infeasible tries, and
+// the session must keep its state.
+func TestCancelledReplacementReturnsError(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	check := func(what string, res *Result, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s under a cancelled context: result nil=%v, err %v; want no result and context.Canceled", what, res == nil, err)
+		}
+	}
+	res, err := suitePlans(t)[0].pre.clone().finish(cancelled, true)
+	check("finish", res, err)
+
+	lib := celllib.Default()
+	s, err := NewSession(context.Background(), suiteBaseline(t, "s5378", lib), lib, DefaultOptions(), DefaultStepFrac, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = s.Result.AtBaselinePeriod(cancelled)
+	check("AtBaselinePeriod", res, err)
+
+	prev, circuit := s.Result, s.Circuit
+	edit := ecoResizeScript(s.Circuit, lib, 1)
+	res, _, err = s.Reoptimize(cancelled, edit)
+	check("Reoptimize", res, err)
+	if s.Result != prev || s.Circuit != circuit {
+		t.Error("a cancelled Reoptimize advanced the session")
+	}
 }
