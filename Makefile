@@ -163,9 +163,13 @@ bench:
 # output in BENCH_lp.json. The mid-size tiers report pivots/op and
 # warm-start hit rates; the large tier (BenchmarkLPSolveLarge, a
 # ~54k-variable timing LP) reports pivots/op and refactors/op of the
-# sparse LU kernel. Benchmark names carry the -N GOMAXPROCS suffix.
+# sparse LU kernel. At the default benchtime the large tier would time a
+# single ~1.5 s solve, so it runs in a second invocation at a fixed 5
+# iterations, appended to the same file. Benchmark names carry the -N
+# GOMAXPROCS suffix.
 bench-lp:
-	$(GO) test -json -run '^$$' -bench 'LPSolve|SuiteParallel' -benchmem . > BENCH_lp.json
+	$(GO) test -json -run '^$$' -bench '^Benchmark(LPSolve|LPSolveBoxed|SuiteParallel)$$' -benchmem . > BENCH_lp.json
+	$(GO) test -json -run '^$$' -bench '^BenchmarkLPSolveLarge$$' -benchtime 5x -benchmem . >> BENCH_lp.json
 	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' BENCH_lp.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_lp.json 2>/dev/null || \
 		echo "note: BENCH_lp.json changed — review the numbers and commit the update"

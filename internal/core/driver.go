@@ -204,8 +204,9 @@ const DefaultStepFrac = 0.005
 // a circuit already optimized by retiming&sizing), the target period is
 // reduced in steps of stepFrac (paper: 0.5%) until the VirtualSync model
 // becomes infeasible, and the last feasible solution is returned. The
-// search checks ctx before every probed period and inside the
-// legalization rounds, returning ctx.Err() when the context ends. obs
+// search checks ctx before every probed period and inside every solve
+// (between simplex iterations and branch-and-bound nodes), returning
+// ctx.Err() when the context ends. obs
 // (when non-nil) receives one event per probed period and one for the
 // final buffer-replacement pass, carrying cumulative solver work
 // counters. The extracted region is the result's Plan.R.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"slices"
 
 	"virtualsync/internal/lp"
@@ -143,10 +142,8 @@ func frozenSpec(T float64, opts Options, units []Placement) *modelSpec {
 // decodePlan reads the unrealized plan of a solved model: each gate's
 // assigned delay, each edge's buffer-delay request and delay unit. An
 // exact-model edge carries the case the solve chose; a fixed edge keeps
-// its unit, with the window index the solve settled on. Legalization
-// leaves no emulation gap above gapTol, so an emulated edge's paddings
-// are equal and act as pure combinational delay: they fold into the
-// buffer request.
+// its unit, with the window index the solve settled on; a plain edge has
+// none.
 func decodePlan(r *Region, mv *modelVars, sol *lp.Solution) (*Plan, error) {
 	spec := mv.spec
 	nE := len(r.Edges)
@@ -164,15 +161,12 @@ func decodePlan(r *Region, mv *modelVars, sol *lp.Solution) (*Plan, error) {
 	}
 	for ei := 0; ei < nE; ei++ {
 		p.XiReq[ei] = sol.Value(mv.xi[ei])
-		switch spec.modes[ei] {
-		case ModeFixed, ModeExact:
+		if m := spec.modes[ei]; m == ModeFixed || m == ModeExact {
 			pl, err := mv.chosenCase(sol, ei)
 			if err != nil {
 				return nil, err
 			}
 			p.Unit[ei] = pl
-		case ModeEmulate:
-			p.XiReq[ei] += math.Min(sol.Value(mv.dl[ei]), sol.Value(mv.dlE[ei]))
 		}
 	}
 	return p, nil
@@ -183,16 +177,13 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 	tol := gapTol(T)
 
 	// Every phase 1-3 solve starts cold: each phase-2 iteration and
-	// phase-3 round changes the model's columns, so a basis from the
-	// previous solve would never apply.
-	var mv *modelVars
-	var sol *lp.Solution
+	// phase 3 change the model's columns, so a basis from the previous
+	// solve would never apply.
 	inSd := make([]bool, nE)
 	{
 		// Phase 1: sequential-delay emulation (paper eq. 22-24).
 		spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE)}
-		var err error
-		mv, sol, err = r.solveSpec(ctx, spec)
+		mv, sol, err := r.solveSpec(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -264,108 +255,19 @@ func optimizeRegionFull(ctx context.Context, r *Region, T float64, opts Options)
 		}
 	}
 
-	// Phase 3: exact-model legalization on Sd (paper Section 5.3),
-	// batched for scalability: a few edges get the full case-selection
-	// ILP at a time while earlier choices stay frozen. Other edges stay
-	// in the cheap pass-through mode first; only if that is infeasible
-	// does the round repeat with emulation everywhere so edges whose
-	// padding still shows a gap can join the queue.
-	const batch = 2
-	chosen := make(map[int]Placement)
-	var pending []int
-	for ei := 0; ei < nE; ei++ {
+	// Phase 3: exact-model legalization on Sd (paper Section 5.3): one
+	// solve with the full case-selection ILP on every Sd edge and every
+	// other edge in pass-through mode. If it is infeasible, so is T.
+	spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE)}
+	for ei := range spec.modes {
+		spec.modes[ei] = ModePlain
 		if inSd[ei] {
-			pending = append(pending, ei)
-		}
-	}
-	finalMV, finalSol := mv, sol
-	for round := 0; round < min(4*nE+4, 40); round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, nE), fixed: make([]Placement, nE)}
-		cur := pending
-		if len(cur) > batch {
-			cur = cur[:batch]
-		}
-		for ei := range spec.modes {
-			spec.modes[ei] = ModePlain
-		}
-		for _, ei := range cur {
 			spec.modes[ei] = ModeExact
 		}
-		for ei, pl := range chosen {
-			spec.modes[ei] = ModeFixed
-			spec.fixed[ei] = pl
-		}
-		mv, sol, err := r.solveSpec(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		if sol == nil {
-			// Retry with emulation paddings everywhere: either a new
-			// location is needed (a gap will show) or T is infeasible.
-			for ei := range spec.modes {
-				if spec.modes[ei] == ModePlain {
-					spec.modes[ei] = ModeEmulate
-				}
-			}
-			mv, sol, err = r.solveSpec(ctx, spec)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if sol == nil {
-			if len(chosen) > 0 && len(cur) > 0 {
-				// Earlier frozen choices may conflict: retry this batch
-				// jointly with all previous locations un-frozen.
-				for ei := range chosen {
-					spec.modes[ei] = ModeExact
-				}
-				spec.fixed = make([]Placement, nE)
-				mv, sol, err = r.solveSpec(ctx, spec)
-				if err != nil {
-					return nil, err
-				}
-				if sol == nil {
-					return nil, nil
-				}
-				for ei := range chosen {
-					pl, err := mv.chosenCase(sol, ei)
-					if err != nil {
-						return nil, err
-					}
-					chosen[ei] = pl
-				}
-			} else {
-				return nil, nil // exact model infeasible at T
-			}
-		}
-		for _, ei := range cur {
-			pl, err := mv.chosenCase(sol, ei)
-			if err != nil {
-				return nil, err
-			}
-			chosen[ei] = pl
-		}
-		pending = pending[min(len(cur), len(pending)):]
-		finalMV, finalSol = mv, sol
-		// Residual emulation gaps become new legalization candidates.
-		for ei := 0; ei < nE; ei++ {
-			if spec.modes[ei] != ModeEmulate || inSd[ei] {
-				continue
-			}
-			if mv.edgeGap(sol, ei) > tol {
-				inSd[ei] = true
-				pending = append(pending, ei)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
 	}
-	if len(pending) > 0 {
-		return nil, nil // legalization did not settle
+	mv, sol, err := r.solveSpec(ctx, spec)
+	if err != nil || sol == nil {
+		return nil, err
 	}
-	return decodePlan(r, finalMV, finalSol)
+	return decodePlan(r, mv, sol)
 }

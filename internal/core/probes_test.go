@@ -9,23 +9,32 @@ import (
 	"testing"
 
 	"virtualsync/internal/celllib"
+	"virtualsync/internal/netlist"
+	"virtualsync/internal/retime"
 )
 
 // TestProbeSequenceGolden pins the period search's probe sequence on
-// s5378 and mem_ctrl at DefaultStepFrac: the stage, the period (%.4f) and
-// the feasibility of every ProgressEvent, in order. A change to the
+// s5378, mem_ctrl and the feedback accumulator in testdata/feedback.bench
+// (first taken from Example_feedback; the one known input whose phase-3
+// solves are infeasible) at DefaultStepFrac: the stage, the period
+// (%.4f) and the feasibility of every ProgressEvent, in order. A change to the
 // coarse and refine loops that moves a single probe fails here even when
 // the final period happens to hold. On a mismatch the test prints the
 // whole sequence it got, from which an intended change rewrites
 // testdata/probe_sequence.golden.
 func TestProbeSequenceGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two suite period searches")
+		t.Skip("runs three period searches")
 	}
 	lib := celllib.Default()
 	var b strings.Builder
-	for _, name := range []string{"s5378", "mem_ctrl"} {
-		base := suiteBaseline(t, name, lib)
+	for _, name := range []string{"s5378", "mem_ctrl", "feedback"} {
+		var base *netlist.Circuit
+		if name == "feedback" {
+			base = feedbackBaseline(t, lib)
+		} else {
+			base = suiteBaseline(t, name, lib)
+		}
 		_, err := OptimizeObserved(context.Background(), base, lib, DefaultOptions(), DefaultStepFrac,
 			func(ev ProgressEvent) {
 				fmt.Fprintf(&b, "%s %s %.4f %v\n", name, ev.Stage, ev.T, ev.Feasible)
@@ -50,4 +59,24 @@ func TestProbeSequenceGolden(t *testing.T) {
 		}
 		t.Fatalf("probe sequence differs from %s (got %d lines, want %d); got:\n%s", path, len(gl), len(wl), got)
 	}
+}
+
+// feedbackBaseline parses testdata/feedback.bench, the golden's own
+// accumulator input, and returns its retiming&sizing baseline.
+func feedbackBaseline(t *testing.T, lib *celllib.Library) *netlist.Circuit {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "feedback.bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := netlist.Parse(f, "feedback")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := retime.Baseline(c, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
 }

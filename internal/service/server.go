@@ -50,6 +50,13 @@ const (
 	jobEntries = 256
 	// maxBody caps request bodies in bytes.
 	maxBody = 32 << 20
+	// maxNodes and maxFaninPins cap a submitted netlist's size after
+	// parsing, so one job cannot hold a worker until the job timeout on a
+	// body that merely fits in maxBody. They sit at about twice the
+	// largest generated circuit, big100k (133,301 nodes, 194,387 fanin
+	// pins).
+	maxNodes     = 270_000
+	maxFaninPins = 400_000
 )
 
 func (c Config) withDefaults() Config {
@@ -362,6 +369,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		c, err = netlist.Parse(strings.NewReader(req.Netlist), name)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "invalid netlist: %v", err)
+			return
+		}
+		pins := 0
+		for _, n := range c.Nodes {
+			pins += len(n.Fanins)
+		}
+		if len(c.Nodes) > maxNodes || pins > maxFaninPins {
+			httpError(w, http.StatusBadRequest, "netlist has %d nodes and %d fanin pins; the limits are %d nodes and %d fanin pins",
+				len(c.Nodes), pins, maxNodes, maxFaninPins)
 			return
 		}
 	}

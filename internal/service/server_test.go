@@ -147,6 +147,17 @@ func TestSubmitRunsPipeline(t *testing.T) {
 
 func TestSubmitRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
+	// Two netlists far under maxBody but over the size limits: inputs
+	// alone past maxNodes, and gates with wide fanins past maxFaninPins.
+	var wide, many strings.Builder
+	for i := 0; i <= maxNodes; i++ {
+		fmt.Fprintf(&many, "INPUT(i%d)\n", i)
+	}
+	many.WriteString("OUTPUT(i0)\n")
+	wide.WriteString("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\n")
+	for i := 0; i <= maxFaninPins/4; i++ {
+		fmt.Fprintf(&wide, "g%d = AND(a, b, c, d)\nOUTPUT(g%d)\n", i, i)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -159,11 +170,25 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		{"invalid library", fmt.Sprintf(`{"netlist": %q, "library": "not a library"}`, tinyBench)},
 		{"select_frac above 1", fmt.Sprintf(`{"netlist": %q, "params": {"select_frac": 1.5}}`, tinyBench)},
 		{"body over the size cap", fmt.Sprintf(`{"netlist": %q}`, tinyBench+strings.Repeat("#\n", maxBody/2))},
+		{"netlist over the node limit", fmt.Sprintf(`{"netlist": %q}`, many.String())},
+		{"netlist over the fanin-pin limit", fmt.Sprintf(`{"netlist": %q}`, wide.String())},
 	}
 	for _, tc := range cases {
 		if _, code := postBody(t, ts, []byte(tc.body)); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, code)
 		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(cases[len(cases)-1].body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(msg), fmt.Sprint(maxFaninPins)) {
+		t.Errorf("error does not name the limit: %s", msg)
 	}
 }
 
