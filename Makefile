@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race cover fuzz-short check-procs bench bench-lp bench-core bench-sim bench-eco loc
+.PHONY: check fmt vet build test race cover fuzz-short check-procs check-bench bench bench-lp bench-core bench-sim bench-eco loc
 
 # The full pre-commit gate: formatting, vet, build, the whole test
 # suite, the race detector over every package, coverage floors, a short
 # fuzzing pass, the proc-count identity check (which also holds Table 1
 # and Figs. 1-3 and 6-8 to the committed results/), and the
-# simulation and incremental-ECO benchmarks (throughput, allocs/op and
-# cold-vs-incremental speedup evidence in BENCH_sim.json and
-# BENCH_eco.json). It ends by printing the loc size metric, which every
-# change reports.
-check: fmt vet build test race cover fuzz-short check-procs bench-sim bench-eco loc
+# simulation and incremental-ECO benchmarks (check-bench: throughput,
+# allocs/op and cold-vs-incremental speedup, printed but not written to
+# BENCH_sim.json and BENCH_eco.json). It ends by printing the loc size
+# metric, which every change reports.
+check: fmt vet build test race cover fuzz-short check-procs check-bench loc
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -195,9 +195,11 @@ bench-core:
 # off. allocs/op on the engine benchmarks documents the pooled,
 # steady-state Run buffers. Benchmark names carry the -N GOMAXPROCS
 # suffix and the cpus metric records the host's CPU count.
+BENCH_SIM_OUT = BENCH_sim.json
+
 bench-sim:
-	$(GO) test -json -run '^$$' -bench 'EventSim|BitSim|WaveSim|VerifyEquivalence' -benchmem . > BENCH_sim.json
-	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' BENCH_sim.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
+	$(GO) test -json -run '^$$' -bench 'EventSim|BitSim|WaveSim|VerifyEquivalence' -benchmem . > $(BENCH_SIM_OUT)
+	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' $(BENCH_SIM_OUT) | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_sim.json 2>/dev/null || \
 		echo "note: BENCH_sim.json changed — review the numbers and commit the update"
 
@@ -206,11 +208,21 @@ bench-sim:
 # speedup-x metric in BENCH_eco.json is the cold search time over the
 # mean incremental re-optimization time; the cpus metric records the
 # host's CPU count next to the -N GOMAXPROCS suffix.
+BENCH_ECO_OUT = BENCH_eco.json
+
 bench-eco:
-	$(GO) test -json -run '^$$' -bench '^BenchmarkECO$$' -benchmem . > BENCH_eco.json
-	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' BENCH_eco.json | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
+	$(GO) test -json -run '^$$' -bench '^BenchmarkECO$$' -benchmem . > $(BENCH_ECO_OUT)
+	@grep -o '"Output":"Benchmark[^"]*\|"Output":"[^"]*ns/op[^"]*' $(BENCH_ECO_OUT) | sed 's/\"Output\":\"//;s/\\t/\t/g;s/\\n//' || true
 	@git diff --quiet -- BENCH_eco.json 2>/dev/null || \
 		echo "note: BENCH_eco.json changed — review the numbers and commit the update"
+
+# check's run of bench-sim and bench-eco: the same benchmarks, written
+# to a temporary directory, so that check leaves the tracked BENCH files
+# as committed. Run bench-sim or bench-eco to re-record them.
+check-bench:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(MAKE) --no-print-directory bench-sim BENCH_SIM_OUT="$$dir/sim.json" && \
+	$(MAKE) --no-print-directory bench-eco BENCH_ECO_OUT="$$dir/eco.json"
 
 # Non-test Go lines outside the bench/ module: the size metric ROADMAP.md
 # tracks. check prints it last.

@@ -381,18 +381,20 @@ func (p *Plan) spreadRepairEdge(st *waveState, gi int) (edge int, lateSide bool)
 
 // replaceBuffers is the paper's Section 5.4: long buffer chains are
 // replaced by sequential delay units when the exact model still validates,
-// reducing area. Chains are visited largest-area first; each try runs on
-// a copy of the plan (tryUnitAt), and the plan adopts the copy only when
-// the re-derived buffer chains leave a net area saving. A solver error,
-// cancellation included, ends the pass and the plan must be discarded.
+// reducing area. A pass tries one unit kind, latches when the options
+// allow them and flip-flops otherwise (DESIGN.md §5 has the measured
+// reason). Chains are visited largest-area first, each trying the phases
+// in order until one fits; each try runs on a copy of the plan
+// (tryUnitAt), and the plan adopts the copy only when the re-derived
+// buffer chains leave a net area saving. A solver error, cancellation
+// included, ends the pass and the plan must be discarded.
 func (p *Plan) replaceBuffers(ctx context.Context) (replaced int, err error) {
-	r := p.R
-	rp := &replacePass{p: p, cands: p.replaceCandidates(), budget: 64}
+	kind := UnitFF
+	if p.Opts.UseLatches {
+		kind = UnitLatch
+	}
+	rp := &replacePass{p: p, cands: p.replaceCandidates(kind)}
 	for _, cd := range rp.cands {
-		rp.edgeBudget = min(8, rp.budget)
-		if rp.edgeBudget <= 0 {
-			break // no try runs without budget
-		}
 		// Every try on this edge starts from the same plan, so its fast
 		// signal's arrival without the chain is computed once.
 		st, vs := p.propagate(p.env(ValidateParams{}))
@@ -401,23 +403,11 @@ func (p *Plan) replaceBuffers(ctx context.Context) (replaced int, err error) {
 		}
 		early := st.wEarly[cd.ei] - p.ChainDelay[cd.ei]*p.Opts.Rl
 		var q *Plan
-	kinds:
-		for _, kind := range []UnitKind{UnitLatch, UnitFF} {
-			if kind == UnitLatch && !p.Opts.UseLatches {
-				continue
-			}
-			if r.unitArea(kind) >= cd.area {
-				continue // no saving
-			}
-			for _, ph := range p.Opts.Phases {
-				if rp.edgeBudget <= 0 {
-					break
-				}
-				if q, err = rp.tryUnitAt(ctx, cd.ei, early, kind, ph); err != nil {
-					return 0, err
-				} else if q != nil {
-					break kinds
-				}
+		for _, ph := range p.Opts.Phases {
+			if q, err = rp.tryUnitAt(ctx, cd.ei, early, kind, ph); err != nil {
+				return 0, err
+			} else if q != nil {
+				break
 			}
 		}
 		// The unit may fit while the re-derived buffer chains grew
@@ -437,37 +427,37 @@ type replaceCand struct {
 }
 
 // replaceCandidates lists the edges without a unit whose buffer chain
-// outweighs a latch, largest chain area first.
-func (p *Plan) replaceCandidates() []replaceCand {
+// outweighs a unit of the given kind, largest chain area first, ties in
+// edge order.
+func (p *Plan) replaceCandidates(kind UnitKind) []replaceCand {
 	buf := p.R.Lib.Cell("BUF")
+	unit := p.R.unitArea(kind)
 	var cands []replaceCand
 	for ei := range p.R.Edges {
 		a := 0.0
 		for _, d := range p.Chain[ei] {
 			a += buf.Options[d].Area
 		}
-		if p.Unit[ei].Kind == UnitNone && a > p.R.Lib.Latch.Area {
+		if p.Unit[ei].Kind == UnitNone && a > unit {
 			cands = append(cands, replaceCand{ei, a})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].area > cands[j].area })
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].area > cands[j].area })
 	return cands
 }
 
-// replacePass is one replaceBuffers pass: its plan, its candidates, its
-// repair-LP budgets (per pass and per candidate edge; a repair LP spends
-// one of each) and its repair twin, which answers the tries' yes/no
-// questions (DESIGN.md §6). The twin is a probe on the try's repair
-// model, except that every candidate edge carries the exact model's case
-// binaries and window index N as columns and the objective is zero,
-// since a verdict needs only phase 1. Pinned cases leave the other
-// cases' rows relaxed by big-M, so the twin is feasible exactly when the
-// try's repair LP is; replace_ref_test.go holds it to that.
+// replacePass is one replaceBuffers pass: its plan, its candidates and
+// its repair twin, which answers the tries' yes/no questions (DESIGN.md
+// §6). The twin is a probe on the try's repair model, except that every
+// candidate edge carries the exact model's case binaries and window
+// index N as columns and the objective is zero, since a verdict needs
+// only phase 1. Pinned cases leave the other cases' rows relaxed by
+// big-M, so the twin is feasible exactly when the try's repair LP is;
+// replace_ref_test.go holds it to that.
 type replacePass struct {
-	p                  *Plan // adoptions update it in place
-	cands              []replaceCand
-	budget, edgeBudget int
-	twin               *probe // built at the pass's first repair LP
+	p     *Plan // adoptions update it in place
+	cands []replaceCand
+	twin  *probe // built at the pass's first repair LP
 	// rest is, per candidate, the window index N is pinned at while the
 	// edge holds no unit: the window of its fast signal under p when the
 	// twin is built, so the relaxed case rows sit far from binding.
@@ -524,8 +514,8 @@ func (rp *replacePass) fits(ctx context.Context, q *Plan) (bool, error) {
 // delays with a repair LP and validating. early is the arrival of the
 // edge's fast signal without its chain under p. Each window index is
 // tried on a fresh copy of p; the first copy that validates is returned,
-// nil if none does. p itself is never modified. Each repair LP spends
-// budget; one the twin finds infeasible ends without its cold solve.
+// nil if none does. p itself is never modified. A repair LP the twin
+// finds infeasible ends without its cold solve.
 func (rp *replacePass) tryUnitAt(ctx context.Context, ei int, early float64, kind UnitKind, phaseFrac float64) (*Plan, error) {
 	p := rp.p
 	r := p.R
@@ -548,11 +538,6 @@ func (rp *replacePass) tryUnitAt(ctx context.Context, ei int, early float64, kin
 		if vs := q.Validate(); len(vs) == 0 {
 			return q, nil
 		}
-		if rp.edgeBudget <= 0 {
-			continue
-		}
-		rp.budget--
-		rp.edgeBudget--
 		if ok, err := rp.fits(ctx, q); err != nil {
 			return nil, err
 		} else if !ok {

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	"virtualsync/internal/celllib"
+	"virtualsync/internal/gen"
+	"virtualsync/internal/lp"
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/sim"
+	"virtualsync/internal/sta"
 )
 
 // TestReoptimizeHoldsPeriod runs an ECO that only relaxes a non-critical
@@ -160,6 +165,64 @@ func TestReoptimizeStructuralEdit(t *testing.T) {
 	}
 	if err := res.Circuit.Validate(); err != nil {
 		t.Fatalf("re-optimized netlist invalid: %v", err)
+	}
+}
+
+// TestReoptimizeColdFallback pins a decoded case (gen.DecodeCase) whose
+// rewire leaves the incremental path no feasible period up to its cap
+// at FuzzIncrementalECO's coarse recovery step of 8 %, so Reoptimize
+// runs the cold period search. The session must move to the edited
+// circuit, and the result must equal OptimizeObserved's on that circuit.
+func TestReoptimizeColdFallback(t *testing.T) {
+	ctx := context.Background()
+	lib := celllib.Default()
+	opts := DefaultOptions()
+	d, err := gen.DecodeCase([]byte(" \x94'\xf9\xa2\x95\xe1\x17U\xc5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sta.Analyze(d.Circuit, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSessionAtPeriod(ctx, d.Circuit, lib, base.MinPeriod*opts.Ru, opts)
+	if err != nil || s == nil {
+		t.Fatalf("session: %v, nil=%v", err, s == nil)
+	}
+	s.StepFrac = 0.08
+	edits := []netlist.Edit{{Op: netlist.EditRewire, Node: "s0_n7", Pin: 1, Driver: "pi1"}}
+	res, st, err := s.Reoptimize(ctx, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Fallback {
+		t.Fatalf("Reoptimize stayed incremental: %+v", st)
+	}
+	edited := d.Circuit.Clone()
+	if _, err := edited.ApplyEdits(edits); err != nil {
+		t.Fatal(err)
+	}
+	if s.Result != res || !bytes.Equal(writeBench(t, s.Circuit), writeBench(t, edited)) {
+		t.Error("session did not move to the edited circuit and its result")
+	}
+	want, err := OptimizeObserved(ctx, edited, lib, opts, s.StepFrac, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(writeBench(t, res.Circuit), writeBench(t, want.Circuit)) {
+		t.Error("netlists differ")
+	}
+	type summary struct {
+		Period, Area, BaselinePeriod, BaselineArea float64
+		FFs, Latches, Buffers, Replaced            int
+		Solver                                     lp.Stats
+	}
+	sum := func(r *Result) summary {
+		return summary{r.Period, r.Area, r.BaselinePeriod, r.BaselineArea,
+			r.NumFFUnits, r.NumLatchUnits, r.NumBuffers, r.BufferReplaced, r.Solver}
+	}
+	if sum(res) != sum(want) {
+		t.Errorf("fallback %+v, OptimizeObserved %+v", sum(res), sum(want))
 	}
 }
 

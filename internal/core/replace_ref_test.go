@@ -22,8 +22,7 @@ import (
 func (p *Plan) replaceBuffersColdReference(ctx context.Context, onTry func(q *Plan, feasible bool, work lp.Stats)) (replaced int) {
 	r := p.R
 	nE := len(r.Edges)
-	lpBudget := 64
-	tryUnitAt := func(ei int, early float64, kind UnitKind, phaseFrac float64, budget *int) *Plan {
+	tryUnitAt := func(ei int, early float64, kind UnitKind, phaseFrac float64) *Plan {
 		nGuess := int(math.Floor((early - phaseFrac*p.T) / p.T))
 		for _, n := range []int{nGuess, nGuess + 1} {
 			q := p.clone()
@@ -32,10 +31,6 @@ func (p *Plan) replaceBuffersColdReference(ctx context.Context, onTry func(q *Pl
 			if vs := q.Validate(); len(vs) == 0 {
 				return q
 			}
-			if *budget <= 0 {
-				continue
-			}
-			*budget--
 			spec := frozenSpec(q.T, q.Opts, q.Unit)
 			spec.gateDelay, spec.quantMargin = q.GateDelay, q.quantMargin()
 			before := r.SolverStats()
@@ -56,36 +51,22 @@ func (p *Plan) replaceBuffersColdReference(ctx context.Context, onTry func(q *Pl
 		}
 		return nil
 	}
-	for _, cd := range p.replaceCandidates() {
-		edgeBudget := min(8, lpBudget)
-		if edgeBudget <= 0 {
-			break
-		}
+	kind := UnitFF
+	if p.Opts.UseLatches {
+		kind = UnitLatch
+	}
+	for _, cd := range p.replaceCandidates(kind) {
 		st, vs := p.propagate(p.env(ValidateParams{}))
 		if st == nil || len(vs) > 0 {
 			continue
 		}
 		early := st.wEarly[cd.ei] - p.ChainDelay[cd.ei]*p.Opts.Rl
-		lpBudget -= edgeBudget
 		var q *Plan
-	kinds:
-		for _, kind := range []UnitKind{UnitLatch, UnitFF} {
-			if kind == UnitLatch && !p.Opts.UseLatches {
-				continue
-			}
-			if r.unitArea(kind) >= cd.area {
-				continue
-			}
-			for _, ph := range p.Opts.Phases {
-				if edgeBudget <= 0 {
-					break
-				}
-				if q = tryUnitAt(cd.ei, early, kind, ph, &edgeBudget); q != nil {
-					break kinds
-				}
+		for _, ph := range p.Opts.Phases {
+			if q = tryUnitAt(cd.ei, early, kind, ph); q != nil {
+				break
 			}
 		}
-		lpBudget += edgeBudget
 		if q != nil && q.InsertedArea() < p.InsertedArea() {
 			*p = *q
 			replaced++
@@ -147,7 +128,11 @@ func requireSameReplacement(t testing.TB, label string, pre *Plan) replaceTally 
 	var tl replaceTally
 
 	want := pre.clone()
-	rp := &replacePass{p: want, cands: want.replaceCandidates()}
+	kind := UnitFF
+	if want.Opts.UseLatches {
+		kind = UnitLatch
+	}
+	rp := &replacePass{p: want, cands: want.replaceCandidates(kind)}
 	nWant := want.replaceBuffersColdReference(ctx, func(q *Plan, feasible bool, work lp.Stats) {
 		tl.tries++
 		before := q.R.SolverStats()

@@ -116,9 +116,11 @@ func TestAtBaselinePeriodMatchesOptimizeAtPeriod(t *testing.T) {
 // TestTryUnitAtLeavesPlanUntouched tries every replacement candidate of
 // the s5378 and mem_ctrl pre-replacement plans with every unit kind and
 // phase, and requires the plan to be unchanged after each try, whether
-// the try succeeds or not. Each try gets a budget of three repair solves
-// and may spend two: one per window, nGuess and nGuess+1, where nGuess is
-// the window of the edge's fast signal with its chain removed. A copy it
+// the try succeeds or not. Each try may run two repair LPs, one per
+// window, nGuess and nGuess+1, where nGuess is the window of the edge's
+// fast signal with its chain removed. Once the pass's twin exists, its
+// probes start warm, so a try's cold starts count the repair LPs the
+// twin found feasible, each solved cold once: at most two. A copy it
 // returns places the unit in one of those two windows.
 func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 	ctx := context.Background()
@@ -129,7 +131,10 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 		if st == nil || len(vs) > 0 {
 			t.Fatalf("%s: pre-replacement plan does not propagate: %v", sp.name, vs)
 		}
-		rp := &replacePass{p: p, cands: p.replaceCandidates()}
+		rp := &replacePass{p: p, cands: p.replaceCandidates(UnitLatch)}
+		if _, err := rp.fits(ctx, p); err != nil {
+			t.Fatalf("%s: twin: %v", sp.name, err)
+		}
 		for _, cd := range rp.cands {
 			ei := cd.ei
 			probe := st.wEarly[ei] - p.ChainDelay[ei]*p.Opts.Rl
@@ -137,15 +142,15 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 				for _, ph := range p.Opts.Phases {
 					nGuess := int(math.Floor((probe - ph*p.T) / p.T))
 					before := p.clone()
-					rp.edgeBudget = 3
+					stats := p.R.SolverStats()
 					q, err := rp.tryUnitAt(ctx, ei, probe, kind, ph)
 					if err != nil {
 						t.Fatalf("%s edge %d kind %v phase %g: %v", sp.name, ei, kind, ph, err)
 					}
 					tries++
-					spent := 3 - rp.edgeBudget
+					spent := statsSince(p.R, stats).ColdStarts
 					if spent > 2 {
-						t.Fatalf("%s edge %d kind %v phase %g: %d repair solves, want at most 2", sp.name, ei, kind, ph, spent)
+						t.Fatalf("%s edge %d kind %v phase %g: %d cold repair solves, want at most 2", sp.name, ei, kind, ph, spent)
 					}
 					solves += spent
 					if q != nil {
@@ -167,7 +172,7 @@ func TestTryUnitAtLeavesPlanUntouched(t *testing.T) {
 	if found == 0 || found == tries {
 		t.Fatalf("%d of %d tries succeeded; want a mix of successes and failures", found, tries)
 	}
-	t.Logf("%d tries, %d succeeded, %d repair solves", tries, found, solves)
+	t.Logf("%d tries, %d succeeded, %d cold repair solves", tries, found, solves)
 }
 
 // TestCancelledReplacementReturnsError finishes with replacement under
