@@ -224,7 +224,8 @@ check-bench:
 	$(MAKE) --no-print-directory bench-sim BENCH_SIM_OUT="$$dir/sim.json" && \
 	$(MAKE) --no-print-directory bench-eco BENCH_ECO_OUT="$$dir/eco.json"
 
-# Non-test Go lines outside the bench/ module: the size metric ROADMAP.md
-# tracks. check prints it last.
+# Non-test Go lines outside the bench/ module and the vbench build
+# directory (which holds cgo-generated files while a build runs): the
+# size metric ROADMAP.md tracks. check prints it last.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l

@@ -308,7 +308,7 @@ func BenchmarkLPSolve(b *testing.B) {
 	b.ResetTimer()
 	pivots := 0
 	for i := 0; i < b.N; i++ {
-		sol, err := m.Solve()
+		sol, err := m.Solve(context.Background(), nil)
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("%v %v", sol, err)
 		}
@@ -347,7 +347,7 @@ func BenchmarkLPSolveBoxed(b *testing.B) {
 	b.ResetTimer()
 	pivots, warmPct := 0, 0.0
 	for i := 0; i < b.N; i++ {
-		sol, err := m.Solve()
+		sol, err := m.Solve(context.Background(), nil)
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("%v %v", sol, err)
 		}
@@ -388,7 +388,7 @@ func BenchmarkLPSolveLarge(b *testing.B) {
 		prev = s
 	}
 	solve := func() *lp.Solution {
-		sol, err := m.Solve()
+		sol, err := m.Solve(context.Background(), nil)
 		if err != nil || sol.Status != lp.Optimal {
 			b.Fatalf("%v %v", sol, err)
 		}

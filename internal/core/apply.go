@@ -20,15 +20,10 @@ func (p *Plan) Apply() (*netlist.Circuit, error) {
 		out.Node(gid).Drive = p.GateDrive[gi]
 	}
 
-	// 2. Bypass and remove the selected flip-flops. Bypassing first in
-	// any order collapses chains; removal follows once nothing reads them.
+	// 2. Collapse the selected flip-flops onto their data inputs. A chain
+	// of removed flip-flops collapses link by link, in any order.
 	for _, id := range r.Removed {
-		if err := out.Bypass(id); err != nil {
-			return nil, fmt.Errorf("core: apply: %v", err)
-		}
-	}
-	for _, id := range r.Removed {
-		if err := out.Remove(id); err != nil {
+		if err := out.Collapse(id, 0); err != nil {
 			return nil, fmt.Errorf("core: apply: %v", err)
 		}
 	}

@@ -297,62 +297,73 @@ func (p *Plan) buildChainNearest(target float64) ([]int, float64) {
 }
 
 // repairChains tries to fix validation failures by nudging the chain on
-// the violating edge: late-side failures shrink the chain, early-side
-// failures grow it. st and vs are the result of validating the current
-// plan. It returns the remaining violations.
+// the violating edge, one repairStep at a time. st and vs are the result
+// of validating the current plan. It returns the remaining violations.
 func (p *Plan) repairChains(st *waveState, vs []Violation) []Violation {
-	buf := p.R.Lib.Cell("BUF")
-	fastest := buf.Options[len(buf.Options)-1].Delay
 	for attempt := 0; attempt < 4*len(p.R.Edges)+8; attempt++ {
 		if len(vs) == 0 {
 			return nil
 		}
-		// Pick the first repairable violation: edge-level checks name the
-		// edge directly; gate-level wave-interference picks the gate's
-		// latest or earliest in-edge.
-		target := -1
-		lateSide := false
-		for _, v := range vs {
-			if v.Edge >= 0 {
-				switch v.Check {
-				case "ff-window-hi", "latch-window-hi", "boundary-setup", "non-interference":
-					target, lateSide = v.Edge, true
-				case "ff-window-lo", "latch-window-lo", "boundary-hold", "latch-transparent-early":
-					target, lateSide = v.Edge, false
-				}
-			} else if v.Gate >= 0 && v.Check == "non-interference" {
-				target, lateSide = p.spreadRepairEdge(st, v.Gate)
-			}
-			if target >= 0 {
-				break
-			}
-		}
-		if target < 0 {
+		if !p.repairStep(st, vs) {
 			return vs
-		}
-		ch := p.Chain[target]
-		if lateSide {
-			if len(ch) == 0 {
-				return vs // nothing to shrink here
-			}
-			// Remove or weaken the last buffer.
-			last := ch[len(ch)-1]
-			delta := buf.Options[last].Delay
-			if buf.Options[last].Delay > fastest+valTol {
-				ch[len(ch)-1] = len(buf.Options) - 1
-				delta -= fastest
-			} else {
-				ch = ch[:len(ch)-1]
-			}
-			p.Chain[target] = ch
-			p.ChainDelay[target] -= delta
-		} else {
-			p.Chain[target] = append(ch, len(buf.Options)-1)
-			p.ChainDelay[target] += fastest
 		}
 		st, vs = p.validate(ValidateParams{})
 	}
 	return vs
+}
+
+// repairStep nudges the chain of the first repairable violation in vs,
+// validated under the wave state st: late-side failures, and a fast
+// signal that reaches a latch after it opens, shrink the chain by
+// removing or weakening its last buffer; early-side failures grow it by
+// one fastest buffer. Edge-level checks name the edge directly;
+// gate-level wave-interference picks the gate's latest or earliest
+// in-edge. It reports false when no violation is repairable or the
+// chain to shrink is empty.
+func (p *Plan) repairStep(st *waveState, vs []Violation) bool {
+	buf := p.R.Lib.Cell("BUF")
+	fastest := buf.Options[len(buf.Options)-1].Delay
+	target := -1
+	lateSide := false
+	for _, v := range vs {
+		if v.Edge >= 0 {
+			switch v.Check {
+			case "ff-window-hi", "latch-window-hi", "latch-transparent-early", "boundary-setup", "non-interference":
+				target, lateSide = v.Edge, true
+			case "ff-window-lo", "latch-window-lo", "boundary-hold":
+				target, lateSide = v.Edge, false
+			}
+		} else if v.Gate >= 0 && v.Check == "non-interference" {
+			target, lateSide = p.spreadRepairEdge(st, v.Gate)
+		}
+		if target >= 0 {
+			break
+		}
+	}
+	if target < 0 {
+		return false
+	}
+	ch := p.Chain[target]
+	if !lateSide {
+		p.Chain[target] = append(ch, len(buf.Options)-1)
+		p.ChainDelay[target] += fastest
+		return true
+	}
+	if len(ch) == 0 {
+		return false // nothing to shrink here
+	}
+	// Remove or weaken the last buffer.
+	last := ch[len(ch)-1]
+	delta := buf.Options[last].Delay
+	if delta > fastest+valTol {
+		ch[len(ch)-1] = len(buf.Options) - 1
+		delta -= fastest
+	} else {
+		ch = ch[:len(ch)-1]
+	}
+	p.Chain[target] = ch
+	p.ChainDelay[target] -= delta
+	return true
 }
 
 // spreadRepairEdge chooses which in-edge of a gate to nudge to shrink its

@@ -86,7 +86,8 @@ const (
 	// 4.3 with case-selection binaries over {none, FF@phi, latch@phi}.
 	ModeExact
 	// ModeFixed applies the exact model with the unit choice frozen to a
-	// known placement (used for post-discretization repair LPs).
+	// known flip-flop or latch placement (used for post-discretization
+	// repair LPs). An edge without a unit is ModePlain instead.
 	ModeFixed
 	// ModePlain is a bare pass-through: buffers only, no emulation
 	// paddings. Used for edges known not to need sequential units, which
@@ -365,14 +366,6 @@ func (r *Region) buildModel(spec *modelSpec) (*modelVars, error) {
 			outEarly = inEarly.plus(varAff(mv.yE[ei], 1)).plus(varAff(mv.x[ei], tcq*opts.Rl))
 
 		case ModeExact, ModeFixed:
-			if mode == ModeFixed && spec.fixed[ei].Kind == UnitNone {
-				// No unit on this edge: pass straight through without the
-				// exact-model apparatus.
-				mv.w[ei], mv.wE[ei], mv.te[ei], mv.teE[ei], mv.nv[ei] = -1, -1, -1, -1, -1
-				outLate = inLate
-				outEarly = inEarly
-				break
-			}
 			mv.w[ei] = m.AddVar(fmt.Sprintf("w_%d", ei), -inf, inf, 0)
 			mv.wE[ei] = m.AddVar(fmt.Sprintf("wE_%d", ei), -inf, inf, 0)
 			constrain(m, "wdef", varAff(mv.w[ei], 1), lp.EQ, inLate)
@@ -553,7 +546,7 @@ func (r *Region) solveSpec(ctx context.Context, spec *modelSpec) (*modelVars, *l
 // simplex between iterations, and returns ctx.Err(); any other solver
 // failure is an error.
 func (r *Region) solve(ctx context.Context, mv *modelVars, warm *lp.Basis) (*lp.Solution, *lp.Basis, error) {
-	sol, err := mv.m.SolveOpts(ctx, lp.SolveOptions{Warm: warm})
+	sol, err := mv.m.Solve(ctx, warm)
 	r.addSolverStats(sol)
 	switch {
 	case err != nil && ctx.Err() != nil:
@@ -604,18 +597,19 @@ func (mv *modelVars) edgeGap(sol *lp.Solution, ei int) float64 {
 }
 
 // chosenCase decodes the unit of an exact-mode edge, the case the solve
-// selected, or of a fixed-mode edge, its frozen unit at the window index
-// the solve settled on.
+// selected (the zero Placement for c_none), or of a fixed-mode edge, its
+// frozen unit at the window index the solve settled on.
 func (mv *modelVars) chosenCase(sol *lp.Solution, ei int) (Placement, error) {
 	if mv.spec.modes[ei] == ModeFixed {
 		pl := mv.spec.fixed[ei]
-		if pl.Kind != UnitNone {
-			pl.N = int(math.Round(sol.Value(mv.nv[ei])))
-		}
+		pl.N = int(math.Round(sol.Value(mv.nv[ei])))
 		return pl, nil
 	}
 	for _, cv := range mv.cases[ei] {
 		if sol.Value(cv.v) > 0.5 {
+			if cv.kind == UnitNone {
+				return Placement{}, nil
+			}
 			return Placement{
 				Kind:      cv.kind,
 				PhaseFrac: cv.phase,

@@ -64,22 +64,41 @@ func TestBuildModelModes(t *testing.T) {
 	}
 }
 
-func TestModeFixedUnitNoneIsLean(t *testing.T) {
+// TestFrozenSpecMarksUnitFreeEdgesPlain: frozenSpec freezes a unit on
+// every edge that carries one and leaves every other edge a plain
+// pass-through, so an all-unit-free plan builds the all-plain model.
+func TestFrozenSpecMarksUnitFreeEdgesPlain(t *testing.T) {
 	r := wavePipeRegion(t)
 	nE := len(r.Edges)
 	opts := DefaultOptions()
-	spec := &modelSpec{T: 10, opts: opts, modes: make([]EdgeMode, nE), fixed: make([]Placement, nE)}
-	for i := range spec.modes {
-		spec.modes[i] = ModeFixed
+	units := make([]Placement, nE)
+	units[0] = Placement{Kind: UnitFF, PhaseFrac: 0.25, N: 1}
+	spec := frozenSpec(10, opts, units)
+	for ei, m := range spec.modes {
+		want := ModePlain
+		if ei == 0 {
+			want = ModeFixed
+		}
+		if m != want {
+			t.Fatalf("edge %d: mode %d, want %d", ei, m, want)
+		}
 	}
-	mv, err := r.buildModel(spec)
+
+	free, err := r.buildModel(frozenSpec(10, opts, make([]Placement, nE)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ei := range r.Edges {
-		if mv.te[ei] != -1 || mv.nv[ei] != -1 {
-			t.Fatalf("edge %d: UnitNone fixed mode allocated exact-model vars", ei)
-		}
+	plain := &modelSpec{T: 10, opts: opts, modes: make([]EdgeMode, nE)}
+	for ei := range plain.modes {
+		plain.modes[ei] = ModePlain
+	}
+	mvPlain, err := r.buildModel(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.m.NumVars() != mvPlain.m.NumVars() || free.m.NumConstraints() != mvPlain.m.NumConstraints() {
+		t.Fatalf("unit-free frozen model has %d vars, %d rows; plain model %d, %d",
+			free.m.NumVars(), free.m.NumConstraints(), mvPlain.m.NumVars(), mvPlain.m.NumConstraints())
 	}
 }
 

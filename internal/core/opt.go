@@ -19,10 +19,9 @@ type Plan struct {
 	// XiReq is each edge's continuous buffer-delay request. realize
 	// writes it only from its value solves, one per rounding round, so
 	// after realize a frozen edge keeps the request it was rounded from.
-	// For an edge the single-edge fallback froze after others in the
-	// same round that entry is stale: the round's earlier decisions would
-	// move it. Nothing reads it; replacement's repair solve rewrites
-	// every entry.
+	// For an edge frozen after others in the same round that entry is
+	// stale: the round's earlier decisions would move it. Nothing reads
+	// it; replacement's repair solve rewrites every entry.
 	XiReq      []float64
 	Chain      [][]int   // per edge: realized chain as buffer drive indices
 	ChainDelay []float64 // per edge: realized chain delay
@@ -128,13 +127,16 @@ func retargetPlan(ctx context.Context, r *Region, T float64, opts Options, prev 
 }
 
 // frozenSpec is the model of a plan whose delay units stay where they
-// are: every edge ModeFixed on units. Callers set the spec's other
-// freezes (gate delays, buffer delays, quantization margin, window
-// slack) themselves.
+// are: every edge with a unit ModeFixed on it, every other edge
+// ModePlain. Callers set the spec's other freezes (gate delays, buffer
+// delays, quantization margin, window slack) themselves.
 func frozenSpec(T float64, opts Options, units []Placement) *modelSpec {
 	spec := &modelSpec{T: T, opts: opts, modes: make([]EdgeMode, len(units)), fixed: units}
-	for ei := range spec.modes {
-		spec.modes[ei] = ModeFixed
+	for ei, pl := range units {
+		spec.modes[ei] = ModePlain
+		if pl.Kind != UnitNone {
+			spec.modes[ei] = ModeFixed
+		}
 	}
 	return spec
 }

@@ -348,7 +348,7 @@ func buildRegion(work *netlist.Circuit, lib *celllib.Library, base *sta.Result, 
 	// target period classically; record its requirement.
 	r.ExternalPeriod = externalPeriod(work, lib, base, r.Sinks, r.removedSet)
 
-	// 6. Safety: every removed flip-flop must be bypassable — all its
+	// 6. Safety: every removed flip-flop must be collapsible — all its
 	// readers are region gates, removed flip-flops, boundary sinks we
 	// recorded, or primary outputs.
 

@@ -226,6 +226,40 @@ func TestValidateTransparentLatches(t *testing.T) {
 	}
 }
 
+// TestRepairShrinksTransparentEarlyLatch: latch-transparent-early means
+// the fast signal reaches the latch after it opens, which a longer chain
+// only makes later. Force latch units onto the wavePipe plan's edges
+// until that check is the first violation on an edge with a chain; one
+// repair step must then shorten that chain.
+func TestRepairShrinksTransparentEarlyLatch(t *testing.T) {
+	base := planFor(t, 10)
+	found := 0
+	for ei := range base.Unit {
+		for n := -2; n <= 2; n++ {
+			for _, ph := range base.Opts.Phases {
+				p := base.clone()
+				p.Unit[ei] = Placement{Kind: UnitLatch, N: n, PhaseFrac: ph}
+				st, vs := p.validate(ValidateParams{})
+				if len(vs) == 0 || vs[0].Check != "latch-transparent-early" || vs[0].Edge != ei || len(p.Chain[ei]) == 0 {
+					continue
+				}
+				found++
+				before := p.ChainDelay[ei]
+				if !p.repairStep(st, vs) {
+					t.Fatalf("edge %d, N %d, phase %g: no repair step taken", ei, n, ph)
+				}
+				if p.ChainDelay[ei] >= before {
+					t.Fatalf("edge %d, N %d, phase %g: repair step moved the chain delay %g -> %g, want it shorter",
+						ei, n, ph, before, p.ChainDelay[ei])
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no forced latch placement made latch-transparent-early the first violation on a chained edge")
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Check: "x", Edge: 1, Gate: -1, Amount: 2.5, Msg: "m"}
 	s := v.String()

@@ -181,17 +181,9 @@ func RunCircuit(ctx context.Context, spec gen.Spec, cfg Config) (*CircuitResult,
 // successful row in suite order and the error joins every per-circuit
 // failure (errors.Join); it is nil only when all circuits succeeded.
 func RunSuite(ctx context.Context, names []string, cfg Config) ([]*CircuitResult, error) {
-	specs := gen.PaperSuite()
-	if len(names) > 0 {
-		var sel []gen.Spec
-		for _, n := range names {
-			s, ok := gen.SpecByName(n)
-			if !ok {
-				return nil, fmt.Errorf("expt: unknown benchmark %q", n)
-			}
-			sel = append(sel, s)
-		}
-		specs = sel
+	specs, err := suiteSpecs(names)
+	if err != nil {
+		return nil, err
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -232,6 +224,23 @@ func RunSuite(ctx context.Context, names []string, cfg Config) ([]*CircuitResult
 		}
 	}
 	return out, errors.Join(errs...)
+}
+
+// suiteSpecs returns the specs of the named benchmarks in the given
+// order, or the whole paper suite when names is empty.
+func suiteSpecs(names []string) ([]gen.Spec, error) {
+	if len(names) == 0 {
+		return gen.PaperSuite(), nil
+	}
+	specs := make([]gen.Spec, 0, len(names))
+	for _, n := range names {
+		s, ok := gen.SpecByName(n)
+		if !ok {
+			return nil, fmt.Errorf("expt: unknown benchmark %q", n)
+		}
+		specs = append(specs, s)
+	}
+	return specs, nil
 }
 
 // scheduleOrder returns spec indices sorted by decreasing circuit size

@@ -144,29 +144,21 @@ func FormatFig3(f *Fig3Result) string {
 	fmt.Fprintln(&b, "Fig. 3: relative timing references (anchors) at T=10")
 	fmt.Fprintf(&b, "  classic baseline period: %.2f\n", f.BaselinePeriod)
 	fmt.Fprintln(&b, "  anchors crossed per consumer:")
-	for _, name := range sortedKeysInt(f.Lambdas) {
+	for _, name := range sortedKeys(f.Lambdas) {
 		if f.Lambdas[name] > 0 {
 			fmt.Fprintf(&b, "    %-6s lambda=%d\n", name, f.Lambdas[name])
 		}
 	}
 	fmt.Fprintln(&b, "  converted boundary arrivals (must lie in [th, T-tsu]):")
-	for _, name := range sortedKeysF(f.SinkLate) {
+	for _, name := range sortedKeys(f.SinkLate) {
 		fmt.Fprintf(&b, "    %-6s late %6.2f  early %6.2f\n", name, f.SinkLate[name], f.SinkEarly[name])
 	}
 	fmt.Fprintf(&b, "  functional equivalence: %v\n", f.EquivOK)
 	return b.String()
 }
 
-func sortedKeysInt(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysF(m map[string]float64) []string {
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -26,17 +26,9 @@ type YieldResult struct {
 // in internal/variation. An empty names list runs the paper's whole
 // suite.
 func RunYield(ctx context.Context, names []string, cfg Config, mc variation.Config) ([]*YieldResult, error) {
-	specs := gen.PaperSuite()
-	if len(names) > 0 {
-		var sel []gen.Spec
-		for _, n := range names {
-			s, ok := gen.SpecByName(n)
-			if !ok {
-				return nil, fmt.Errorf("expt: unknown benchmark %q", n)
-			}
-			sel = append(sel, s)
-		}
-		specs = sel
+	specs, err := suiteSpecs(names)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*YieldResult, 0, len(specs))
 	for _, spec := range specs {

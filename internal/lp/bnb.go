@@ -13,21 +13,6 @@ import (
 // already as good as exhaustive search gets within reasonable time.
 const maxNodes = 1500
 
-// SolveOptions tunes a Solve call. The zero value gives the defaults.
-type SolveOptions struct {
-	// Warm seeds the root relaxation (and, transitively, the whole tree)
-	// from a prior solve's Basis. Incompatible bases are ignored.
-	Warm *Basis
-}
-
-// Solve solves the model. Pure LPs, and models whose integer variables
-// are all pinned at integers, go straight to the simplex; other models
-// with integer variables are solved exactly by warm-started LP-based
-// branch-and-bound with best-objective pruning.
-func (m *Model) Solve() (*Solution, error) {
-	return m.SolveOpts(context.Background(), SolveOptions{})
-}
-
 // override tightens one variable's bounds relative to the parent node.
 type override struct {
 	v      VarID
@@ -42,40 +27,40 @@ type bnode struct {
 	seed      *Basis // parent's optimal basis
 }
 
-// SolveOpts solves the model with explicit options; see SolveOptions.
+// Solve solves the model. Pure LPs, and models whose integer variables
+// are all pinned at integers, go straight to the simplex; other models
+// with integer variables are solved exactly by warm-started LP-based
+// branch-and-bound with best-objective pruning. A non-nil warm basis
+// from a prior solve seeds the root relaxation (and, transitively, the
+// whole tree); an incompatible basis is ignored.
 //
 // Branch-and-bound is a sequential best-first search on the caller's
 // goroutine: the open node with the best dual bound is solved next,
 // creation order breaking ties, and the search stops after maxNodes
 // nodes. Every bound is a count, so the result, including its Stats,
 // depends on the model alone.
-func (m *Model) SolveOpts(ctx context.Context, o SolveOptions) (*Solution, error) {
+func (m *Model) Solve(ctx context.Context, warm *Basis) (*Solution, error) {
 	p, err := m.compile()
 	if err != nil {
 		return nil, err
 	}
 	if len(p.intVars) == 0 {
 		// The solver never writes its bounds, so it reads the compiled ones.
-		res, lerr := solveLP(ctx, p, p.lb, p.ub, o.Warm)
+		res, lerr := solveLP(ctx, p, p.lb, p.ub, warm)
 		if lerr == errCanceled {
 			return nil, ctx.Err()
 		}
 		return res.toSolution(), lerr
 	}
 
-	better := func(a, b float64) bool { // is a better than b?
-		if m.sense == Minimize {
-			return a < b-1e-9
-		}
-		return a > b+1e-9
-	}
+	better := func(a, b float64) bool { return a < b-1e-9 } // is a better than b?
 
 	var inc *lpResult
 	var total Stats
 	// One bounds pair serves every node: the search is sequential and a
 	// solve keeps no reference to its bounds.
 	lb, ub := make([]float64, p.n), make([]float64, p.n)
-	frontier := []*bnode{{seq: 0, seed: o.Warm}}
+	frontier := []*bnode{{seq: 0, seed: warm}}
 	seq := 1
 
 	for len(frontier) > 0 {

@@ -123,7 +123,7 @@ func solveDense(p *problem, lb, ub []float64) (*lpResult, error) {
 }
 
 // solveModelDense is the oracle's cold solve of a model's LP relaxation,
-// the test-side counterpart of Model.SolveOpts on a pure LP.
+// the test-side counterpart of Model.Solve on a pure LP.
 func solveModelDense(t *testing.T, m *Model) *lpResult {
 	t.Helper()
 	p, err := m.compile()

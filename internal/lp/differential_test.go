@@ -52,7 +52,10 @@ func randomLP(rng *rand.Rand) *Model {
 		m.MustConstrain("c", terms, rel, 4*rng.NormFloat64())
 	}
 	if rng.Intn(2) == 0 {
-		m.SetSense(Maximize)
+		// Half the instances maximise: they minimise the negated objective.
+		for _, v := range vars {
+			m.SetObj(v, -m.vars[v].obj)
+		}
 	}
 	return m
 }
@@ -189,9 +192,7 @@ func decodeFuzzLP(data []byte) *Model {
 	nv := 1 + int(next()%8)
 	nc := 1 + int(next()%8)
 	m := NewModel("fuzz")
-	if next()&1 == 1 {
-		m.SetSense(Maximize)
-	}
+	negate := next()&1 == 1 // maximise, as the minimum of the negated objective
 	vars := make([]VarID, nv)
 	for j := 0; j < nv; j++ {
 		lo := float64(int8(next())) / 4
@@ -208,6 +209,9 @@ func decodeFuzzLP(data []byte) *Model {
 			lo, hi = -Inf, Inf
 		}
 		cost := float64(int8(next())) / 8
+		if negate {
+			cost = -cost
+		}
 		vars[j] = m.AddVar("v", lo, hi, cost)
 	}
 	for i := 0; i < nc; i++ {

@@ -11,21 +11,20 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSimpleMax(t *testing.T) {
-	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0.
-	// Classic Dantzig example: optimum 36 at (2, 6).
+	// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0, as
+	// min -3x - 5y. Classic Dantzig example: optimum 36 at (2, 6).
 	m := NewModel("dantzig")
-	m.SetSense(Maximize)
-	x := m.AddVar("x", 0, Inf, 3)
-	y := m.AddVar("y", 0, Inf, 5)
+	x := m.AddVar("x", 0, Inf, -3)
+	y := m.AddVar("y", 0, Inf, -5)
 	m.MustConstrain("c1", []Term{{x, 1}}, LE, 4)
 	m.MustConstrain("c2", []Term{{y, 2}}, LE, 12)
 	m.MustConstrain("c3", []Term{{x, 3}, {y, 2}}, LE, 18)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || !approx(s.Objective, 36, 1e-6) {
-		t.Fatalf("got %v obj=%g, want optimal 36", s.Status, s.Objective)
+	if s.Status != Optimal || !approx(s.Objective, -36, 1e-6) {
+		t.Fatalf("got %v obj=%g, want optimal -36", s.Status, s.Objective)
 	}
 	if !approx(s.Value(x), 2, 1e-6) || !approx(s.Value(y), 6, 1e-6) {
 		t.Fatalf("solution = (%g,%g), want (2,6)", s.Value(x), s.Value(y))
@@ -38,7 +37,7 @@ func TestMinimizeWithGE(t *testing.T) {
 	x := m.AddVar("x", 2, Inf, 2)
 	y := m.AddVar("y", 1, Inf, 3)
 	m.MustConstrain("c1", []Term{{x, 1}, {y, 1}}, GE, 10)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestEquality(t *testing.T) {
 	y := m.AddVar("y", 0, Inf, 1)
 	m.MustConstrain("c1", []Term{{x, 1}, {y, 2}}, EQ, 8)
 	m.MustConstrain("c2", []Term{{x, 1}, {y, -1}}, EQ, 2)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestFreeVariables(t *testing.T) {
 	m := NewModel("free")
 	x := m.AddVar("x", math.Inf(-1), Inf, 1)
 	m.MustConstrain("c1", []Term{{x, 1}}, GE, -5)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestNegativeBounds(t *testing.T) {
 	x := m.AddVar("x", -10, -2, 1)
 	y := m.AddVar("y", -4, 7, 1)
 	m.MustConstrain("c1", []Term{{x, 1}, {y, 1}}, GE, -9)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +96,11 @@ func TestNegativeBounds(t *testing.T) {
 }
 
 func TestUpperBoundOnlyVariable(t *testing.T) {
-	// max x with x <= 3 (lb = -inf): optimum 3.
+	// max x (min -x) with x <= 3 (lb = -inf): optimum x = 3.
 	m := NewModel("ubonly")
-	m.SetSense(Maximize)
-	x := m.AddVar("x", math.Inf(-1), 3, 1)
+	x := m.AddVar("x", math.Inf(-1), 3, -1)
 	m.MustConstrain("c1", []Term{{x, 1}}, GE, -100)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,7 @@ func TestInfeasible(t *testing.T) {
 	x := m.AddVar("x", 0, Inf, 1)
 	m.MustConstrain("c1", []Term{{x, 1}}, GE, 5)
 	m.MustConstrain("c2", []Term{{x, 1}}, LE, 3)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +125,9 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	m := NewModel("unbounded")
-	m.SetSense(Maximize)
-	x := m.AddVar("x", 0, Inf, 1)
+	x := m.AddVar("x", 0, Inf, -1)
 	m.MustConstrain("c1", []Term{{x, 1}}, GE, 0)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +139,7 @@ func TestUnbounded(t *testing.T) {
 func TestEmptyBoundRange(t *testing.T) {
 	m := NewModel("empty")
 	m.AddVar("x", 5, 2, 1)
-	if _, err := m.Solve(); err == nil {
+	if _, err := m.Solve(context.Background(), nil); err == nil {
 		t.Fatal("empty bound range accepted")
 	}
 }
@@ -152,7 +149,7 @@ func TestFixedVariable(t *testing.T) {
 	x := m.AddVar("x", 7, 7, 1)
 	y := m.AddVar("y", 0, Inf, 1)
 	m.MustConstrain("c1", []Term{{x, 1}, {y, 1}}, GE, 10)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +173,7 @@ func TestDegenerateDoesNotCycle(t *testing.T) {
 	m.MustConstrain("c1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	m.MustConstrain("c2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	m.MustConstrain("c3", []Term{{x3, 1}}, LE, 1)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +192,7 @@ func TestDifferenceConstraints(t *testing.T) {
 	m.MustConstrain("c1", []Term{{s1, 1}, {s0, -1}}, GE, 5)
 	m.MustConstrain("c2", []Term{{s2, 1}, {s1, -1}}, GE, 6)
 	m.MustConstrain("c3", []Term{{s2, 1}}, LE, 17)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,20 +202,19 @@ func TestDifferenceConstraints(t *testing.T) {
 }
 
 func TestKnapsackILP(t *testing.T) {
-	// max 10a + 13b + 7c, 3a + 4b + 2c <= 6, binary. Optimum: a+c? 3+2=5 ->
-	// 17; b+c = 6 -> 20. So {b,c} with value 20.
+	// max 10a + 13b + 7c (min its negation), 3a + 4b + 2c <= 6, binary.
+	// Optimum: a+c? 3+2=5 -> 17; b+c = 6 -> 20. So {b,c} with value 20.
 	m := NewModel("knap")
-	m.SetSense(Maximize)
-	a := m.AddBinVar("a", 10)
-	b := m.AddBinVar("b", 13)
-	c := m.AddBinVar("c", 7)
+	a := m.AddBinVar("a", -10)
+	b := m.AddBinVar("b", -13)
+	c := m.AddBinVar("c", -7)
 	m.MustConstrain("cap", []Term{{a, 3}, {b, 4}, {c, 2}}, LE, 6)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || !approx(s.Objective, 20, 1e-6) {
-		t.Fatalf("got %v obj=%g, want 20", s.Status, s.Objective)
+	if s.Status != Optimal || !approx(s.Objective, -20, 1e-6) {
+		t.Fatalf("got %v obj=%g, want -20", s.Status, s.Objective)
 	}
 	if !approx(s.Value(a), 0, 1e-6) || !approx(s.Value(b), 1, 1e-6) || !approx(s.Value(c), 1, 1e-6) {
 		t.Fatalf("selection = (%g,%g,%g), want (0,1,1)", s.Value(a), s.Value(b), s.Value(c))
@@ -234,7 +230,7 @@ func TestIntegerVariableRange(t *testing.T) {
 	y := m.AddVar("y", 0, Inf, 1)
 	m.MustConstrain("c1", []Term{{y, 1}, {x, -2.3}}, GE, 0)
 	m.MustConstrain("c2", []Term{{y, 1}, {x, 1}}, GE, 7)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +248,7 @@ func TestILPInfeasible(t *testing.T) {
 	x := m.AddBinVar("x", 1)
 	m.MustConstrain("c1", []Term{{x, 1}}, GE, 0.4)
 	m.MustConstrain("c2", []Term{{x, 1}}, LE, 0.6)
-	s, err := m.Solve()
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,28 +258,27 @@ func TestILPInfeasible(t *testing.T) {
 }
 
 func TestLinearizeProduct(t *testing.T) {
-	// y = b * d with d in [0, 10]. Maximize y - 3b with d <= 4:
-	// b=1: y=4, obj 1; b=0: obj 0. Want b=1, y=4.
+	// y = b * d with d in [0, 10]. Minimize 3b - y with d <= 4:
+	// b=1: y=4, obj -1; b=0: obj 0. Want b=1, y=4.
 	m := NewModel("prod")
-	m.SetSense(Maximize)
-	b := m.AddBinVar("b", -3)
+	b := m.AddBinVar("b", 3)
 	d := m.AddVar("d", 0, 10, 0)
 	m.MustConstrain("dcap", []Term{{d, 1}}, LE, 4)
 	y := m.LinearizeProduct("y", b, d, 10)
-	m.SetObj(y, 1)
-	s, err := m.Solve()
+	m.SetObj(y, -1)
+	s, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || !approx(s.Objective, 1, 1e-6) {
-		t.Fatalf("got %v obj=%g, want 1", s.Status, s.Objective)
+	if s.Status != Optimal || !approx(s.Objective, -1, 1e-6) {
+		t.Fatalf("got %v obj=%g, want -1", s.Status, s.Objective)
 	}
 	if !approx(s.Value(b), 1, 1e-6) || !approx(s.Value(y), 4, 1e-6) {
 		t.Fatalf("b=%g y=%g, want 1, 4", s.Value(b), s.Value(y))
 	}
 	// With b forced 0, y must be 0 regardless of d.
 	m.SetBounds(b, 0, 0)
-	s, err = m.Solve()
+	s, err = m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +291,7 @@ func TestBoundsRestoredAfterBnB(t *testing.T) {
 	m := NewModel("restore")
 	x := m.AddIntVar("x", 0, 5, 1)
 	m.MustConstrain("c1", []Term{{x, 1}}, GE, 1.5)
-	if _, err := m.Solve(); err != nil {
+	if _, err := m.Solve(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	lb, ub := m.Bounds(x)
@@ -334,7 +329,7 @@ func TestPinnedIntegersSolveAsLP(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, x, n, k := build(c.nPin, c.kLB, c.kUB)
-			s, err := m.Solve()
+			s, err := m.Solve(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,16 +352,15 @@ func TestPinnedIntegersSolveAsLP(t *testing.T) {
 // updates the compiled form in place: the model never recompiles.
 func TestSetBoundsResolvesLikeFreshModel(t *testing.T) {
 	type bounds struct{ x, y, z, k [2]float64 }
-	// max 3x + 2y + z + k/2 s.t. x + y + z + k <= 10, y <= 4: a unique
+	// min -3x - 2y - z - k/2 s.t. x + y + z + k <= 10, y <= 4: a unique
 	// optimum under every bounds below.
 	build := func(b bounds) (*Model, [4]VarID) {
 		m := NewModel("rebound")
-		m.SetSense(Maximize)
 		v := [4]VarID{
-			m.AddVar("x", b.x[0], b.x[1], 3),
-			m.AddVar("y", b.y[0], b.y[1], 2),
-			m.AddVar("z", b.z[0], b.z[1], 1),
-			m.AddIntVar("k", b.k[0], b.k[1], 0.5),
+			m.AddVar("x", b.x[0], b.x[1], -3),
+			m.AddVar("y", b.y[0], b.y[1], -2),
+			m.AddVar("z", b.z[0], b.z[1], -1),
+			m.AddIntVar("k", b.k[0], b.k[1], -0.5),
 		}
 		m.MustConstrain("cap", []Term{{v[0], 1}, {v[1], 1}, {v[2], 1}, {v[3], 1}}, LE, 10)
 		m.MustConstrain("ycap", []Term{{v[1], 2}}, LE, 8)
@@ -385,7 +379,7 @@ func TestSetBoundsResolvesLikeFreshModel(t *testing.T) {
 	}
 	b := bounds{x: [2]float64{0, 4}, y: [2]float64{0, 5}, z: [2]float64{0, 1}, k: [2]float64{0, 3}}
 	m, v := build(b)
-	first, err := m.Solve()
+	first, err := m.Solve(context.Background(), nil)
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("first solve: %v, %v", first.Status, err)
 	}
@@ -407,16 +401,16 @@ func TestSetBoundsResolvesLikeFreshModel(t *testing.T) {
 			m.SetBounds(v[i], lu[0], lu[1])
 		}
 		fresh, _ := build(b)
-		want, err := fresh.Solve()
+		want, err := fresh.Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := m.Solve()
+		cold, err := m.Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		same(step.name+", cold", cold, want)
-		warm, err := m.SolveOpts(context.Background(), SolveOptions{Warm: first.Basis})
+		warm, err := m.Solve(context.Background(), first.Basis)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,7 +517,7 @@ func TestPropertySolutionFeasible(t *testing.T) {
 			}
 			m.MustConstrain("c", rows[i].terms, rows[i].rel, rows[i].rhs)
 		}
-		s, err := m.Solve()
+		s, err := m.Solve(context.Background(), nil)
 		if err != nil || s.Status != Optimal {
 			// Feasible by construction, so anything else is a failure.
 			return false
@@ -559,7 +553,6 @@ func TestPropertyBnBMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewModel("bf")
-		m.SetSense(Maximize)
 		n := 2 + rng.Intn(4)
 		vars := make([]VarID, n)
 		objs := make([]float64, n)
@@ -567,7 +560,7 @@ func TestPropertyBnBMatchesBruteForce(t *testing.T) {
 		for j := 0; j < n; j++ {
 			objs[j] = float64(rng.Intn(10) + 1)
 			ws[j] = float64(rng.Intn(5) + 1)
-			vars[j] = m.AddBinVar("b", objs[j])
+			vars[j] = m.AddBinVar("b", -objs[j])
 		}
 		cap := float64(rng.Intn(10) + 1)
 		terms := make([]Term, n)
@@ -575,7 +568,7 @@ func TestPropertyBnBMatchesBruteForce(t *testing.T) {
 			terms[j] = Term{vars[j], ws[j]}
 		}
 		m.MustConstrain("cap", terms, LE, cap)
-		s, err := m.Solve()
+		s, err := m.Solve(context.Background(), nil)
 		if err != nil || s.Status != Optimal {
 			return false
 		}
@@ -592,7 +585,7 @@ func TestPropertyBnBMatchesBruteForce(t *testing.T) {
 				best = v
 			}
 		}
-		return approx(s.Objective, best, 1e-6)
+		return approx(s.Objective, -best, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

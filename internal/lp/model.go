@@ -6,7 +6,7 @@
 // paper.
 //
 // The modelling API supports free, bounded, integer and binary variables,
-// <=, >= and = constraints, and minimization or maximization objectives.
+// <=, >= and = constraints, and a minimized objective.
 // Problem sizes targeted are the critical-part timing models of the
 // reproduction: a few thousand variables and constraints, with at most a
 // few dozen integer variables.
@@ -15,15 +15,6 @@ package lp
 import (
 	"fmt"
 	"math"
-)
-
-// Sense is the optimization direction.
-type Sense int
-
-// Objective senses.
-const (
-	Minimize Sense = iota
-	Maximize
 )
 
 // Rel is a constraint relation.
@@ -76,10 +67,9 @@ type constraint struct {
 
 // Model is a mixed-integer linear program under construction.
 type Model struct {
-	name  string
-	sense Sense
-	vars  []variable
-	cons  []constraint
+	name string
+	vars []variable
+	cons []constraint
 
 	// prob caches the compiled sparse form; dirty marks it stale after a
 	// mutation. Branch-and-bound nodes never mutate the model (they carry
@@ -90,11 +80,8 @@ type Model struct {
 
 // NewModel returns an empty minimization model.
 func NewModel(name string) *Model {
-	return &Model{name: name, sense: Minimize}
+	return &Model{name: name}
 }
-
-// SetSense sets the optimization direction.
-func (m *Model) SetSense(s Sense) { m.sense = s; m.dirty = true }
 
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.vars) }

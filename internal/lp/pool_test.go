@@ -91,7 +91,7 @@ func TestPooledSolveMatchesFresh(t *testing.T) {
 
 	// The warm case re-solves the large model's structure under tighter
 	// pads from the large model's own optimal basis.
-	seed, err := large.Solve()
+	seed, err := large.Solve(context.Background(), nil)
 	if err != nil || seed.Status != Optimal {
 		t.Fatalf("seed solve: %v %v", seed, err)
 	}
@@ -101,18 +101,21 @@ func TestPooledSolveMatchesFresh(t *testing.T) {
 	}
 
 	bg := context.Background()
+	cold := func(m *Model) func() (*Solution, error) {
+		return func() (*Solution, error) { return m.Solve(bg, nil) }
+	}
 	cases := []struct {
 		name  string
 		solve func() (*Solution, error)
 	}{
-		{"small", small.Solve},
-		{"large", large.Solve},
-		{"random", random.Solve},
-		{"infeasible", infeasible.Solve},
-		{"mip", mip.Solve},
-		{"warm", func() (*Solution, error) { return tightened.SolveOpts(bg, SolveOptions{Warm: seed.Basis}) }},
+		{"small", cold(small)},
+		{"large", cold(large)},
+		{"random", cold(random)},
+		{"infeasible", cold(infeasible)},
+		{"mip", cold(mip)},
+		{"warm", func() (*Solution, error) { return tightened.Solve(bg, seed.Basis) }},
 		{"canceled", func() (*Solution, error) {
-			// solveLP, unlike SolveOpts, returns the stats of a canceled
+			// solveLP, unlike Solve, returns the stats of a canceled
 			// solve, which show the iteration it stopped at.
 			p, err := canceled.compile()
 			if err != nil {
@@ -155,20 +158,19 @@ func TestWarmResolveAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops pooled solvers at random under the race detector")
 	}
 	m, pads := timingLP(rand.New(rand.NewSource(3)), 200)
-	seed, err := m.Solve()
+	seed, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range pads[:60] {
 		m.SetBounds(v, 0, 3)
 	}
-	warm := SolveOptions{Warm: seed.Basis}
-	sol, err := m.SolveOpts(context.Background(), warm)
+	sol, err := m.Solve(context.Background(), seed.Basis)
 	if err != nil || sol.Status != Optimal || sol.Stats.Pivots() == 0 {
 		t.Fatalf("warm re-solve: %v %v (want an optimal solve that pivots)", sol, err)
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := m.SolveOpts(context.Background(), warm); err != nil {
+		if _, err := m.Solve(context.Background(), seed.Basis); err != nil {
 			t.Error(err)
 		}
 	})

@@ -683,7 +683,7 @@ func (s *solver) snapshotBasis() *Basis {
 // lpResult is the outcome of one relaxation solve.
 type lpResult struct {
 	status Status
-	obj    float64   // in the model's sense
+	obj    float64   // objective value
 	vals   []float64 // structural values, length nv
 	basis  *Basis
 	stats  Stats
@@ -780,9 +780,6 @@ func (s *solver) solve(seed *Basis) (*lpResult, error) {
 		if c != 0 {
 			obj += c * vals[j]
 		}
-	}
-	if p.flip {
-		obj = -obj
 	}
 	return &lpResult{
 		status: Optimal,

@@ -19,8 +19,8 @@ import (
 // variables cost nothing extra (no mirrored columns, no bound rows,
 // no artificial columns).
 //
-// The compiled form depends only on the model structure, objective and
-// sense. A pure LP solves over its compiled bounds, which the solver
+// The compiled form depends only on the model structure and objective.
+// A pure LP solves over its compiled bounds, which the solver
 // only reads; branch-and-bound copies them into one working pair per
 // tree so nodes can tighten them without recompiling (and without
 // mutating the shared Model). Model.SetBounds re-bounds one
@@ -34,9 +34,8 @@ type problem struct {
 	colIdx [][]int32   // per column: row indices of nonzeros
 	colVal [][]float64 // per column: values of nonzeros
 	b      []float64   // right-hand sides, length m
-	cost   []float64   // minimize-sense objective, length n (slacks zero)
+	cost   []float64   // objective, length n (slacks zero)
 	lb, ub []float64   // default bounds, length n
-	flip   bool        // model sense was Maximize
 
 	// intVars are the integer-restricted structural columns whose bounds
 	// leave more than one value, in ascending order: a column pinned
@@ -108,7 +107,7 @@ func (m *Model) compile() (*problem, error) {
 		return m.prob, nil
 	}
 	nv := len(m.vars)
-	p := &problem{nv: nv, flip: m.sense == Maximize, folds: make([][]fold, nv)}
+	p := &problem{nv: nv, folds: make([][]fold, nv)}
 	for _, v := range m.vars {
 		if v.lb > v.ub+eps {
 			return nil, fmt.Errorf("lp: variable %q has empty bound range [%g,%g]", v.name, v.lb, v.ub)
@@ -161,11 +160,7 @@ func (m *Model) compile() (*problem, error) {
 		p.rebound(j, v)
 	}
 	for j, v := range m.vars {
-		obj := v.obj
-		if p.flip {
-			obj = -obj
-		}
-		p.cost[j] = obj
+		p.cost[j] = v.obj
 	}
 	for i, ci := range keep {
 		con := m.cons[ci]

@@ -37,7 +37,7 @@ func TestWarmVsColdObjectives(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, pads := timingLP(rng, 40)
-		cold1, err := m.Solve()
+		cold1, err := m.Solve(context.Background(), nil)
 		if err != nil || cold1.Status != Optimal {
 			t.Fatalf("seed %d: base solve: %+v %v", seed, cold1, err)
 		}
@@ -51,11 +51,11 @@ func TestWarmVsColdObjectives(t *testing.T) {
 			lb, ub := m.Bounds(v)
 			m.SetBounds(v, lb, ub/2)
 		}
-		cold2, err := m.SolveOpts(context.Background(), SolveOptions{})
+		cold2, err := m.Solve(context.Background(), nil)
 		if err != nil || cold2.Status != Optimal {
 			t.Fatalf("seed %d: cold re-solve: %+v %v", seed, cold2, err)
 		}
-		warm2, err := m.SolveOpts(context.Background(), SolveOptions{Warm: cold1.Basis})
+		warm2, err := m.Solve(context.Background(), cold1.Basis)
 		if err != nil || warm2.Status != Optimal {
 			t.Fatalf("seed %d: warm re-solve: %+v %v", seed, warm2, err)
 		}
@@ -102,7 +102,7 @@ func TestBnBIndependentOfGOMAXPROCS(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			var m *Model
 			m, bins = timingILP(rand.New(rand.NewSource(seed)), 25)
-			sol, err := m.Solve()
+			sol, err := m.Solve(context.Background(), nil)
 			if err != nil || sol.Status != Optimal {
 				t.Fatalf("seed %d, GOMAXPROCS=%d: %+v %v", seed, procs, sol, err)
 			}
@@ -132,7 +132,7 @@ func TestBnBIndependentOfGOMAXPROCS(t *testing.T) {
 func TestBnBWarmStartHitRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := timingILP(rng, 25)
-	sol, err := m.Solve()
+	sol, err := m.Solve(context.Background(), nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %+v %v", sol, err)
 	}
@@ -158,7 +158,7 @@ func TestCrossKernelWarmStart(t *testing.T) {
 		if dense.status != Optimal {
 			t.Fatalf("seed %d: dense cold: %+v", seed, dense)
 		}
-		luCold, err := m.SolveOpts(context.Background(), SolveOptions{})
+		luCold, err := m.Solve(context.Background(), nil)
 		if err != nil || luCold.Status != Optimal {
 			t.Fatalf("seed %d: lu cold: %+v %v", seed, luCold, err)
 		}
@@ -166,7 +166,7 @@ func TestCrossKernelWarmStart(t *testing.T) {
 			from string
 			warm *Basis
 		}{{"dense", dense.basis}, {"lu", luCold.Basis}} {
-			luWarm, err := m.SolveOpts(context.Background(), SolveOptions{Warm: c.warm})
+			luWarm, err := m.Solve(context.Background(), c.warm)
 			if err != nil || luWarm.Status != Optimal {
 				t.Fatalf("seed %d: lu warm from %s: %+v %v", seed, c.from, luWarm, err)
 			}
@@ -209,11 +209,11 @@ func TestCrossKernelWarmStartAfterBoundTightening(t *testing.T) {
 	if oracle.status != Optimal {
 		t.Fatalf("dense cold after tighten: %+v", oracle)
 	}
-	cold, err := m.SolveOpts(context.Background(), SolveOptions{})
+	cold, err := m.Solve(context.Background(), nil)
 	if err != nil || cold.Status != Optimal {
 		t.Fatalf("lu cold after tighten: %+v %v", cold, err)
 	}
-	warm, err := m.SolveOpts(context.Background(), SolveOptions{Warm: dense.basis})
+	warm, err := m.Solve(context.Background(), dense.basis)
 	if err != nil || warm.Status != Optimal {
 		t.Fatalf("lu warm after tighten: %+v %v", warm, err)
 	}
@@ -228,13 +228,13 @@ func TestCrossKernelWarmStartAfterBoundTightening(t *testing.T) {
 }
 
 // TestSolveCtxCancellation verifies that a cancelled context interrupts
-// SolveOpts before the branch-and-bound node cap is reached.
+// Solve before the branch-and-bound node cap is reached.
 func TestSolveCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := timingILP(rng, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.SolveOpts(ctx, SolveOptions{}); err == nil {
+	if _, err := m.Solve(ctx, nil); err == nil {
 		t.Fatal("cancelled context did not interrupt Solve")
 	}
 }

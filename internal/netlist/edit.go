@@ -23,8 +23,8 @@ const (
 	EditRewire
 	// EditInsertFF inserts a new flip-flop on one fanin pin of a node.
 	EditInsertFF
-	// EditRemoveFF bypasses and deletes a flip-flop, wiring its readers
-	// directly to its data input.
+	// EditRemoveFF collapses a flip-flop onto its data input, wiring its
+	// readers directly to that driver.
 	EditRemoveFF
 )
 
@@ -223,17 +223,14 @@ func (c *Circuit) ApplyEdits(edits []Edit) (*EditResult, error) {
 			if n.Kind != KindDFF {
 				return fail("node %q is %v, not DFF", e.Node, n.Kind)
 			}
-			// The FF's data input must not be an output port, and bypassing
-			// must not create a combinational self-loop through the readers;
-			// structural validity is re-checked by the caller's Validate.
+			// Collapsing must not create a combinational self-loop through
+			// the readers; structural validity is re-checked by the
+			// caller's Validate.
 			fanouts := c.Fanouts()
 			for _, reader := range fanouts[n.ID] {
 				touched(reader)
 			}
-			if err := c.Bypass(n.ID); err != nil {
-				return fail("%v", err)
-			}
-			if err := c.Remove(n.ID); err != nil {
+			if err := c.Collapse(n.ID, 0); err != nil {
 				return fail("%v", err)
 			}
 		default:

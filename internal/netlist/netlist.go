@@ -264,31 +264,6 @@ func (c *Circuit) Remove(id NodeID) error {
 	return nil
 }
 
-// Bypass rewires all fanouts of node id to read from its single fanin, so
-// that id can subsequently be removed. It fails for nodes without exactly
-// one fanin.
-func (c *Circuit) Bypass(id NodeID) error {
-	n := c.Node(id)
-	if n == nil {
-		return fmt.Errorf("netlist: bypass: no node %d", id)
-	}
-	if len(n.Fanins) != 1 {
-		return fmt.Errorf("netlist: bypass: node %q has %d fanins", n.Name, len(n.Fanins))
-	}
-	src := n.Fanins[0]
-	for _, m := range c.Nodes {
-		if m.dead || m.ID == id {
-			continue
-		}
-		for i, f := range m.Fanins {
-			if f == id {
-				m.Fanins[i] = src
-			}
-		}
-	}
-	return nil
-}
-
 // InsertAtPin creates a new single-fanin node of the given kind on exactly
 // one fanin pin of dst: the new node reads dst's current fanin at that pin
 // and dst's pin is redirected to it. Other pins of dst reading the same

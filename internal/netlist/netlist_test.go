@@ -53,34 +53,21 @@ func TestRemoveRequiresRewire(t *testing.T) {
 	if err := c.Remove(g1.ID); err == nil {
 		t.Fatal("Remove with live fanouts should fail")
 	}
-	// Bypass g2 (single-fanin) then remove it.
+	// Rewire g2's reader to g2's fanin by hand, then remove it.
 	g2 := c.ByName("g2")
-	if err := c.Bypass(g2.ID); err != nil {
-		t.Fatalf("Bypass: %v", err)
-	}
+	f2 := c.ByName("f2")
+	f2.Fanins[0] = g2.Fanins[0]
 	if err := c.Remove(g2.ID); err != nil {
-		t.Fatalf("Remove after bypass: %v", err)
+		t.Fatalf("Remove after rewire: %v", err)
 	}
 	if c.ByName("g2") != nil {
 		t.Fatal("g2 still reachable by name")
 	}
-	f2 := c.ByName("f2")
 	if f2.Fanins[0] != g1.ID {
 		t.Fatalf("f2 fanin = %d, want g1 %d", f2.Fanins[0], g1.ID)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("Validate after remove: %v", err)
-	}
-}
-
-func TestBypassErrors(t *testing.T) {
-	c := buildSmall(t)
-	g1 := c.ByName("g1") // 2 fanins
-	if err := c.Bypass(g1.ID); err == nil {
-		t.Fatal("Bypass of 2-fanin node should fail")
-	}
-	if err := c.Bypass(NodeID(999)); err == nil {
-		t.Fatal("Bypass of missing node should fail")
 	}
 }
 

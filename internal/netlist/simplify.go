@@ -9,9 +9,9 @@ package netlist
 import "fmt"
 
 // Collapse rewires every fanout of node id to read from its fanin at the
-// given pin and removes the node. Unlike Bypass, it works for nodes with
-// any number of fanins (the others are simply dropped). Collapsing a
-// primary output or a node with no fanins is an error.
+// given pin and removes the node. The node may have any number of fanins
+// (the others are simply dropped). Collapsing a primary output, a node
+// with no fanins or a node onto itself is an error.
 func (c *Circuit) Collapse(id NodeID, pin int) error {
 	n := c.Node(id)
 	if n == nil {

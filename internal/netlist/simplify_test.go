@@ -43,6 +43,41 @@ func TestCollapse(t *testing.T) {
 	if err := c.Collapse(f1.ID, 3); err == nil {
 		t.Fatal("collapse with out-of-range pin succeeded")
 	}
+	if err := c.Collapse(NodeID(999), 0); err == nil {
+		t.Fatal("collapse of missing node succeeded")
+	}
+	ring := c.MustAdd("ring", KindDFF, c.ByName("in").ID)
+	ring.Fanins[0] = ring.ID
+	if err := c.Collapse(ring.ID, 0); err == nil {
+		t.Fatal("collapse of a node onto itself succeeded")
+	}
+}
+
+// TestCollapseFlipFlopChain: a chain of flip-flops collapses link by
+// link in any order, and every order leaves the readers on the chain's
+// driver.
+func TestCollapseFlipFlopChain(t *testing.T) {
+	for _, order := range [][]string{{"f1", "f2", "f3"}, {"f3", "f2", "f1"}, {"f2", "f3", "f1"}} {
+		c := New("chain")
+		in := c.MustAdd("in", KindInput)
+		g := c.MustAdd("g", KindNot, in.ID)
+		f1 := c.MustAdd("f1", KindDFF, g.ID)
+		f2 := c.MustAdd("f2", KindDFF, f1.ID)
+		f3 := c.MustAdd("f3", KindDFF, f2.ID)
+		h := c.MustAdd("h", KindAnd, f3.ID, f1.ID)
+		out := c.MustAdd("out", KindOutput, f3.ID)
+		for _, name := range order {
+			if err := c.Collapse(c.ByName(name).ID, 0); err != nil {
+				t.Fatalf("order %v: collapse %s: %v", order, name, err)
+			}
+		}
+		if h.Fanins[0] != g.ID || h.Fanins[1] != g.ID || out.Fanins[0] != g.ID {
+			t.Fatalf("order %v: readers %v and %v, want both on g", order, h.Fanins, out.Fanins)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("order %v: %v", order, err)
+		}
+	}
 }
 
 func TestConstify(t *testing.T) {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/netlist"
 	"virtualsync/internal/prng"
@@ -117,14 +115,8 @@ func laneEngine(c *netlist.Circuit, lib *celllib.Library, T float64, cycles, lan
 // valid until those engines run again; VerifyEquivalenceLanes builds
 // fresh engines per call, so for its callers they stay valid.
 func VerifyEquivalenceLanes(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb float64, warmup int, stims [][][]bool) (*LaneReport, error) {
-	ia, ib := a.Inputs(), b.Inputs()
-	if len(ia) != len(ib) {
-		return nil, fmt.Errorf("sim: input counts differ: %d vs %d", len(ia), len(ib))
-	}
-	for i := range ia {
-		if ia[i].Name != ib[i].Name {
-			return nil, fmt.Errorf("sim: input %d name mismatch: %q vs %q", i, ia[i].Name, ib[i].Name)
-		}
+	if err := sameInputs(a, b); err != nil {
+		return nil, err
 	}
 	words, err := PackStimulus(stims)
 	if err != nil {

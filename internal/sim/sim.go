@@ -466,14 +466,8 @@ func CompareTraces(a, b Trace, warmup int) []Mismatch {
 // the same primary inputs. It is the two-event-sim oracle behind
 // CheckEquivalence.
 func VerifyEquivalenceStim(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb float64, warmup int, stim [][]bool) ([]Mismatch, error) {
-	ia, ib := a.Inputs(), b.Inputs()
-	if len(ia) != len(ib) {
-		return nil, fmt.Errorf("sim: input counts differ: %d vs %d", len(ia), len(ib))
-	}
-	for i := range ia {
-		if ia[i].Name != ib[i].Name {
-			return nil, fmt.Errorf("sim: input %d name mismatch: %q vs %q", i, ia[i].Name, ib[i].Name)
-		}
+	if err := sameInputs(a, b); err != nil {
+		return nil, err
 	}
 	cycles := len(stim)
 	sa, err := New(a, lib, Options{T: Ta, Cycles: cycles})
@@ -493,4 +487,19 @@ func VerifyEquivalenceStim(a, b *netlist.Circuit, lib *celllib.Library, Ta, Tb f
 		return nil, err
 	}
 	return CompareTraces(ta, tb, warmup), nil
+}
+
+// sameInputs reports an error unless a and b have the same primary
+// inputs, by name and in order.
+func sameInputs(a, b *netlist.Circuit) error {
+	ia, ib := a.Inputs(), b.Inputs()
+	if len(ia) != len(ib) {
+		return fmt.Errorf("sim: input counts differ: %d vs %d", len(ia), len(ib))
+	}
+	for i := range ia {
+		if ia[i].Name != ib[i].Name {
+			return fmt.Errorf("sim: input %d name mismatch: %q vs %q", i, ia[i].Name, ib[i].Name)
+		}
+	}
+	return nil
 }

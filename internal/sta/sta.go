@@ -235,19 +235,8 @@ func AnalyzeOverride(c *netlist.Circuit, lib *celllib.Library, ov Overrides) (*R
 		}
 	}
 
-	// Critical path reconstruction from the worst endpoint.
 	if r.WorstEndpoint != netlist.InvalidID {
-		var path []netlist.NodeID
-		end := c.Node(r.WorstEndpoint)
-		cur := end.Fanins[0]
-		for cur != netlist.InvalidID {
-			path = append(path, cur)
-			cur = r.pred[cur]
-		}
-		for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-			path[i], path[j] = path[j], path[i]
-		}
-		r.CriticalPath = append(path, r.WorstEndpoint)
+		r.CriticalPath = r.PathTo(c, r.WorstEndpoint)
 	}
 	return r, nil
 }
