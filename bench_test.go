@@ -541,11 +541,12 @@ func BenchmarkBitSim(b *testing.B) {
 // the same s13207 workload as BenchmarkEventSim: identical circuit,
 // period and cycle count, so lanes/s here against the event engine's
 // vectors/s is the direct per-stimulus-vector speedup of widening the
-// exact event semantics to 64 (one word) and 256 (four words) lanes.
+// exact event semantics to 64 (one word), 256 (four words) and 1024
+// (sixteen words, the width of the verify-wide benchmark workload) lanes.
 func BenchmarkWaveSim(b *testing.B) {
 	c := virtualsync.GenerateBenchmark("s13207")
 	lib := celllib.Default()
-	for _, lanes := range []int{64, 256} {
+	for _, lanes := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			words, err := sim.PackStimulus(sim.LaneStimulus(c, simBenchCycles, 0, 1, lanes))
 			if err != nil {
