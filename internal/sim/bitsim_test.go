@@ -231,3 +231,42 @@ func TestBitSimAllocFree(t *testing.T) {
 		t.Fatalf("steady-state BitSim Run allocates %.1f objects, want 0", avg)
 	}
 }
+
+// TestGateTableMatchesEvalGate holds the word evaluator to the scalar
+// engine's evalGate lane by lane, at two words per value, for every
+// kind with zero to three fanins (a kind that is not a gate evaluates
+// to zero; a gate without fanins folds nothing).
+func TestGateTableMatchesEvalGate(t *testing.T) {
+	const k, inputs = 2, 3
+	c := &netlist.Circuit{}
+	for i := 0; i < inputs; i++ {
+		c.Nodes = append(c.Nodes, &netlist.Node{ID: netlist.NodeID(i), Kind: netlist.KindInput})
+	}
+	for kind := netlist.KindInvalid; kind <= netlist.KindConst1; kind++ {
+		for n := 0; n <= inputs; n++ {
+			if n == 0 && (kind == netlist.KindBuf || kind == netlist.KindNot) {
+				continue // the scalar engine indexes their one fanin
+			}
+			fanins := []netlist.NodeID{2, 0, 1}[:n]
+			c.Nodes = append(c.Nodes, &netlist.Node{ID: netlist.NodeID(len(c.Nodes)), Kind: kind, Fanins: fanins})
+		}
+	}
+	g := newGateTable(c)
+	vals := make([]uint64, len(c.Nodes)*k)
+	for i := range vals[:inputs*k] {
+		vals[i] = 0x9E3779B97F4A7C15 * uint64(i+1)
+	}
+	dst := make([]uint64, k)
+	bools := make([]bool, len(c.Nodes))
+	for _, n := range c.Nodes[inputs:] {
+		g.eval(int32(n.ID), vals, k, dst)
+		for l := 0; l < 64*k; l++ {
+			for i := 0; i < inputs; i++ {
+				bools[i] = vals[i*k+l/64]>>(l%64)&1 == 1
+			}
+			if got, want := dst[l/64]>>(l%64)&1 == 1, evalGate(n, bools); got != want {
+				t.Fatalf("%v with %d fanins, lane %d: got %v, want %v", n.Kind, len(n.Fanins), l, got, want)
+			}
+		}
+	}
+}

@@ -122,6 +122,10 @@ func CompareBitTraces(a, b *BitTrace, warmup int) []uint64 {
 // count and input width; unused high lanes are left zero. For up to 64
 // lanes K is 1 and the layout coincides with the historical
 // one-word-per-input form.
+//
+// The shapes are checked lane by lane first, so the first ragged lane
+// is the one reported. Then each cycle is filled one output word at a
+// time from the (up to) 64 lanes it packs.
 func PackStimulus(lanes [][][]bool) ([][]uint64, error) {
 	if len(lanes) == 0 || len(lanes) > MaxLanes {
 		return nil, fmt.Errorf("sim: pack needs 1..%d lanes, got %d", MaxLanes, len(lanes))
@@ -132,25 +136,44 @@ func PackStimulus(lanes [][][]bool) ([][]uint64, error) {
 	if cycles > 0 {
 		width = len(lanes[0][0])
 	}
-	words := make([][]uint64, cycles)
-	for cyc := range words {
-		words[cyc] = make([]uint64, width*k)
-	}
 	for l, stim := range lanes {
 		if len(stim) != cycles {
 			return nil, fmt.Errorf("sim: lane %d has %d cycles, want %d", l, len(stim), cycles)
 		}
-		word, bit := l/64, uint64(1)<<(uint(l)%64)
 		for cyc, vec := range stim {
 			if len(vec) != width {
 				return nil, fmt.Errorf("sim: lane %d cycle %d has %d inputs, want %d", l, cyc, len(vec), width)
 			}
-			for i, v := range vec {
-				if v {
-					words[cyc][i*k+word] |= bit
-				}
+		}
+	}
+	words := make([][]uint64, cycles)
+	backing := make([]uint64, cycles*width*k)
+	acc := make([]uint64, width) // one word per input for the 64 lanes being packed
+	for cyc := range words {
+		out := backing[cyc*width*k : (cyc+1)*width*k : (cyc+1)*width*k]
+		words[cyc] = out
+		for word := 0; word < k; word++ {
+			clear(acc)
+			for b, stim := range lanes[word*64 : min(word*64+64, len(lanes))] {
+				orBits(acc, stim[cyc], uint(b))
+			}
+			for i, x := range acc {
+				out[i*k+word] = x
 			}
 		}
 	}
 	return words, nil
+}
+
+// orBits sets bit b of acc[i] where vec[i] is true, without a branch
+// per input (random stimulus defeats the predictor).
+func orBits(acc []uint64, vec []bool, b uint) {
+	acc = acc[:len(vec)]
+	for i, v := range vec {
+		var u uint64
+		if v {
+			u = 1
+		}
+		acc[i] |= u << b
+	}
 }

@@ -60,9 +60,11 @@ func TestWaveSimMatchesEventEngine(t *testing.T) {
 	}
 }
 
+// TestWaveSimMultiWordLanes runs WaveSim at K = 2, 3, 4 and 16 words per
+// value (1024 lanes is the verify-wide benchmark's width).
 func TestWaveSimMultiWordLanes(t *testing.T) {
 	c := waveMix(t)
-	for _, lanes := range []int{65, 130, 200} {
+	for _, lanes := range []int{65, 130, 200, 1024} {
 		const cycles = 12
 		scalar, words := packedRandom(t, c, cycles, lanes)
 		ws, err := NewWave(c, lib31(t), WaveOptions{T: 5.5, Cycles: cycles, Lanes: lanes})
