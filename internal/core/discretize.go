@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"virtualsync/internal/lp"
@@ -138,7 +139,10 @@ func (rd *chainRounder) solveValues(ctx context.Context) (*modelVars, *lp.Soluti
 // round freezes every zero request and rounds the largest open ones (at
 // most roundBatch) one edge at a time, trying the nearest rounding first
 // and the other chainCandidates after it. It ends with the value solve
-// of the round's decisions and reports done when no request was open.
+// of the round's decisions and reports done when no edge is left free:
+// when no request was open, or when the round froze the last ones. That
+// last round runs no value solve. It would write no request, and its
+// freezes are the ones its last probe already found feasible.
 func (rd *chainRounder) round(ctx context.Context) (done bool, err error) {
 	p := rd.p
 	type req struct {
@@ -179,6 +183,9 @@ func (rd *chainRounder) round(ctx context.Context) (done bool, err error) {
 		if !frozen {
 			return false, fmt.Errorf("core: buffer chain on edge %d not realizable (request %.2f)", rq.ei, rq.xi)
 		}
+	}
+	if !slices.ContainsFunc(rd.freeze, math.IsNaN) {
+		return true, nil
 	}
 	if _, sol, err := rd.solveValues(ctx); err != nil {
 		return false, err
@@ -297,34 +304,52 @@ func (p *Plan) buildChainNearest(target float64) ([]int, float64) {
 }
 
 // repairChains tries to fix validation failures by nudging the chain on
-// the violating edge, one repairStep at a time. st and vs are the result
-// of validating the current plan. It returns the remaining violations.
+// the violating edge, one step at a time (repairTarget, then
+// nudgeChain). st and vs are the result of validating the current plan.
+// It returns the remaining violations.
+//
+// The walk is deterministic: the chains decide the violations, and the
+// violations the next step. So a step that undoes the one before it,
+// putting that edge's chain and delay back, has returned the walk to a
+// state it left, and it would repeat that 2-cycle until the step cap.
+// The walk stops there, with that state's violations.
 func (p *Plan) repairChains(st *waveState, vs []Violation) []Violation {
+	last := struct {
+		ei    int
+		chain []int
+		delay float64
+		vs    []Violation
+	}{ei: -1}
 	for attempt := 0; attempt < 4*len(p.R.Edges)+8; attempt++ {
 		if len(vs) == 0 {
 			return nil
 		}
-		if !p.repairStep(st, vs) {
+		ei, lateSide := p.repairTarget(st, vs)
+		if ei < 0 {
 			return vs
 		}
+		chain, delay := slices.Clone(p.Chain[ei]), p.ChainDelay[ei]
+		if !p.nudgeChain(ei, lateSide) {
+			return vs
+		}
+		if ei == last.ei && p.ChainDelay[ei] == last.delay && slices.Equal(p.Chain[ei], last.chain) {
+			return last.vs
+		}
+		last.ei, last.chain, last.delay, last.vs = ei, chain, delay, vs
 		st, vs = p.validate(ValidateParams{})
 	}
 	return vs
 }
 
-// repairStep nudges the chain of the first repairable violation in vs,
-// validated under the wave state st: late-side failures, and a fast
-// signal that reaches a latch after it opens, shrink the chain by
-// removing or weakening its last buffer; early-side failures grow it by
-// one fastest buffer. Edge-level checks name the edge directly;
-// gate-level wave-interference picks the gate's latest or earliest
-// in-edge. It reports false when no violation is repairable or the
-// chain to shrink is empty.
-func (p *Plan) repairStep(st *waveState, vs []Violation) bool {
-	buf := p.R.Lib.Cell("BUF")
-	fastest := buf.Options[len(buf.Options)-1].Delay
-	target := -1
-	lateSide := false
+// repairTarget picks the edge whose chain to nudge for the first
+// repairable violation in vs, validated under the wave state st, and
+// the side: late-side failures, and a fast signal that reaches a latch
+// after it opens, shrink the chain; early-side failures grow it.
+// Edge-level checks name the edge directly; gate-level
+// wave-interference picks the gate's latest or earliest in-edge. It
+// returns -1 when no violation is repairable.
+func (p *Plan) repairTarget(st *waveState, vs []Violation) (target int, lateSide bool) {
+	target = -1
 	for _, v := range vs {
 		if v.Edge >= 0 {
 			switch v.Check {
@@ -340,9 +365,15 @@ func (p *Plan) repairStep(st *waveState, vs []Violation) bool {
 			break
 		}
 	}
-	if target < 0 {
-		return false
-	}
+	return target, lateSide
+}
+
+// nudgeChain grows edge target's chain by one fastest buffer, or, on the
+// late side, shrinks it by removing or weakening its last buffer. It
+// reports false when the chain to shrink is empty.
+func (p *Plan) nudgeChain(target int, lateSide bool) bool {
+	buf := p.R.Lib.Cell("BUF")
+	fastest := buf.Options[len(buf.Options)-1].Delay
 	ch := p.Chain[target]
 	if !lateSide {
 		p.Chain[target] = append(ch, len(buf.Options)-1)

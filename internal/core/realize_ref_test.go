@@ -178,14 +178,22 @@ func requireSameRealization(t testing.TB, label string, pre *Plan) *Plan {
 			return err
 		}
 		for iter := 0; iter <= len(stepped.R.Edges); iter++ {
+			// A round froze a batch, as the reference's rounds that
+			// report, when it started with an open request.
+			batch := false
+			for ei, f := range rd.freeze {
+				batch = batch || math.IsNaN(f) && stepped.XiReq[ei] > valTol
+			}
 			done, err := rd.round(ctx)
 			if err != nil {
 				return err
 			}
+			if batch {
+				gotRounds = append(gotRounds, snapshotRound(stepped, rd.freeze))
+			}
 			if done {
 				break
 			}
-			gotRounds = append(gotRounds, snapshotRound(stepped, rd.freeze))
 		}
 		if vs := stepped.Validate(); len(vs) > 0 {
 			return fmt.Errorf("core: realization invalid: %v", vs[0])

@@ -245,7 +245,7 @@ func TestRepairShrinksTransparentEarlyLatch(t *testing.T) {
 				}
 				found++
 				before := p.ChainDelay[ei]
-				if !p.repairStep(st, vs) {
+				if target, lateSide := p.repairTarget(st, vs); target != ei || !p.nudgeChain(target, lateSide) {
 					t.Fatalf("edge %d, N %d, phase %g: no repair step taken", ei, n, ph)
 				}
 				if p.ChainDelay[ei] >= before {
