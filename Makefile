@@ -79,7 +79,12 @@ cover:
 # kernel scratch buffers, and the wave target (word-parallel WaveSim vs
 # the scalar event engine on optimizer-produced circuits, every lane, no
 # calibration escape) races the event arena and per-lane projection
-# state. FuzzPropagateVsReference holds the wave validator's scheduled
+# state. FuzzWaveSimAgainstEventSim holds WaveSim to the scalar event
+# engine without optimizing: decoded circuits with some flip-flops
+# phase-shifted or turned into latches, at periods down to a quarter of
+# the minimum; it runs about three times as many inputs per second as
+# the wave target, and every decodable one reaches the comparison.
+# FuzzPropagateVsReference holds the wave validator's scheduled
 # sweep to the original all-edges sweep on fuzz-built plans: bit for bit
 # except sub-1e-9 rounding drift and transparent-latch rings the old
 # sweep settles only past its bound (DESIGN.md §5.1). FuzzEventQueue
@@ -106,6 +111,7 @@ fuzz-short:
 	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzBitSimAgainstEventSim -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzWaveBitSimAgainstEventSim -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/verify -run '^$$' -fuzz FuzzWaveBitSimAgainstEventSim -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzWaveSimAgainstEventSim -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run '^$$' -fuzz FuzzIncrementalECO -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)
 	$(GO) test -race ./internal/lp -run '^$$' -fuzz FuzzLUFactorVsDense -fuzztime $(FUZZTIME)

@@ -15,21 +15,30 @@ import (
 // waves — so wave-pipelined optimized circuits verify bit-parallel
 // instead of one event simulation per vector.
 //
-// Exactness per lane is by construction, not approximation. Event
-// *times* in the transport-delay model depend only on the commit time
-// of the cause and a per-node delay, never on logic values, so the set
-// of instants at which lane l's scalar engine would commit a change is
-// a subset of the word engine's instants. Each word event additionally
-// carries a lane *mask* of the lanes whose value actually changed at
-// its cause (the lanes for which the scalar engine would have scheduled
-// that event); commits apply only masked lanes, gate outputs are
-// evaluated at schedule time from the committed word state exactly as
-// the scalar engine evaluates at schedule time, and the queue ordering
-// (time, kind, FIFO) is preserved because merged events are pushed in
-// the same causal order as their scalar counterparts. Lane l of a
-// WaveSim run therefore reproduces the scalar engine's committed value
-// trajectory — including glitches — bit for bit; the differential
-// tests and FuzzWaveBitSimAgainstEventSim pin this.
+// Exactness per lane is by construction, not approximation: after
+// every instant each lane's state equals the scalar engine's, and so
+// does every sample. Event *times* in the transport-delay model depend
+// only on the commit time of the cause and a per-node delay, never on
+// logic values, so the instants at which lane l's scalar engine commits
+// a change are among the word engine's instants. Each word event
+// carries a lane *mask* of the lanes whose cause actually changed, and
+// commits apply only masked lanes. A gate's value at the end of an
+// instant is its function of its fanins at the end of the instant one
+// gate delay earlier: the scalar engine schedules the gate at every
+// fanin commit and the last of those events carries that value, the
+// earlier ones being zero-width glitches. WaveSim schedules it once
+// per drained queue key instead (flush), from the key's final state,
+// for the union of the lanes its fanins changed. An open latch still
+// passes each commit of its data input on, as in the scalar engine,
+// and ends an instant on its input's last value. Clock actions sort
+// before input and signal commits at an instant, so every flip-flop,
+// latch and output sample reads a settled instant, never a glitch.
+// What WaveSim does not reproduce is the zero-width glitches
+// themselves. The argument needs every gate to start equal to its
+// function of its fanins, so NewWave rejects combinational cycles and
+// the initial settle is one topological pass. The differential tests,
+// FuzzWaveSimAgainstEventSim and FuzzWaveBitSimAgainstEventSim hold
+// every lane to the scalar engine from cycle 0.
 //
 // The per-lane pending projection (used to suppress redundant
 // flip-flop/latch response events) relies on per-node event times being
@@ -42,7 +51,7 @@ type WaveSim struct {
 	k    int // words per value
 
 	gates   gateTable
-	comb    []int32 // combinational gates in node order (the settle loop)
+	comb    []int32 // combinational gates in topological order (the settle pass)
 	consts  []int32 // KindConst1 nodes
 	clocked []int32 // flip-flops, latches and primary outputs in node order
 	phase   []float64
@@ -66,13 +75,20 @@ type WaveSim struct {
 	arena     []uint64
 	freeSlots []int32
 
+	// evalSlot holds, per gate, the arena slot of its evaluation
+	// pending in the key being drained (-1 when none): the slot's mask
+	// words accumulate the lanes its fanins changed, and flush evaluates
+	// it once. touched lists those gates in first-touch order.
+	evalSlot []int32
+	touched  []int32
+
 	latchOpenAt []float64
 	latchOpen   []bool
 
 	traceRef [][]uint64 // per-node alias into trace.Words (nil if untraced)
 	trace    BitTrace
 	changed  []uint64 // k scratch words: lanes changed by a commit
-	maskBuf  []uint64 // k scratch words: the settle loop's gate output, respond's mask
+	maskBuf  []uint64 // k scratch words: respond's mask
 }
 
 // WaveOptions configures a word-parallel continuous-time run.
@@ -93,14 +109,18 @@ type wevent struct {
 }
 
 // NewWave prepares a word-parallel continuous-time simulator. The
-// circuit must be structurally valid; any circuit the scalar engine
-// accepts is accepted here.
+// circuit must be structurally valid and free of combinational cycles:
+// per-instant exactness needs the initial settle to reach a fixpoint.
 func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveSim, error) {
 	if opts.T <= 0 || opts.Cycles <= 0 {
 		return nil, fmt.Errorf("sim: need positive period and cycle count")
 	}
 	if opts.Lanes < 1 || opts.Lanes > MaxLanes {
 		return nil, fmt.Errorf("sim: lane count %d outside 1..%d", opts.Lanes, MaxLanes)
+	}
+	order, err := c.TopoOrder()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %v", err)
 	}
 	delays := make([]float64, len(c.Nodes))
 	for _, n := range c.Nodes {
@@ -127,6 +147,7 @@ func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveS
 		projVal:     make([]uint64, len(c.Nodes)*k),
 		projMask:    make([]uint64, len(c.Nodes)*k),
 		pendCount:   make([]int32, len(c.Nodes)),
+		evalSlot:    make([]int32, len(c.Nodes)),
 		latchOpenAt: make([]float64, len(c.Nodes)),
 		latchOpen:   make([]bool, len(c.Nodes)),
 		traceRef:    make([][]uint64, len(c.Nodes)),
@@ -136,6 +157,7 @@ func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveS
 	}
 	for i := range s.inputIdx {
 		s.inputIdx[i] = -1
+		s.evalSlot[i] = -1
 	}
 	for i, id := range s.inputs {
 		s.inputIdx[id] = int32(i)
@@ -146,6 +168,11 @@ func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveS
 		}
 		s.foStart[id+1] = int32(len(s.fos))
 	}
+	for _, n := range order {
+		if n.Kind.IsCombinational() {
+			s.comb = append(s.comb, int32(n.ID))
+		}
+	}
 	for _, n := range c.Nodes {
 		if n.Dead() {
 			continue
@@ -153,8 +180,6 @@ func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveS
 		id := int32(n.ID)
 		s.phase[id] = n.Phase
 		switch {
-		case n.Kind.IsCombinational():
-			s.comb = append(s.comb, id)
 		case n.Kind == netlist.KindConst1:
 			s.consts = append(s.consts, id)
 		case n.Kind == netlist.KindDFF, n.Kind == netlist.KindLatch, n.Kind == netlist.KindOutput:
@@ -228,6 +253,21 @@ func (s *WaveSim) Run(stim [][]uint64) (*BitTrace, error) {
 			return nil, fmt.Errorf("sim: cycle %d stimulus has %d words for %d inputs at K=%d", cyc, len(vec), len(s.inputs), s.k)
 		}
 	}
+	s.start()
+	horizon := float64(s.opts.Cycles)*s.opts.T + 10*s.opts.T
+	for {
+		key, ok := s.queue.next()
+		if !ok || key.time > horizon {
+			break
+		}
+		s.drain(key, stim)
+	}
+	return &s.trace, nil
+}
+
+// start returns the engine to its power-on state, settles it and
+// schedules every clock action and input change of the run.
+func (s *WaveSim) start() {
 	s.reset()
 	T := s.opts.T
 
@@ -239,25 +279,12 @@ func (s *WaveSim) Run(stim [][]uint64) (*BitTrace, error) {
 		}
 	}
 
-	// Settle initial combinational values, mirroring the scalar
-	// engine's bounded Gauss-Seidel passes in node order. Lanes settle
-	// independently (gate evaluation is lanewise), and a lane that has
-	// reached its fixpoint is untouched by further passes, so the
-	// per-lane end states match the scalar engine's.
-	for pass := 0; pass < len(s.gates.rows)+2; pass++ {
-		var changed uint64
-		for _, id := range s.comb {
-			s.gates.eval(id, s.vals, s.k, s.maskBuf)
-			v := s.val(id)
-			nv := s.maskBuf[:len(v)]
-			for w := range v {
-				changed |= v[w] ^ nv[w]
-				v[w] = nv[w]
-			}
-		}
-		if changed == 0 {
-			break
-		}
+	// Settle initial combinational values in one topological pass. On
+	// an acyclic circuit this is the fixpoint the scalar engine's
+	// Gauss-Seidel passes reach, so every gate starts equal to its
+	// function of its fanins.
+	for _, id := range s.comb {
+		s.gates.eval(id, s.vals, s.k, s.val(id))
 	}
 
 	// Schedule all clock actions and input changes up front, in the
@@ -281,33 +308,46 @@ func (s *WaveSim) Run(stim [][]uint64) (*BitTrace, error) {
 			}
 		}
 	}
+}
 
-	horizon := float64(s.opts.Cycles)*T + 10*T
+// drain commits every event queued under key, the key the queue's next
+// has just popped, then flushes the gate evaluations the commits
+// touched.
+func (s *WaveSim) drain(key qkey, stim [][]uint64) {
 	for {
-		key, ok := s.queue.next()
-		if !ok || key.time > horizon {
+		e, ok := s.queue.take()
+		if !ok {
 			break
 		}
-		for {
-			e, ok := s.queue.take()
-			if !ok {
-				break
-			}
-			switch key.kind {
-			case evInput:
-				i := int(s.inputIdx[e.node]) * s.k
-				s.setWords(e.node, stim[e.cycle][i:i+s.k:i+s.k], nil, key.time)
-			case evSignal:
-				s.popped(e.node)
-				v, m := s.slot(e.slot)
-				s.setWords(e.node, v, m, key.time)
-				s.freeSlots = append(s.freeSlots, e.slot)
-			case evClock:
-				s.clockAction(key.time, &e)
-			}
+		switch key.kind {
+		case evInput:
+			i := int(s.inputIdx[e.node]) * s.k
+			s.setWords(e.node, stim[e.cycle][i:i+s.k:i+s.k], nil, key.time)
+		case evSignal:
+			s.popped(e.node)
+			v, m := s.slot(e.slot)
+			s.setWords(e.node, v, m, key.time)
+			s.freeSlots = append(s.freeSlots, e.slot)
+		case evClock:
+			s.clockAction(key.time, &e)
 		}
 	}
-	return &s.trace, nil
+	s.flush(key.time)
+}
+
+// flush evaluates every gate whose fanins changed under the key just
+// drained, once, from the key's final committed state, and schedules
+// one event for the union of the lanes that changed (the WaveSim
+// comment says why that is exact).
+func (s *WaveSim) flush(now float64) {
+	for _, id := range s.touched {
+		slot := s.evalSlot[id]
+		s.evalSlot[id] = -1
+		v, m := s.slot(slot)
+		s.gates.eval(id, s.vals, s.k, v)
+		s.push(now+s.delays[id], id, slot, m)
+	}
+	s.touched = s.touched[:0]
 }
 
 // clockAction handles flip-flop edges, latch close/open edges and
@@ -355,8 +395,9 @@ func (s *WaveSim) respond(id int32, cycle int, at float64) {
 }
 
 // push queues a signal event for id whose value words are already in
-// slot: it writes mask m into the slot's mask words and folds the event
-// into the per-lane pending projection in the same pass.
+// slot: it writes mask m (which may be the slot's own mask words) into
+// the slot's mask words and folds the event into the per-lane pending
+// projection in the same pass.
 func (s *WaveSim) push(t float64, id, slot int32, m []uint64) {
 	s.queue.push(t, evSignal, wevent{node: id, slot: slot})
 	s.pendCount[id]++
@@ -389,9 +430,11 @@ func (s *WaveSim) popped(id int32) {
 
 // setWords commits a masked value change and propagates to fanouts. A
 // nil mask means all lanes (primary-input changes). Only lanes whose
-// value actually flips propagate: downstream events carry that changed
-// set as their mask, so lanes the scalar engine would not have touched
-// are never affected.
+// value actually flips propagate: a combinational fanout ORs that
+// changed set into the mask of its pending evaluation, which flush
+// schedules once the key drains, and an open latch fanout is scheduled
+// at once under that mask, so lanes the scalar engine would not have
+// touched are never affected.
 func (s *WaveSim) setWords(id int32, d, mask []uint64, now float64) {
 	k := s.k
 	b := int(id) * k
@@ -422,10 +465,20 @@ func (s *WaveSim) setWords(id int32, d, mask []uint64, now float64) {
 		kind := s.gates.kind(fo)
 		switch {
 		case kind.IsCombinational():
-			slot := s.alloc()
-			sv, _ := s.slot(slot)
-			s.gates.eval(fo, s.vals, k, sv)
-			s.push(now+s.delays[fo], fo, slot, ch)
+			slot := s.evalSlot[fo]
+			if slot < 0 {
+				slot = s.alloc()
+				s.evalSlot[fo] = slot
+				s.touched = append(s.touched, fo)
+				_, m := s.slot(slot)
+				copy(m, ch)
+				break
+			}
+			_, m := s.slot(slot)
+			m = m[:len(ch)]
+			for w := range m {
+				m[w] |= ch[w]
+			}
 		case kind == netlist.KindLatch:
 			if !s.latchOpen[fo] {
 				break

@@ -108,6 +108,63 @@ func TestWaveSimReusedAcrossRuns(t *testing.T) {
 	compareAllLanes(t, c, 6, cycles, 0, scalarA, bt)
 }
 
+// TestWaveSimOneEventPerGateAndInstant pins the coalescing of
+// same-instant fanin changes. Input a reaches XOR x through a buffer and
+// an inverter of equal delay, and input b through a third buffer, so
+// three fanins of x commit under one key and the scalar engine
+// schedules x three times per instant (two zero-width glitches that
+// would ripple down the chain). WaveSim must queue at most one signal
+// event per gate per key and still match the scalar engine on every
+// lane. b commits first, so x's event must carry the lanes of every
+// commit, not only the last one's.
+func TestWaveSimOneEventPerGateAndInstant(t *testing.T) {
+	c := netlist.New("reconv")
+	b := c.MustAdd("b", netlist.KindInput)
+	a := c.MustAdd("a", netlist.KindInput)
+	pb := c.MustAdd("pb", netlist.KindBuf, b.ID)
+	pa := c.MustAdd("pa", netlist.KindBuf, a.ID)
+	na := c.MustAdd("na", netlist.KindNot, a.ID)
+	x := c.MustAdd("x", netlist.KindXor, pa.ID, na.ID, pb.ID)
+	c1 := c.MustAdd("c1", netlist.KindBuf, x.ID)
+	c2 := c.MustAdd("c2", netlist.KindNot, c1.ID)
+	f := c.MustAdd("F", netlist.KindDFF, c2.ID)
+	c.MustAdd("out", netlist.KindOutput, f.ID)
+
+	const cycles, T = 16, 20.0
+	scalar, words := packedRandom(t, c, cycles, 64)
+	ws, err := NewWave(c, lib31(t), WaveOptions{T: T, Cycles: cycles, Lanes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run's loop, counting each signal key's events per node before the
+	// key drains.
+	ws.start()
+	perKey := make(map[int32]int)
+	events := 0
+	for {
+		key, ok := ws.queue.next()
+		if !ok {
+			break
+		}
+		if key.kind == evSignal {
+			clear(perKey)
+			q := &ws.queue
+			for it := q.buckets[q.cur].head; it >= 0; it = q.items[it].next {
+				id := q.items[it].e.node
+				if perKey[id]++; perKey[id] > 1 {
+					t.Fatalf("%d events for %s queued at t=%g", perKey[id], c.Node(netlist.NodeID(id)).Name, key.time)
+				}
+				events++
+			}
+		}
+		ws.drain(key, words)
+	}
+	if events == 0 {
+		t.Fatal("no signal events queued")
+	}
+	compareAllLanes(t, c, T, cycles, 0, scalar, &ws.trace)
+}
+
 func TestWaveSimAllocFree(t *testing.T) {
 	c := waveMix(t)
 	const cycles = 16
@@ -140,6 +197,15 @@ func TestWaveSimRejects(t *testing.T) {
 	}
 	if _, err := NewWave(c, lib, WaveOptions{T: 10, Cycles: 4, Lanes: MaxLanes + 1}); err == nil {
 		t.Fatal("oversized lane count should be rejected")
+	}
+	loop := netlist.New("loop")
+	in := loop.MustAdd("in", netlist.KindInput)
+	g1 := loop.MustAdd("g1", netlist.KindAnd, in.ID, in.ID)
+	g2 := loop.MustAdd("g2", netlist.KindNot, g1.ID)
+	g1.Fanins[1] = g2.ID // combinational feedback: no settled start state
+	loop.MustAdd("out", netlist.KindOutput, g2.ID)
+	if _, err := NewWave(loop, lib, WaveOptions{T: 10, Cycles: 4, Lanes: 1}); err == nil {
+		t.Fatal("combinational cycle should be rejected")
 	}
 	ws, err := NewWave(c, lib, WaveOptions{T: 10, Cycles: 4, Lanes: 64})
 	if err != nil {

@@ -17,17 +17,25 @@ import (
 	"virtualsync/internal/celllib"
 	"virtualsync/internal/core"
 	"virtualsync/internal/gen"
+	"virtualsync/internal/netlist"
 	"virtualsync/internal/prng"
 	"virtualsync/internal/sim"
+	"virtualsync/internal/sta"
 )
 
+var fuzzSeedCases = [][]byte{
+	{},
+	{0, 0, 0},
+	{2, 0, 1, 1, 6, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+	{200, 1, 7, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+	{9, 2, 2, 1, 4, 250, 13, 40, 7, 99, 3, 18, 5, 77, 1, 0, 254, 6, 21, 8},
+	{1, 1, 6, 2, 4, 128, 64, 32, 16, 8, 4, 2, 1, 0, 255, 127, 63, 31, 15, 7, 3},
+}
+
 func fuzzSeeds(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0})
-	f.Add([]byte{2, 0, 1, 1, 6, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{200, 1, 7, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add([]byte{9, 2, 2, 1, 4, 250, 13, 40, 7, 99, 3, 18, 5, 77, 1, 0, 254, 6, 21, 8})
-	f.Add([]byte{1, 1, 6, 2, 4, 128, 64, 32, 16, 8, 4, 2, 1, 0, 255, 127, 63, 31, 15, 7, 3})
+	for _, data := range fuzzSeedCases {
+		f.Add(data)
+	}
 }
 
 // FuzzOptimizeEquivalence is the flagship target: decode, run the whole
@@ -228,6 +236,95 @@ func FuzzWaveBitSimAgainstEventSim(f *testing.F) {
 			if mm := sim.CompareTraces(ref, lane, 0); len(mm) != 0 {
 				t.Fatalf("lane %d diverges from event engine at T=%g: %v\noptimized circuit:\n%s",
 					l, res.Period, mm[0], res.Circuit.String())
+			}
+		}
+	})
+}
+
+// FuzzWaveSimAgainstEventSim is WaveSim's fast differential target.
+// It runs no optimization, so every decodable input reaches the lane
+// comparison, and it runs about three times as many inputs per second
+// as FuzzWaveBitSimAgainstEventSim, which optimizes every case. data
+// decodes to a circuit (gen.DecodeCase); knobs reshape it into the
+// timing regimes the optimizer emits. One knob byte per flip-flop, in
+// node order, keeps it (b%3 == 0), gives it phase (b/3)/86 (b%3 == 1)
+// or turns it into a latch of that phase (b%3 == 2); the next byte b
+// picks T = (0.25 + b/128) times the circuit's minimum period, below
+// it for b < 96, where logic waves from adjacent cycles overlap. A
+// 64-lane WaveSim run must then match the scalar event engine on
+// every lane, cycle for cycle, from cycle 0.
+func FuzzWaveSimAgainstEventSim(f *testing.F) {
+	for i, data := range fuzzSeedCases {
+		f.Add(data, []byte{})
+		f.Add(data, []byte{1, 2, 4, 5, 7, 8, 10, 11, 13, 14, byte(16 * i)})
+		f.Add(data, []byte{254, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 255})
+	}
+	lib := celllib.Default()
+	const lanes = 64
+	f.Fuzz(func(t *testing.T, data, knobs []byte) {
+		d, err := gen.DecodeCase(data)
+		if err != nil {
+			return
+		}
+		c := d.Circuit
+		Tmin, err := sta.MinPeriod(c, lib)
+		if err != nil {
+			t.Fatalf("decoded circuit has no period: %v", err)
+		}
+		knob := func(i int) byte {
+			if i < len(knobs) {
+				return knobs[i]
+			}
+			return 0
+		}
+		i := 0
+		for _, n := range c.Nodes {
+			if n.Dead() || n.Kind != netlist.KindDFF {
+				continue
+			}
+			b := knob(i)
+			i++
+			if b%3 == 2 {
+				n.Kind = netlist.KindLatch
+			}
+			if b%3 != 0 {
+				n.Phase = float64(b/3) / 86
+			}
+		}
+		T := Tmin * (0.25 + float64(knob(i))/128)
+		seeds := prng.LaneSeeds(d.StimSeed, lanes)
+		scalar := make([][][]bool, len(seeds))
+		for l, seed := range seeds {
+			scalar[l] = sim.RandomStimulus(c, d.Cycles, seed)
+		}
+		words, err := sim.PackStimulus(scalar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := sim.NewWave(c, lib, sim.WaveOptions{T: T, Cycles: d.Cycles, Lanes: lanes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bt, err := ws.Run(words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := sim.New(c, lib, sim.Options{T: T, Cycles: d.Cycles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range scalar {
+			ref, err := ev.Run(scalar[l])
+			if err != nil {
+				t.Fatal(err)
+			}
+			lane, err := bt.Lane(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mm := sim.CompareTraces(ref, lane, 0); len(mm) != 0 {
+				t.Fatalf("lane %d diverges from event engine at T=%g: %v\ncircuit:\n%s",
+					l, T, mm[0], c.String())
 			}
 		}
 	})
