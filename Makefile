@@ -78,12 +78,14 @@ cover:
 # warm-started, vs a cold solve on the test-only dense oracle) races the
 # kernel scratch buffers, and the wave target (word-parallel WaveSim vs
 # the scalar event engine on optimizer-produced circuits, every lane, no
-# calibration escape) races the event arena and per-lane projection
-# state. FuzzWaveSimAgainstEventSim holds WaveSim to the scalar event
+# calibration escape) races the event arena and the marked-node list.
+# FuzzWaveSimAgainstEventSim holds WaveSim to the scalar event
 # engine without optimizing: decoded circuits with some flip-flops
 # phase-shifted or turned into latches, at periods down to a quarter of
-# the minimum; it runs about three times as many inputs per second as
-# the wave target, and every decodable one reaches the comparison.
+# the minimum and latch Tdq up to 17x the default library's; it runs
+# about three times as many inputs per second as the wave target, and
+# every decodable one within WaveSim's latch bound reaches the
+# comparison.
 # FuzzPropagateVsReference holds the wave validator's scheduled
 # sweep to the original all-edges sweep on fuzz-built plans: bit for bit
 # except sub-1e-9 rounding drift and transparent-latch rings the old

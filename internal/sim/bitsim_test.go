@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"virtualsync/internal/celllib"
 	"virtualsync/internal/netlist"
 )
 
@@ -25,7 +26,12 @@ func packedRandom(t *testing.T, c *netlist.Circuit, cycles, lanes int) ([][][]bo
 // engine and checks the corresponding BitTrace lane cycle for cycle.
 func compareAllLanes(t *testing.T, c *netlist.Circuit, T float64, cycles, warmup int, scalar [][][]bool, bt *BitTrace) {
 	t.Helper()
-	lib := lib31(t)
+	compareAllLanesLib(t, c, lib31(t), T, cycles, warmup, scalar, bt)
+}
+
+// compareAllLanesLib is compareAllLanes with the event engine on lib.
+func compareAllLanesLib(t *testing.T, c *netlist.Circuit, lib *celllib.Library, T float64, cycles, warmup int, scalar [][][]bool, bt *BitTrace) {
+	t.Helper()
 	for l := range scalar {
 		s, err := New(c, lib, Options{T: T, Cycles: cycles})
 		if err != nil {

@@ -25,16 +25,6 @@ type LaneReport struct {
 	TraceA, TraceB   *BitTrace
 }
 
-// Fail reports whether any compared lane disagreed.
-func (r *LaneReport) Fail() bool {
-	for _, w := range r.Mask {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // FlaggedLanes counts the lanes the comparison flagged.
 func (r *LaneReport) FlaggedLanes() int { return MaskLanes(r.Mask) }
 

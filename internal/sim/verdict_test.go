@@ -76,3 +76,33 @@ func TestCheckEquivalenceWide(t *testing.T) {
 		t.Fatal("pair with different inputs produced a verdict")
 	}
 }
+
+// TestCheckEquivalenceLatchBoundToOracle: with a latch Tdq past
+// WaveSim's monotonicity bound the word engines cannot run the latch
+// side, so the pair goes to the lane-0 oracle, which still decides.
+func TestCheckEquivalenceLatchBoundToOracle(t *testing.T) {
+	lib := libTdq(t, 6)
+	const T, lanes = 4, 96
+	a := waveMix(t)
+	stims := LaneStimulus(a, 12, 2, 42, lanes)
+	v, err := CheckEquivalence(a, waveMix(t), lib, T, T, 2, stims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.OK() || v.FastPath || v.Lanes != 1 {
+		t.Fatalf("identical pair past the bound: %+v, want OK from the oracle alone", v)
+	}
+	b := waveMix(t)
+	b.ByName("x").Kind = netlist.KindXnor
+	v, err = CheckEquivalence(a, b, lib, T, T, 2, stims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := VerifyEquivalenceStim(a, b, lib, T, T, 2, stims[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) == 0 || v.OK() || v.FastPath || v.FailLane != 0 || len(v.Mismatches) != len(ms) {
+		t.Fatalf("XOR-vs-XNOR past the bound: %+v, want the oracle's %d mismatches at lane 0", v, len(ms))
+	}
+}

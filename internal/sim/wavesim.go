@@ -20,31 +20,37 @@ import (
 // does every sample. Event *times* in the transport-delay model depend
 // only on the commit time of the cause and a per-node delay, never on
 // logic values, so the instants at which lane l's scalar engine commits
-// a change are among the word engine's instants. Each word event
-// carries a lane *mask* of the lanes whose cause actually changed, and
-// commits apply only masked lanes. A gate's value at the end of an
-// instant is its function of its fanins at the end of the instant one
-// gate delay earlier: the scalar engine schedules the gate at every
-// fanin commit and the last of those events carries that value, the
-// earlier ones being zero-width glitches. WaveSim schedules it once
-// per drained queue key instead (flush), from the key's final state,
-// for the union of the lanes its fanins changed. An open latch still
-// passes each commit of its data input on, as in the scalar engine,
-// and ends an instant on its input's last value. Clock actions sort
-// before input and signal commits at an instant, so every flip-flop,
-// latch and output sample reads a settled instant, never a glitch.
-// What WaveSim does not reproduce is the zero-width glitches
-// themselves. The argument needs every gate to start equal to its
-// function of its fanins, so NewWave rejects combinational cycles and
-// the initial settle is one topological pass. The differential tests,
-// FuzzWaveSimAgainstEventSim and FuzzWaveBitSimAgainstEventSim hold
-// every lane to the scalar engine from cycle 0.
+// a change are among the word engine's instants. Every word event
+// carries value words for all lanes, and a commit writes all of them.
+// That is exact because every node's event times are nondecreasing in
+// push order — gates at now+delay, flip-flops at edge+Tcq, latches at
+// open+Tcq or max(now+Tdq, open+Tcq) — so the newest event of a node
+// commits last, and because each node's newest event always holds what
+// the scalar engine would schedule now: a gate's is its function of its
+// fanins (every gate starts equal to it, and is re-evaluated whenever a
+// fanin changes), a flip-flop's or latch's is its data input as of its
+// last capture or, while the latch is open, as of now. A lane whose
+// cause did not change at the push instant therefore already holds the
+// event's value when it commits, and the commit leaves it alone.
 //
-// The per-lane pending projection (used to suppress redundant
-// flip-flop/latch response events) relies on per-node event times being
-// monotone nondecreasing — each push's time is its cause's commit time
-// plus a fixed or floored positive delay — so the newest push is the
-// latest pending event for every lane it masks.
+// A node is scheduled once per drained queue key (flush), from the
+// key's final state, if any lane of a fanin changed: a gate gets its
+// function of its fanins one gate delay later, an open latch its data
+// input. The scalar engine schedules at every fanin commit, and all but
+// the last of one instant's events are zero-width glitches, which is
+// what WaveSim does not reproduce. Clock actions sort before input and
+// signal commits at an instant, so every flip-flop, latch and output
+// sample reads a settled instant, never a glitch.
+//
+// The argument has two preconditions, and NewWave rejects a circuit
+// that breaks either: the initial settle must reach every gate's
+// function of its fanins, so there may be no combinational cycle (and
+// the settle is one topological pass), and latch times must stay
+// monotone across a closed phase, which holds while Latch.Tdq−Latch.Tcq
+// is at most the LatchDuty·T for which a latch is opaque. The
+// differential tests, FuzzWaveSimAgainstEventSim and
+// FuzzWaveBitSimAgainstEventSim hold every lane to the scalar engine
+// from cycle 0.
 type WaveSim struct {
 	lib  *celllib.Library
 	opts WaveOptions
@@ -62,33 +68,27 @@ type WaveSim struct {
 	inputIdx []int32 // node -> index in inputs, -1 otherwise
 	delays   []float64
 
-	vals      []uint64 // current value words, k per node
-	projVal   []uint64 // value after pending commits, k per node (valid where projMask set)
-	projMask  []uint64 // lanes with >=1 pending signal event, k per node
-	pendCount []int32  // pending signal events per node
+	vals []uint64 // current value words, k per node
 
 	queue eventQueue[wevent]
 
-	// arena backs event value+mask words: 2k words per slot (value,
-	// then mask), recycled through freeSlots. Slices into it are never
-	// retained across an alloc (which may grow the backing array).
+	// arena backs event value words: k words per slot, recycled
+	// through freeSlots. Slices into it are never retained across an
+	// alloc (which may grow the backing array).
 	arena     []uint64
 	freeSlots []int32
 
-	// evalSlot holds, per gate, the arena slot of its evaluation
-	// pending in the key being drained (-1 when none): the slot's mask
-	// words accumulate the lanes its fanins changed, and flush evaluates
-	// it once. touched lists those gates in first-touch order.
-	evalSlot []int32
-	touched  []int32
+	// touched lists, in first-touch order, the gates and open latches
+	// whose fanin changed in the key being drained; marked flags them.
+	// flush schedules each once.
+	marked  []bool
+	touched []int32
 
 	latchOpenAt []float64
 	latchOpen   []bool
 
 	traceRef [][]uint64 // per-node alias into trace.Words (nil if untraced)
 	trace    BitTrace
-	changed  []uint64 // k scratch words: lanes changed by a commit
-	maskBuf  []uint64 // k scratch words: respond's mask
 }
 
 // WaveOptions configures a word-parallel continuous-time run.
@@ -99,7 +99,7 @@ type WaveOptions struct {
 }
 
 // wevent mirrors the scalar engine's event payload, with the bool value
-// replaced by an arena slot holding k value words and k mask words.
+// replaced by an arena slot holding k value words.
 // For latch clock events open distinguishes the opening edge.
 type wevent struct {
 	node  int32
@@ -109,8 +109,11 @@ type wevent struct {
 }
 
 // NewWave prepares a word-parallel continuous-time simulator. The
-// circuit must be structurally valid and free of combinational cycles:
-// per-instant exactness needs the initial settle to reach a fixpoint.
+// circuit must be structurally valid and free of combinational cycles,
+// and if it has latches, lib's Latch.Tdq may exceed Latch.Tcq by at
+// most the LatchDuty·T a latch is opaque: per-lane exactness needs the
+// initial settle to reach a fixpoint and latch event times to be
+// monotone (the WaveSim comment says why).
 func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveSim, error) {
 	if opts.T <= 0 || opts.Cycles <= 0 {
 		return nil, fmt.Errorf("sim: need positive period and cycle count")
@@ -131,6 +134,10 @@ func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveS
 		if delays[n.ID], err = lib.Delay(n); err != nil {
 			return nil, fmt.Errorf("sim: %v", err)
 		}
+		if n.Kind == netlist.KindLatch && lib.Latch.Tdq-lib.Latch.Tcq > netlist.LatchDuty*opts.T {
+			return nil, fmt.Errorf("sim: latch Tdq %g exceeds Tcq %g by more than the opaque %g of period %g",
+				lib.Latch.Tdq, lib.Latch.Tcq, netlist.LatchDuty*opts.T, opts.T)
+		}
 	}
 	k := laneWords(opts.Lanes)
 	s := &WaveSim{
@@ -144,20 +151,14 @@ func NewWave(c *netlist.Circuit, lib *celllib.Library, opts WaveOptions) (*WaveS
 		inputIdx:    make([]int32, len(c.Nodes)),
 		delays:      delays,
 		vals:        make([]uint64, len(c.Nodes)*k),
-		projVal:     make([]uint64, len(c.Nodes)*k),
-		projMask:    make([]uint64, len(c.Nodes)*k),
-		pendCount:   make([]int32, len(c.Nodes)),
-		evalSlot:    make([]int32, len(c.Nodes)),
+		marked:      make([]bool, len(c.Nodes)),
 		latchOpenAt: make([]float64, len(c.Nodes)),
 		latchOpen:   make([]bool, len(c.Nodes)),
 		traceRef:    make([][]uint64, len(c.Nodes)),
 		trace:       BitTrace{Lanes: opts.Lanes, K: k, Words: make(map[string][]uint64)},
-		changed:     make([]uint64, k),
-		maskBuf:     make([]uint64, k),
 	}
 	for i := range s.inputIdx {
 		s.inputIdx[i] = -1
-		s.evalSlot[i] = -1
 	}
 	for i, id := range s.inputs {
 		s.inputIdx[id] = int32(i)
@@ -198,15 +199,14 @@ func (s *WaveSim) val(id int32) []uint64 {
 	return s.vals[b : b+s.k : b+s.k]
 }
 
-// slot returns the value and mask words of arena slot.
-func (s *WaveSim) slot(slot int32) (v, m []uint64) {
-	k := s.k
-	off := int(slot) * 2 * k
-	return s.arena[off : off+k : off+k], s.arena[off+k : off+2*k : off+2*k]
+// slot returns the value words of arena slot.
+func (s *WaveSim) slot(slot int32) []uint64 {
+	off := int(slot) * s.k
+	return s.arena[off : off+s.k : off+s.k]
 }
 
 // alloc returns a free arena slot. Its words are stale: every caller
-// writes all 2k of them.
+// writes all k of them.
 func (s *WaveSim) alloc() int32 {
 	if n := len(s.freeSlots); n > 0 {
 		slot := s.freeSlots[n-1]
@@ -214,21 +214,14 @@ func (s *WaveSim) alloc() int32 {
 		return slot
 	}
 	n := len(s.arena)
-	s.arena = slices.Grow(s.arena, 2*s.k)[:n+2*s.k]
-	return int32(n / (2 * s.k))
+	s.arena = slices.Grow(s.arena, s.k)[:n+s.k]
+	return int32(n / s.k)
 }
 
 func (s *WaveSim) reset() {
-	for i := range s.vals {
-		s.vals[i] = 0
-		s.projVal[i] = 0
-		s.projMask[i] = 0
-	}
-	for i := range s.pendCount {
-		s.pendCount[i] = 0
-		s.latchOpen[i] = false
-		s.latchOpenAt[i] = 0
-	}
+	clear(s.vals)
+	clear(s.latchOpen)
+	clear(s.latchOpenAt)
 	s.queue.reset()
 	s.arena = s.arena[:0]
 	s.freeSlots = s.freeSlots[:0]
@@ -311,8 +304,7 @@ func (s *WaveSim) start() {
 }
 
 // drain commits every event queued under key, the key the queue's next
-// has just popped, then flushes the gate evaluations the commits
-// touched.
+// has just popped, then flushes the nodes the commits touched.
 func (s *WaveSim) drain(key qkey, stim [][]uint64) {
 	for {
 		e, ok := s.queue.take()
@@ -322,11 +314,9 @@ func (s *WaveSim) drain(key qkey, stim [][]uint64) {
 		switch key.kind {
 		case evInput:
 			i := int(s.inputIdx[e.node]) * s.k
-			s.setWords(e.node, stim[e.cycle][i:i+s.k:i+s.k], nil, key.time)
+			s.setWords(e.node, stim[e.cycle][i:i+s.k:i+s.k])
 		case evSignal:
-			s.popped(e.node)
-			v, m := s.slot(e.slot)
-			s.setWords(e.node, v, m, key.time)
+			s.setWords(e.node, s.slot(e.slot))
 			s.freeSlots = append(s.freeSlots, e.slot)
 		case evClock:
 			s.clockAction(key.time, &e)
@@ -335,17 +325,25 @@ func (s *WaveSim) drain(key qkey, stim [][]uint64) {
 	s.flush(key.time)
 }
 
-// flush evaluates every gate whose fanins changed under the key just
-// drained, once, from the key's final committed state, and schedules
-// one event for the union of the lanes that changed (the WaveSim
-// comment says why that is exact).
+// flush schedules every node a commit under the key just drained
+// touched, once, from the key's final committed state (the WaveSim
+// comment says why that is exact): a gate's function of its fanins one
+// gate delay later, an open latch's data input at max(now+Tdq,
+// open+Tcq), the floor that keeps data arriving just after the opening
+// edge from beating the edge's own response.
 func (s *WaveSim) flush(now float64) {
 	for _, id := range s.touched {
-		slot := s.evalSlot[id]
-		s.evalSlot[id] = -1
-		v, m := s.slot(slot)
-		s.gates.eval(id, s.vals, s.k, v)
-		s.push(now+s.delays[id], id, slot, m)
+		s.marked[id] = false
+		slot := s.alloc()
+		v := s.slot(slot)
+		t := now + s.delays[id]
+		if s.gates.kind(id) == netlist.KindLatch {
+			copy(v, s.val(s.gates.fanin0(id)))
+			t = max(now+s.lib.Latch.Tdq, s.latchOpenAt[id]+s.lib.Latch.Tcq)
+		} else {
+			s.gates.eval(id, s.vals, s.k, v)
+		}
+		s.queue.push(t, evSignal, wevent{node: id, slot: slot})
 	}
 	s.touched = s.touched[:0]
 }
@@ -371,126 +369,38 @@ func (s *WaveSim) clockAction(now float64, e *wevent) {
 }
 
 // respond captures a sequential element's data input into the trace and
-// schedules its output response for the lanes where the projected
-// output differs — the lanes for which the scalar engine would push.
+// schedules it as the element's output on every lane. Where the scalar
+// engine would not push, because the lane's newest event already holds
+// that value, the commit leaves the lane as it is.
 func (s *WaveSim) respond(id int32, cycle int, at float64) {
 	d := s.val(s.gates.fanin0(id))
 	copy(s.traceRef[id][cycle*s.k:], d)
-	b := int(id) * s.k
-	v := s.vals[b : b+s.k : b+s.k]
-	pv, pm, m := s.projVal[b:b+s.k:b+s.k], s.projMask[b:b+s.k:b+s.k], s.maskBuf[:s.k:s.k]
-	d, pv, pm, m = d[:len(v)], pv[:len(v)], pm[:len(v)], m[:len(v)]
-	var any uint64
-	for w := range v {
-		m[w] = d[w] ^ ((v[w] &^ pm[w]) | (pv[w] & pm[w]))
-		any |= m[w]
-	}
-	if any == 0 {
-		return
-	}
 	slot := s.alloc()
-	sv, _ := s.slot(slot)
-	copy(sv, d)
-	s.push(at, id, slot, m)
+	copy(s.slot(slot), d)
+	s.queue.push(at, evSignal, wevent{node: id, slot: slot})
 }
 
-// push queues a signal event for id whose value words are already in
-// slot: it writes mask m (which may be the slot's own mask words) into
-// the slot's mask words and folds the event into the per-lane pending
-// projection in the same pass.
-func (s *WaveSim) push(t float64, id, slot int32, m []uint64) {
-	s.queue.push(t, evSignal, wevent{node: id, slot: slot})
-	s.pendCount[id]++
-	b := int(id) * s.k
-	pv, pm := s.projVal[b:b+s.k:b+s.k], s.projMask[b:b+s.k:b+s.k]
-	v, sm := s.slot(slot)
-	v, sm, pm, m = v[:len(pv)], sm[:len(pv)], pm[:len(pv)], m[:len(pv)]
-	for w := range pv {
-		mw := m[w]
-		sm[w] = mw
-		pv[w] = (pv[w] &^ mw) | (v[w] & mw)
-		pm[w] |= mw
-	}
-}
-
-// popped updates the pending projection when a signal event for id
-// leaves the queue. A lane whose last pending event has committed keeps
-// its projMask bit until the node's count drains, but its projected
-// value then equals the committed value, so the projection stays
-// consistent.
-func (s *WaveSim) popped(id int32) {
-	if s.pendCount[id] > 0 {
-		s.pendCount[id]--
-		if s.pendCount[id] == 0 {
-			b := int(id) * s.k
-			clear(s.projMask[b : b+s.k : b+s.k])
-		}
-	}
-}
-
-// setWords commits a masked value change and propagates to fanouts. A
-// nil mask means all lanes (primary-input changes). Only lanes whose
-// value actually flips propagate: a combinational fanout ORs that
-// changed set into the mask of its pending evaluation, which flush
-// schedules once the key drains, and an open latch fanout is scheduled
-// at once under that mask, so lanes the scalar engine would not have
-// touched are never affected.
-func (s *WaveSim) setWords(id int32, d, mask []uint64, now float64) {
-	k := s.k
-	b := int(id) * k
-	v := s.vals[b : b+k : b+k]
-	ch := s.changed[:len(v)]
+// setWords commits value words d to node id on every lane. If any lane
+// flipped, it marks each combinational fanout and each open latch
+// fanout for flush, once per key.
+func (s *WaveSim) setWords(id int32, d []uint64) {
+	v := s.val(id)
 	d = d[:len(v)]
 	var any uint64
-	if mask == nil {
-		for w := range v {
-			c := v[w] ^ d[w]
-			ch[w] = c
-			v[w] = d[w]
-			any |= c
-		}
-	} else {
-		mask = mask[:len(v)]
-		for w := range v {
-			c := (v[w] ^ d[w]) & mask[w]
-			ch[w] = c
-			v[w] ^= c
-			any |= c
-		}
+	for w := range v {
+		any |= v[w] ^ d[w]
+		v[w] = d[w]
 	}
 	if any == 0 {
 		return
 	}
 	for _, fo := range s.fos[s.foStart[id]:s.foStart[id+1]] {
-		kind := s.gates.kind(fo)
-		switch {
-		case kind.IsCombinational():
-			slot := s.evalSlot[fo]
-			if slot < 0 {
-				slot = s.alloc()
-				s.evalSlot[fo] = slot
-				s.touched = append(s.touched, fo)
-				_, m := s.slot(slot)
-				copy(m, ch)
-				break
-			}
-			_, m := s.slot(slot)
-			m = m[:len(ch)]
-			for w := range m {
-				m[w] |= ch[w]
-			}
-		case kind == netlist.KindLatch:
-			if !s.latchOpen[fo] {
-				break
-			}
-			t := now + s.lib.Latch.Tdq
-			if min := s.latchOpenAt[fo] + s.lib.Latch.Tcq; t < min {
-				t = min
-			}
-			slot := s.alloc()
-			sv, _ := s.slot(slot)
-			copy(sv, v)
-			s.push(t, fo, slot, ch)
+		if s.marked[fo] {
+			continue
+		}
+		if kind := s.gates.kind(fo); kind.IsCombinational() || kind == netlist.KindLatch && s.latchOpen[fo] {
+			s.marked[fo] = true
+			s.touched = append(s.touched, fo)
 		}
 	}
 }

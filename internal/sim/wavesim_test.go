@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"virtualsync/internal/celllib"
 	"virtualsync/internal/netlist"
 )
 
@@ -31,31 +32,45 @@ func waveMix(t testing.TB) *netlist.Circuit {
 	return c
 }
 
+// libTdq is lib31 with latch data-to-q delay tdq (lib31's is 0.5,
+// below its Tcq of 1).
+func libTdq(t testing.TB, tdq float64) *celllib.Library {
+	l := lib31(t)
+	l.Latch.Tdq = tdq
+	return l
+}
+
 // TestWaveSimMatchesEventEngine is the exactness pin: every lane of a
 // WaveSim run must reproduce the scalar event engine bit for bit, from
 // cycle 0, with no warmup and no period restrictions — including tight
-// periods where logic waves from adjacent cycles genuinely overlap.
+// periods where logic waves from adjacent cycles genuinely overlap. It
+// runs with latch Tdq below Tcq, where a pass-through is floored at the
+// opening response, and above it (within the monotonicity bound at
+// every period), where it never is.
 func TestWaveSimMatchesEventEngine(t *testing.T) {
 	circuits := map[string]*netlist.Circuit{
 		"pipeline": pipeline(t),
 		"latchMix": latchMix(t),
 		"waveMix":  waveMix(t),
 	}
-	for name, c := range circuits {
-		for _, T := range []float64{4, 5.5, 10, 10000} {
-			t.Run(fmt.Sprintf("%s/T=%g", name, T), func(t *testing.T) {
-				const cycles = 16
-				scalar, words := packedRandom(t, c, cycles, 64)
-				ws, err := NewWave(c, lib31(t), WaveOptions{T: T, Cycles: cycles, Lanes: 64})
-				if err != nil {
-					t.Fatal(err)
-				}
-				bt, err := ws.Run(words)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareAllLanes(t, c, T, cycles, 0, scalar, bt)
-			})
+	libs := map[string]*celllib.Library{"": lib31(t), "Tdq=2.5/": libTdq(t, 2.5)}
+	for prefix, lib := range libs {
+		for name, c := range circuits {
+			for _, T := range []float64{4, 5.5, 10, 10000} {
+				t.Run(fmt.Sprintf("%s%s/T=%g", prefix, name, T), func(t *testing.T) {
+					const cycles = 16
+					scalar, words := packedRandom(t, c, cycles, 64)
+					ws, err := NewWave(c, lib, WaveOptions{T: T, Cycles: cycles, Lanes: 64})
+					if err != nil {
+						t.Fatal(err)
+					}
+					bt, err := ws.Run(words)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareAllLanesLib(t, c, lib, T, cycles, 0, scalar, bt)
+				})
+			}
 		}
 	}
 }
@@ -91,7 +106,7 @@ func TestWaveSimReusedAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First run on inverted stimulus, then re-run on A: the reused
-	// buffers (queue, arena, projection, trace) must not leak state.
+	// buffers (queue, arena, marks, trace) must not leak state.
 	_, wordsB := packedRandom(t, c, cycles, 64)
 	for cyc := range wordsB {
 		for i := range wordsB[cyc] {
@@ -115,8 +130,14 @@ func TestWaveSimReusedAcrossRuns(t *testing.T) {
 // schedules x three times per instant (two zero-width glitches that
 // would ripple down the chain). WaveSim must queue at most one signal
 // event per gate per key and still match the scalar engine on every
-// lane. b commits first, so x's event must carry the lanes of every
-// commit, not only the last one's.
+// lane. b commits first, so x's event must hold the final state of
+// every fanin, not only the last one's change.
+//
+// Latch L1 behind x opens at the instant x changes, so its opening
+// response and x's pass-through, floored to the response's time, share
+// a key: L1 commits twice under one key, as in the scalar engine. The
+// open latch L2 behind it must still be queued once per key, not once
+// per commit of its data input.
 func TestWaveSimOneEventPerGateAndInstant(t *testing.T) {
 	c := netlist.New("reconv")
 	b := c.MustAdd("b", netlist.KindInput)
@@ -129,6 +150,13 @@ func TestWaveSimOneEventPerGateAndInstant(t *testing.T) {
 	c2 := c.MustAdd("c2", netlist.KindNot, c1.ID)
 	f := c.MustAdd("F", netlist.KindDFF, c2.ID)
 	c.MustAdd("out", netlist.KindOutput, f.ID)
+	// x changes at 6 past each cycle start; L1 opens at 16+10 = 26,
+	// which is 6 past the next, and L2 is open from 0 to 10 past it.
+	l1 := c.MustAdd("L1", netlist.KindLatch, x.ID)
+	l1.Phase = 0.8
+	l2 := c.MustAdd("L2", netlist.KindLatch, l1.ID)
+	l2.Phase = 0.5
+	c.MustAdd("lout", netlist.KindOutput, l2.ID)
 
 	const cycles, T = 16, 20.0
 	scalar, words := packedRandom(t, c, cycles, 64)
@@ -140,7 +168,7 @@ func TestWaveSimOneEventPerGateAndInstant(t *testing.T) {
 	// key drains.
 	ws.start()
 	perKey := make(map[int32]int)
-	events := 0
+	events, l1Shared, l2Events := 0, 0, 0
 	for {
 		key, ok := ws.queue.next()
 		if !ok {
@@ -151,16 +179,29 @@ func TestWaveSimOneEventPerGateAndInstant(t *testing.T) {
 			q := &ws.queue
 			for it := q.buckets[q.cur].head; it >= 0; it = q.items[it].next {
 				id := q.items[it].e.node
-				if perKey[id]++; perKey[id] > 1 {
-					t.Fatalf("%d events for %s queued at t=%g", perKey[id], c.Node(netlist.NodeID(id)).Name, key.time)
-				}
+				perKey[id]++
 				events++
+			}
+			for id, n := range perKey {
+				switch {
+				case id == int32(l1.ID):
+					if n > 1 {
+						l1Shared++
+					}
+				case n > 1:
+					t.Fatalf("%d events for %s queued at t=%g", n, c.Node(netlist.NodeID(id)).Name, key.time)
+				case id == int32(l2.ID):
+					l2Events++
+				}
 			}
 		}
 		ws.drain(key, words)
 	}
-	if events == 0 {
-		t.Fatal("no signal events queued")
+	if events == 0 || l2Events == 0 {
+		t.Fatalf("%d signal events queued, %d for L2", events, l2Events)
+	}
+	if l1Shared == 0 {
+		t.Fatal("L1 never committed twice under one key, so L2's coalescing went untested")
 	}
 	compareAllLanes(t, c, T, cycles, 0, scalar, &ws.trace)
 }
@@ -207,6 +248,20 @@ func TestWaveSimRejects(t *testing.T) {
 	if _, err := NewWave(loop, lib, WaveOptions{T: 10, Cycles: 4, Lanes: 1}); err == nil {
 		t.Fatal("combinational cycle should be rejected")
 	}
+	// Tdq−Tcq = 5 exceeds the opaque 2 of T = 4, so a pass-through can
+	// land after the next opening response; the event engine itself
+	// then disagrees with WaveSim on waveMix. A latch-free circuit is
+	// unaffected, and so is a period whose opaque span covers it.
+	slow := libTdq(t, 6)
+	if _, err := NewWave(c, slow, WaveOptions{T: 4, Cycles: 4, Lanes: 1}); err == nil {
+		t.Fatal("latch Tdq past the monotonicity bound should be rejected")
+	}
+	if _, err := NewWave(c, slow, WaveOptions{T: 10, Cycles: 4, Lanes: 1}); err != nil {
+		t.Fatalf("latch Tdq within the bound at T = 10: %v", err)
+	}
+	if _, err := NewWave(pipeline(t), slow, WaveOptions{T: 4, Cycles: 4, Lanes: 1}); err != nil {
+		t.Fatalf("latch-free circuit rejected for its library's latch: %v", err)
+	}
 	ws, err := NewWave(c, lib, WaveOptions{T: 10, Cycles: 4, Lanes: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +287,7 @@ func TestVerifyEquivalenceLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lr.Fail() {
+	if lr.FlaggedLanes() > 0 {
 		t.Fatalf("identical circuits disagree: mask %v", lr.Mask)
 	}
 	if lr.EngineA != EngineBitSim || lr.EngineB != EngineBitSim {
@@ -252,7 +307,7 @@ func TestVerifyEquivalenceLanes(t *testing.T) {
 	if lr.EngineA != EngineWaveSim || lr.EngineB != EngineWaveSim {
 		t.Fatalf("latch-bearing pair should both run WaveSim, got %s/%s", lr.EngineA, lr.EngineB)
 	}
-	if lr.Fail() {
+	if lr.FlaggedLanes() > 0 {
 		t.Fatalf("self-comparison disagrees: mask %v", lr.Mask)
 	}
 
@@ -268,7 +323,7 @@ func TestVerifyEquivalenceLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lr.Fail() {
+	if lr.FlaggedLanes() == 0 {
 		t.Fatal("inverter-vs-buffer pair compared equal")
 	}
 	ms, err := VerifyEquivalenceStim(orig, broken, lib, 10, 10, 2, stims[0])
@@ -321,7 +376,7 @@ func TestLaneEngineTimingGate(t *testing.T) {
 	if lr.EngineA != EngineWaveSim || lr.EngineB != EngineWaveSim {
 		t.Fatalf("wave-pipelined pair ran %s/%s, want wavesim", lr.EngineA, lr.EngineB)
 	}
-	if lr.Fail() {
+	if lr.FlaggedLanes() > 0 {
 		t.Fatalf("self-comparison disagrees: mask %v", lr.Mask)
 	}
 	words, err := PackStimulus(stims)
